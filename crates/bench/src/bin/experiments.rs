@@ -16,7 +16,6 @@
 //! experiments batching       # E10b: round granularity vs sharing and added latency
 //! experiments clamps         # ablation: paper-literal vs sound Hoeffding clamps
 //! experiments sort-ablation  # ablation: exhaustive vs bucketed sort planner
-//! experiments executor       # round-executor thread scaling (BENCH_round_executor.json)
 //! experiments shard-scaling  # sharded pipelined execution vs the classic
 //!                            #     executor (BENCH_shard_scaling.json)
 //! experiments planner-scaling # planner build-time curves (BENCH_planner_scaling.json)
@@ -45,7 +44,6 @@ use ssa_core::algebra::{fig5_complexity, AxiomSet, PlanComplexity};
 use ssa_core::budget::{compare_throttled, BudgetContext, OutstandingAd};
 use ssa_core::engine::gaming::run_gaming_comparison;
 use ssa_core::engine::{BudgetPolicy, Engine, EngineConfig, RoutingMode, SharingStrategy};
-use ssa_core::exec::DEFAULT_MIN_BATCH;
 use ssa_core::plan::cost::{expected_cost, unshared_expected_cost};
 use ssa_core::plan::cse::cse_plan;
 use ssa_core::plan::optimal::optimal_plan_with_budget;
@@ -88,7 +86,6 @@ fn main() {
         "batching" => batching(),
         "clamps" => clamps(quick),
         "sort-ablation" => sort_ablation(quick),
-        "executor" => executor(quick),
         "shard-scaling" => shard_scaling(quick),
         "planner-scaling" => planner_scaling(quick),
         "hybrid-routing" => hybrid_routing(quick),
@@ -107,7 +104,6 @@ fn main() {
             batching();
             clamps(quick);
             sort_ablation(quick);
-            executor(quick);
             shard_scaling(quick);
             planner_scaling(quick);
             hybrid_routing(quick);
@@ -874,12 +870,6 @@ fn sort_ablation(quick: bool) {
     table.emit(&out_dir()).expect("write results");
 }
 
-/// Round-executor thread scaling: Unshared + ThrottleExact on a large
-/// workload at `wd_threads` 1 vs 4, with per-stage timings. The parallel
-/// executor is bit-identical to the sequential one (the differential
-/// corpus asserts this), so this experiment measures wall-clock only.
-/// Besides the usual `results/executor.{csv,json}` table it records the
-/// headline run as `BENCH_round_executor.json` at the repo root.
 /// The persistent-network half of E6 and the headline behind the CI
 /// `sort-smoke` gate: per-round shared-sort winner determination on a
 /// *fresh* network (instantiate + TA, what every round paid before the
@@ -1107,106 +1097,8 @@ fn shared_sort_persistent(quick: bool) {
     println!("wrote BENCH_shared_sort.json");
 }
 
-fn executor(quick: bool) {
-    let advertisers = if quick { 1_000 } else { 10_000 };
-    let rounds = if quick { 5 } else { 20 };
-    let mut table = Table::new(
-        "executor",
-        "round-executor thread scaling (unshared, throttle-exact)",
-        &[
-            "wd_threads",
-            "throttle ms",
-            "wd ms",
-            "settle ms",
-            "max-round wd ms",
-            "wd speedup",
-        ],
-    );
-    let mut runs = Vec::new();
-    for threads in [1usize, 4] {
-        let mut engine = Engine::new(
-            executor_workload(advertisers, 19),
-            EngineConfig {
-                sharing: SharingStrategy::Unshared,
-                budget_policy: BudgetPolicy::ThrottleExact,
-                wd_threads: threads,
-                seed: 29,
-                ..EngineConfig::default()
-            },
-        );
-        runs.push((threads, engine.run(rounds)));
-    }
-    let base_wd = runs[0].1.wd_nanos as f64;
-    for (threads, m) in &runs {
-        table.push(vec![
-            threads.to_string(),
-            format!("{:.1}", m.throttle_nanos as f64 / 1e6),
-            format!("{:.1}", m.wd_nanos as f64 / 1e6),
-            format!("{:.1}", m.settle_nanos as f64 / 1e6),
-            format!("{:.1}", m.max_round_wd_nanos as f64 / 1e6),
-            format!("{:.2}", base_wd / m.wd_nanos as f64),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-
-    let host_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let run_values: Vec<Value> = runs
-        .iter()
-        .map(|(threads, m)| {
-            Value::Object(vec![
-                ("wd_threads".into(), Value::from(*threads)),
-                (
-                    "throttle_ms".into(),
-                    Value::from(m.throttle_nanos as f64 / 1e6),
-                ),
-                ("wd_ms".into(), Value::from(m.wd_nanos as f64 / 1e6)),
-                ("settle_ms".into(), Value::from(m.settle_nanos as f64 / 1e6)),
-                (
-                    "max_round_wd_ms".into(),
-                    Value::from(m.max_round_wd_nanos as f64 / 1e6),
-                ),
-                ("impressions".into(), Value::from(m.impressions)),
-                (
-                    "revenue_micros".into(),
-                    Value::from(m.revenue.micros() as f64),
-                ),
-            ])
-        })
-        .collect();
-    let doc = Value::Object(vec![
-        ("benchmark".into(), Value::from("round_executor")),
-        ("host".into(), host_metadata()),
-        ("host_threads".into(), Value::from(host_threads)),
-        ("advertisers".into(), Value::from(advertisers)),
-        ("phrases".into(), Value::from(24usize)),
-        ("rounds".into(), Value::from(rounds)),
-        ("sharing".into(), Value::from("unshared")),
-        ("budget_policy".into(), Value::from("throttle-exact")),
-        (
-            "wd_speedup_4_over_1".into(),
-            Value::from(base_wd / runs[1].1.wd_nanos as f64),
-        ),
-        (
-            "note".into(),
-            Value::from(format!(
-                "parallel executor is bit-identical to sequential (differential \
-                 corpus); workers claim batches of >= {DEFAULT_MIN_BATCH} jobs per \
-                 dispatch so tiny per-job work no longer drowns in claim overhead; \
-                 wall-clock speedup requires multiple host cores and this host \
-                 exposes {host_threads}"
-            )),
-        ),
-        ("runs".into(), Value::Array(run_values)),
-    ]);
-    std::fs::write("BENCH_round_executor.json", doc.to_string_pretty())
-        .expect("write BENCH_round_executor.json");
-    println!("wrote BENCH_round_executor.json (host threads: {host_threads})");
-}
-
 /// Sharded pipelined round execution vs the classic executor: full-round
-/// wall-clock over the `wd_threads x shards` grid on the executor
+/// wall-clock over a `(workers, shards)` grid on the executor
 /// workload (unshared, throttle-exact — the throttle stage is hot, so
 /// sharding parallelizes all three round stages, not just winner
 /// determination). Every cell is asserted revenue/impression-identical
@@ -1225,17 +1117,9 @@ fn shard_scaling(quick: bool) {
     let gate = 1.25;
     let max_attempts = 6usize;
     // Serial cell first: every later cell's speedup is relative to it.
-    let grid: &[(usize, usize)] = &[
-        (1, 1),
-        (2, 1),
-        (4, 1),
-        (1, 2),
-        (2, 2),
-        (4, 2),
-        (1, 4),
-        (2, 4),
-        (4, 4),
-    ];
+    // No `shards = 1, workers > 1` cells: one shard runs serially
+    // whatever the pool size.
+    let grid: &[(usize, usize)] = &[(1, 1), (1, 2), (2, 2), (1, 4), (2, 4), (4, 4)];
     let cores = warn_if_serial_host("shard-scaling");
     let enforce = quick && cores >= 4;
 
@@ -1247,7 +1131,7 @@ fn shard_scaling(quick: bool) {
             "wd_threads",
             "shards",
             "shards_resolved",
-            "round ms (min)",
+            "warm rounds ms (min)",
             "throttle ms",
             "wd ms",
             "settle ms",
@@ -1256,8 +1140,10 @@ fn shard_scaling(quick: bool) {
     );
 
     let w = executor_workload(advertisers, 19);
-    // Per-cell round-time floors pooled across attempts; min-of-rounds
-    // for the same one-sided-noise reason as `hybrid-routing`.
+    // Per cell, the wall-clock of all warm rounds together, minimum over
+    // attempts. Every cell replays the same seed, so the sum covers the
+    // same auctions in every cell; a single cheapest round would be the
+    // same near-empty round everywhere and time only executor overhead.
     let mut pooled = vec![f64::INFINITY; grid.len()];
     let mut cell_metrics: Vec<Option<ssa_core::engine::EngineMetrics>> = vec![None; grid.len()];
     let mut placement_shim: Vec<Vec<u8>> = Vec::new();
@@ -1277,12 +1163,14 @@ fn shard_scaling(quick: bool) {
                     ..EngineConfig::default()
                 },
             );
-            let mut round_ns: Vec<u128> = Vec::with_capacity(rounds);
-            for _ in 0..rounds {
-                let t0 = Instant::now();
+            for _ in 0..warmup {
                 engine.run_round();
-                round_ns.push(t0.elapsed().as_nanos());
             }
+            let t0 = Instant::now();
+            for _ in warmup..rounds {
+                engine.run_round();
+            }
+            let warm_ns = t0.elapsed().as_nanos() as f64;
             let m = engine.metrics().clone();
             let signature = (m.impressions, m.clicks, m.revenue);
             match &identity {
@@ -1293,17 +1181,16 @@ fn shard_scaling(quick: bool) {
                      serial engine"
                 ),
             }
-            let floor = *round_ns[warmup..].iter().min().expect("warm rounds") as f64;
-            pooled[cell] = pooled[cell].min(floor);
+            pooled[cell] = pooled[cell].min(warm_ns);
             cell_metrics[cell] = Some(m);
         }
         speedup_4x4 = pooled[0] / pooled[grid.len() - 1];
         if enforce && speedup_4x4 < gate && attempt < max_attempts {
             eprintln!(
                 "  attempt {attempt}: 4x4 sharded at {speedup_4x4:.3}x serial \
-                 (serial floor {:.1}us, sharded floor {:.1}us), re-measuring",
-                pooled[0] / 1e3,
-                pooled[grid.len() - 1] / 1e3
+                 (serial {:.2}ms, sharded {:.2}ms), re-measuring",
+                pooled[0] / 1e6,
+                pooled[grid.len() - 1] / 1e6
             );
             continue;
         }
@@ -1313,13 +1200,13 @@ fn shard_scaling(quick: bool) {
     let mut cell_values = Vec::new();
     for (cell, &(threads, shards)) in grid.iter().enumerate() {
         let m = cell_metrics[cell].as_ref().expect("cell measured");
-        let round_ms = pooled[cell] / 1e6;
+        let warm_ms = pooled[cell] / 1e6;
         let speedup = pooled[0] / pooled[cell];
         table.push(vec![
             threads.to_string(),
             shards.to_string(),
             m.shards_resolved.to_string(),
-            format!("{round_ms:.3}"),
+            format!("{warm_ms:.3}"),
             format!("{:.1}", m.throttle_nanos as f64 / 1e6),
             format!("{:.1}", m.wd_nanos as f64 / 1e6),
             format!("{:.1}", m.settle_nanos as f64 / 1e6),
@@ -1329,7 +1216,7 @@ fn shard_scaling(quick: bool) {
             ("wd_threads".into(), Value::from(threads)),
             ("shards".into(), Value::from(shards)),
             ("shards_resolved".into(), Value::from(m.shards_resolved)),
-            ("round_ms_min".into(), Value::from(round_ms)),
+            ("warm_rounds_ms_min".into(), Value::from(warm_ms)),
             (
                 "throttle_ms".into(),
                 Value::from(m.throttle_nanos as f64 / 1e6),
@@ -1365,8 +1252,9 @@ fn shard_scaling(quick: bool) {
             "note".into(),
             Value::from(
                 "full-round wall-clock (throttle + winner determination + \
-                 settlement), minimum over post-warm-up rounds pooled across \
-                 attempts; sharded engines run per-shard resolver slices as a \
+                 settlement) summed over the post-warm-up rounds of one run \
+                 (same seed, so the same auctions in every cell), minimum \
+                 over attempts; sharded engines run per-shard resolver slices as a \
                  pipelined dataflow over the worker pool and are bit-identical \
                  to the serial engine (shard-exec differential corpus); \
                  per-shard stage nanos are summed CPU time, so throttle/wd/\

@@ -94,12 +94,11 @@ pub struct SimulationSpec {
     pub mean_click_delay_rounds: f64,
     /// Outstanding-ad expiry in rounds.
     pub click_expiry_rounds: u32,
-    /// Round-executor worker threads, for every parallel stage including
-    /// the TA resolvers (bit-identical results for any value). `0` means
-    /// auto: the engine resolves it to `available_parallelism()` at
-    /// construction and records the result in
-    /// `EngineMetrics::wd_threads_resolved`. Config files may still say
-    /// `ta_threads` — it parses as a deprecated alias for this knob.
+    /// Worker-pool size of the sharded round pipeline (bit-identical
+    /// results for any value; inert with one shard). `0` means auto: the
+    /// engine resolves it to `available_parallelism()` at construction
+    /// and records the workers that actually run in
+    /// `EngineMetrics::wd_threads_resolved`.
     pub wd_threads: usize,
     /// Execution shards for the pipelined round executor: `1` (default)
     /// keeps the classic executor, `> 1` partitions phrases into that
@@ -297,14 +296,7 @@ impl SimulationSpec {
                 "click_expiry_rounds",
                 u64::from(d.click_expiry_rounds),
             )? as u32,
-            // `ta_threads` is a deprecated alias: the engine's TA knob
-            // folded into `wd_threads`, and the old engine reconciled the
-            // two by taking the maximum.
-            wd_threads: usize_field(&v, "wd_threads", d.wd_threads)?.max(usize_field(
-                &v,
-                "ta_threads",
-                0,
-            )?),
+            wd_threads: usize_field(&v, "wd_threads", d.wd_threads)?,
             shards: usize_field(&v, "shards", d.shards)?,
             planner: string_field(&v, "planner", &d.planner)?,
             routing: string_field(&v, "routing", &d.routing)?,
@@ -633,7 +625,7 @@ mod tests {
         let back = SimulationSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back.wd_threads, 0, "auto survives the round trip");
         assert_eq!(back.shards, 0);
-        // The engine resolves auto at construction and records it.
+        // The engine resolves auto at construction and records what runs.
         let spec = SimulationSpec {
             wd_threads: 0,
             shards: 0,
@@ -647,23 +639,15 @@ mod tests {
         };
         let engine = spec.build_engine().expect("auto spec builds");
         let host = std::thread::available_parallelism().map_or(1, |p| p.get()) as u64;
-        assert_eq!(engine.metrics().wd_threads_resolved, host);
         assert!(engine.metrics().shards_resolved >= 1);
         assert!(engine.metrics().shards_resolved <= host.max(1));
-    }
-
-    #[test]
-    fn ta_threads_parses_as_a_deprecated_wd_threads_alias() {
-        let spec = SimulationSpec::from_json(r#"{"ta_threads": 4}"#).expect("alias parses");
-        assert_eq!(spec.wd_threads, 4);
-        // Both given: the larger wins (the old engine reconciled the two
-        // knobs by taking the maximum).
-        let spec = SimulationSpec::from_json(r#"{"ta_threads": 2, "wd_threads": 4}"#).unwrap();
-        assert_eq!(spec.wd_threads, 4);
-        let spec = SimulationSpec::from_json(r#"{"ta_threads": 4, "wd_threads": 2}"#).unwrap();
-        assert_eq!(spec.wd_threads, 4);
-        // The rendered config speaks only the current vocabulary.
-        assert!(!spec.to_json().contains("ta_threads"));
+        // Both knobs resolve to the host width, so the pipeline runs one
+        // worker per surviving shard (and one thread when it fell back
+        // to the single-domain executor).
+        assert_eq!(
+            engine.metrics().wd_threads_resolved,
+            engine.metrics().shards_resolved
+        );
     }
 
     #[test]

@@ -36,25 +36,22 @@ pub struct EngineMetrics {
     /// rounds are re-read for free — so it is expected to be far below a
     /// fresh-per-round engine's count (that gap is the perf win, see
     /// `sort_cache_items_reused`). Deterministic for a given workload and
-    /// seed; identical across `ta_threads`/`wd_threads` settings.
+    /// seed.
     pub merge_invocations: u64,
     /// TA sorted-access stages (shared-sort strategy): total depth both
     /// of TA's sorted lists were consumed to, summed over phrase
     /// auctions. Depends only on stream contents, so it is identical
-    /// whether the network is fresh or persistent, sequential or
-    /// concurrent.
+    /// whether the network is fresh or persistent.
     pub ta_stages: u64,
     /// Persistent-network nodes invalidated by cross-round refresh
     /// (shared-sort strategy): changed leaves plus every merge operator
     /// in their dirty cones, summed over rounds. The first round counts
-    /// the whole network (everything is built dirty). Deterministic;
-    /// identical across thread counts.
+    /// the whole network (everything is built dirty). Deterministic.
     pub sort_nodes_invalidated: u64,
     /// Cached merge-network items that survived refresh (shared-sort
     /// strategy): Σ over rounds of the items still cached after dirty-cone
     /// invalidation — merged prefixes the round's TA re-consumes without
-    /// re-merging. Zero on the first round. Deterministic; identical
-    /// across thread counts.
+    /// re-merging. Zero on the first round. Deterministic.
     pub sort_cache_items_reused: u64,
     /// Phrase auctions routed to the shared aggregation plan
     /// (`SharedAggregation` routes every auction here; `Hybrid` only the
@@ -90,10 +87,11 @@ pub struct EngineMetrics {
     pub exact_throttle_evaluations: u64,
     /// Total expected value (Σ d_j · score) of the assignments made.
     pub expected_value: f64,
-    /// Winner-determination worker threads actually in use, after
-    /// resolving `wd_threads = 0` ("auto") to `available_parallelism()`
-    /// at engine construction. Host-dependent under auto, so zeroed by
-    /// [`EngineMetrics::without_timing`].
+    /// Shard-pipeline workers that actually run: `1` on the
+    /// single-domain executor, `min(wd_threads, shards_resolved)` when
+    /// sharded (after resolving `wd_threads = 0`, "auto", to
+    /// `available_parallelism()` at engine construction). Host-dependent
+    /// under auto, so zeroed by [`EngineMetrics::without_timing`].
     pub wd_threads_resolved: u64,
     /// Execution shards actually in use, after resolving `shards = 0`
     /// ("auto") to `available_parallelism()` at engine construction and
@@ -183,7 +181,7 @@ impl EngineMetrics {
 
     /// A copy with every wall-clock field — and the timing-*driven*
     /// `router_migrations` counter — zeroed, for comparing the
-    /// deterministic counters of two runs (e.g. `wd_threads` 1 vs 4)
+    /// deterministic counters of two runs (e.g. two pipeline widths)
     /// where only timing may legitimately differ. Note that under
     /// `RoutingMode::Adaptive` the `phrases_routed_plan`/`_sort` split
     /// also depends on migration history and is not comparable across

@@ -33,7 +33,6 @@ use ssa_workload::rounds::RoundSampler;
 use ssa_workload::Workload;
 
 use crate::budget::{BudgetContext, OutstandingAd};
-use crate::exec;
 use crate::plan::PlannerMode;
 use crate::sort::SortItem;
 
@@ -127,15 +126,14 @@ pub struct EngineConfig {
     /// this keeps the exact budget convolution's support proportional to
     /// `budget / increment` instead of `2^l`. Zero disables rounding.
     pub billing_increment: Money,
-    /// Worker threads for the round executor's hot stages: per-advertiser
-    /// bid throttling, per-phrase `Unshared` scans, level-parallel
-    /// `SharedAggregation` plan evaluation, and the concurrent
-    /// `SharedSort` TA (the former `ta_threads` knob, now folded in
-    /// here). Under sharded execution (`shards > 1`) this is instead the
-    /// shard-pipeline worker-pool size. `0` means *auto*: resolved to
-    /// `std::thread::available_parallelism()` at engine construction and
-    /// recorded in `EngineMetrics::wd_threads_resolved`. Results are
-    /// bit-identical for every thread count; only wall-clock changes.
+    /// Worker-pool size of the sharded round pipeline (`shards > 1`, see
+    /// `engine::shard`) — the only way the engine uses more than one
+    /// thread; with one shard the round is serial whatever this says.
+    /// `0` means *auto*: resolved to
+    /// `std::thread::available_parallelism()` at engine construction. The
+    /// workers that actually run are recorded in
+    /// `EngineMetrics::wd_threads_resolved`. Results are bit-identical
+    /// for every pool size; only wall-clock changes.
     pub wd_threads: usize,
     /// Execution shards for the round pipeline. `1` (the default) keeps
     /// the classic single-domain executor. `> 1` partitions the phrases
@@ -332,10 +330,10 @@ impl Engine {
     /// routes exactly the separable phrases to the plan.
     pub fn new(workload: Workload, mut config: EngineConfig) -> Self {
         // `0` means auto for both executor knobs: size to the host.
-        // Resolved here, before resolver construction, so everything
-        // downstream (concurrent sort network width, shard partition)
-        // sees the concrete value; recorded in metrics so a benchmark
-        // artifact can't silently hide which width actually ran.
+        // Resolved here, before the shard partition, so everything
+        // downstream sees the concrete value; what actually runs is
+        // recorded in metrics so a benchmark artifact can't silently
+        // hide it.
         let auto = || std::thread::available_parallelism().map_or(1, |p| p.get());
         if config.wd_threads == 0 {
             config.wd_threads = auto();
@@ -348,17 +346,20 @@ impl Engine {
             if plan.count() > 1 {
                 WdExec::Sharded(shard::Sharded::new(&workload, &config, plan))
             } else {
-                WdExec::Single(Resolvers::for_strategy(&workload, &config))
+                WdExec::Single(Resolvers::for_strategy(&workload, &config, None))
             }
         } else {
-            WdExec::Single(Resolvers::for_strategy(&workload, &config))
+            WdExec::Single(Resolvers::for_strategy(&workload, &config, None))
+        };
+        let shards_resolved = match &wd {
+            WdExec::Single(_) => 1,
+            WdExec::Sharded(sharded) => sharded.shard_count(),
         };
         let metrics = EngineMetrics {
-            wd_threads_resolved: config.wd_threads as u64,
-            shards_resolved: match &wd {
-                WdExec::Single(_) => 1,
-                WdExec::Sharded(sharded) => sharded.shard_count() as u64,
-            },
+            // The pipeline never runs more workers than shards; the
+            // single-domain executor is one thread.
+            wd_threads_resolved: config.wd_threads.min(shards_resolved) as u64,
+            shards_resolved: shards_resolved as u64,
             ..EngineMetrics::default()
         };
         let ledgers = Ledgers::new(&workload);
@@ -604,7 +605,7 @@ impl Engine {
             let ctx = RoundContext {
                 workload,
                 k: config.slot_factors.len(),
-                wd_threads: config.wd_threads,
+                wd_threads: 1,
                 budget_policy: config.budget_policy,
                 m_i: &m_i,
                 budgets: &budgets,
@@ -726,17 +727,8 @@ impl Engine {
                 }
             }
         };
-        if self.config.wd_threads > 1 {
-            let bids = exec::parallel_map(participants.len(), self.config.wd_threads, |j| {
-                bid_for(participants[j] as usize)
-            });
-            for (&i, bid) in participants.iter().zip(bids) {
-                out[i as usize] = bid;
-            }
-        } else {
-            for &i in participants {
-                out[i as usize] = bid_for(i as usize);
-            }
+        for &i in participants {
+            out[i as usize] = bid_for(i as usize);
         }
         match policy {
             BudgetPolicy::Ignore => 0,

@@ -4,9 +4,9 @@
 //! the Section II shared top-k aggregation plan, and the Section III
 //! shared merge-sort + Threshold Algorithm — lives in its own resolver
 //! behind the common [`PhraseResolver`] trait. A resolver owns *all* of
-//! its persistent cross-round state (the compiled plan DAG and its level
-//! schedule, the persistent merge network and TA scratch pools); the
-//! engine owns only the round loop, budgets, and settlement.
+//! its persistent cross-round state (the compiled plan DAG, the persistent
+//! merge network and its TA scratch); the engine owns only the round
+//! loop, budgets, and settlement.
 //!
 //! Resolvers are compiled over an explicit *phrase subset*, which is what
 //! makes `SharingStrategy::Hybrid` possible: separable phrases compile
@@ -42,16 +42,16 @@ use super::{
 };
 
 /// Per-round context handed to every resolver call: the workload, the
-/// round's participation counts, the executor knobs, and a budget-state
-/// accessor (used by the unshared bounds path to refine lazily). Borrowed
-/// from disjoint engine fields so resolvers can hold `&mut` state at the
-/// same time.
+/// round's participation counts, and a budget-state accessor (used by
+/// the unshared bounds path to refine lazily). Borrowed from disjoint
+/// engine fields so resolvers can hold `&mut` state at the same time.
 pub struct RoundContext<'a> {
     /// The workload under simulation.
     pub workload: &'a Workload,
     /// Slots per auction (`slot_factors.len()`).
     pub k: usize,
-    /// Worker threads for the resolver's parallel stages.
+    /// Accepted and unread (every resolver is single-threaded): the
+    /// frozen `benchmark/` package still writes it; its next PR drops it.
     pub wd_threads: usize,
     /// The engine's budget enforcement policy.
     pub budget_policy: BudgetPolicy,
@@ -113,7 +113,7 @@ pub(crate) enum Resolvers {
         /// sort-network compaction.
         stable_boundaries: u32,
         /// The phrase subset this resolver pair owns, when it was built
-        /// for an execution shard ([`Resolvers::for_shard`]); `None`
+        /// for an execution shard ([`Resolvers::for_strategy`]); `None`
         /// means the whole workload. Sort-network rebuilds must stay
         /// inside this subset or a shard would absorb its neighbours'
         /// phrases.
@@ -160,41 +160,26 @@ pub(super) fn rebuild_sort(
         .enumerate()
         .map(|(q, &to_plan)| !to_plan && subset.is_none_or(|s| s[q]))
         .collect();
-    *sort = SortResolver::new(workload, Some(&mask), sort.threads());
+    *sort = SortResolver::new(workload, Some(&mask), 1);
     sort.defer_inactive_leaves(plan_route);
 }
 
 impl Resolvers {
     /// Builds the strategy's resolvers, compiling their offline plans
-    /// over the phrase subsets they own.
-    pub(super) fn for_strategy(workload: &Workload, config: &EngineConfig) -> Self {
+    /// over the phrase subsets they own: the whole workload when `subset`
+    /// is `None`, exactly one execution shard's phrases otherwise.
+    pub(super) fn for_strategy(
+        workload: &Workload,
+        config: &EngineConfig,
+        subset: Option<&[bool]>,
+    ) -> Self {
         match config.sharing {
             SharingStrategy::Unshared => Resolvers::Unshared(UnsharedResolver),
             SharingStrategy::SharedAggregation => {
-                Resolvers::Plan(PlanResolver::new(workload, config.planner, None))
+                Resolvers::Plan(PlanResolver::new(workload, config.planner, subset))
             }
-            SharingStrategy::SharedSort => {
-                Resolvers::Sort(SortResolver::new(workload, None, config.wd_threads))
-            }
-            SharingStrategy::Hybrid => Self::hybrid(workload, config, None, config.wd_threads),
-        }
-    }
-
-    /// Builds one execution shard's resolvers: the same strategy as the
-    /// engine's, compiled over exactly the shard's phrase `subset`, with
-    /// intra-resolver parallelism pinned to one thread — under sharded
-    /// execution the shard is the unit of parallelism, and nested worker
-    /// pools would oversubscribe the executor's own pool.
-    pub(super) fn for_shard(workload: &Workload, config: &EngineConfig, subset: &[bool]) -> Self {
-        match config.sharing {
-            SharingStrategy::Unshared => Resolvers::Unshared(UnsharedResolver),
-            SharingStrategy::SharedAggregation => {
-                Resolvers::Plan(PlanResolver::new(workload, config.planner, Some(subset)))
-            }
-            SharingStrategy::SharedSort => {
-                Resolvers::Sort(SortResolver::new(workload, Some(subset), 1))
-            }
-            SharingStrategy::Hybrid => Self::hybrid(workload, config, Some(subset), 1),
+            SharingStrategy::SharedSort => Resolvers::Sort(SortResolver::new(workload, subset, 1)),
+            SharingStrategy::Hybrid => Self::hybrid(workload, config, subset),
         }
     }
 
@@ -210,12 +195,7 @@ impl Resolvers {
     /// intersected with the shard's phrases and the cost models see only
     /// the shard's search-rate mass, so each shard routes independently
     /// over structures that never overlap a neighbour's.
-    fn hybrid(
-        workload: &Workload,
-        config: &EngineConfig,
-        subset: Option<&[bool]>,
-        threads: usize,
-    ) -> Self {
+    fn hybrid(workload: &Workload, config: &EngineConfig, subset: Option<&[bool]>) -> Self {
         let m = workload.phrase_count();
         let in_subset = |q: usize| subset.is_none_or(|s| s[q]);
         let separable: Vec<bool> = (0..m)
@@ -231,7 +211,7 @@ impl Resolvers {
                     .collect();
                 Resolvers::Hybrid {
                     plan,
-                    sort: SortResolver::new(workload, Some(&sort_route), threads),
+                    sort: SortResolver::new(workload, Some(&sort_route), 1),
                     router: Router::fixed(separable),
                     plan_phrases: Vec::new(),
                     sort_phrases: Vec::new(),
@@ -246,7 +226,7 @@ impl Resolvers {
                     .enumerate()
                     .map(|(q, &sr)| if in_subset(q) { sr } else { 0.0 })
                     .collect();
-                let mut sort = SortResolver::new(workload, subset, threads);
+                let mut sort = SortResolver::new(workload, subset, 1);
                 // Marginals in common item units: one plan node is a
                 // pairwise top-k aggregation (~2k item ops), one sort
                 // unit an item sent upstream; the plan's fixed term is

@@ -6,9 +6,7 @@ use ssa_auction::winner::assignment_from_ranking;
 use ssa_setcover::VarSet;
 use ssa_workload::Workload;
 
-use crate::plan::{
-    LevelSchedule, PlanDag, PlanMaintainer, PlanProblem, PlannerMode, SharedPlanner,
-};
+use crate::plan::{PlanDag, PlanMaintainer, PlanProblem, PlannerMode, SharedPlanner};
 use crate::topk::{KList, ScoredAd, ScoredTopKOp};
 
 use super::super::{AuctionOutcome, EngineMetrics};
@@ -34,9 +32,6 @@ pub struct PlanResolver {
     /// Offline shared-aggregation plan plus its incremental cost tracker;
     /// `None` when every bound phrase's interest set is empty.
     maintainer: Option<PlanMaintainer>,
-    /// The plan's topological level schedule, computed once for
-    /// level-parallel evaluation under `wd_threads > 1`.
-    schedule: Option<LevelSchedule>,
     /// Per phrase, the plan query index it is bound to (`None` for
     /// phrases outside this resolver's subset and for empty-interest
     /// phrases, which resolve trivially).
@@ -93,10 +88,8 @@ impl PlanResolver {
                 2.0,
             ))
         };
-        let schedule = maintainer.as_ref().map(|m| m.plan().level_schedule());
         let mut resolver = PlanResolver {
             maintainer,
-            schedule,
             query_index,
             query_rates,
             marginals: vec![0.0; m],
@@ -216,12 +209,7 @@ impl PhraseResolver for PlanResolver {
                 flags[qi] = true;
             }
         }
-        let (results, ops) = if ctx.wd_threads > 1 {
-            let schedule = self.schedule.as_ref().expect("schedule computed with plan");
-            plan.evaluate_parallel(&op, &leaf_values, &flags, schedule, ctx.wd_threads)
-        } else {
-            plan.evaluate(&op, &leaf_values, &flags)
-        };
+        let (results, ops) = plan.evaluate(&op, &leaf_values, &flags);
         metrics.aggregation_ops += ops as u64;
         phrases
             .iter()

@@ -8,7 +8,6 @@ use ssa_auction::score::Score;
 use ssa_auction::winner::assignment_from_ranking;
 use ssa_workload::Workload;
 
-use crate::sort::concurrent::{resolve_parallel_with, ConcurrentMergeNetwork, TaJob};
 use crate::sort::planner::{build_shared_sort_plan_sparse, SortPlan};
 use crate::sort::ta::{threshold_top_k_into, TaScratch};
 use crate::sort::{LeafCones, MergeNetwork, RefreshStats, SortItem};
@@ -22,37 +21,6 @@ const CACHE_EVICT_HORIZON: u32 = 64;
 
 use super::super::{AuctionOutcome, EngineMetrics};
 use super::{PhraseResolver, RoundContext};
-
-/// The persistent merge network a sort resolver keeps alive across
-/// rounds — sequential or lock-striped concurrent, fixed at construction
-/// by the configured thread count.
-enum SortNet {
-    Seq(MergeNetwork),
-    Conc(ConcurrentMergeNetwork),
-}
-
-impl SortNet {
-    fn invocations(&self) -> u64 {
-        match self {
-            SortNet::Seq(net) => net.invocations(),
-            SortNet::Conc(net) => net.invocations(),
-        }
-    }
-
-    fn evict_cold(&mut self, horizon: u32) -> u64 {
-        match self {
-            SortNet::Seq(net) => net.evict_cold(horizon),
-            SortNet::Conc(net) => net.evict_cold(horizon),
-        }
-    }
-
-    fn heap_bytes(&mut self) -> usize {
-        match self {
-            SortNet::Seq(net) => net.heap_bytes(),
-            SortNet::Conc(net) => net.heap_bytes(),
-        }
-    }
-}
 
 /// Shared merge-sort + Threshold Algorithm over a (possibly strict)
 /// subset of the workload's phrases. The merge network lives for the
@@ -69,15 +37,12 @@ pub struct SortResolver {
     /// Per phrase, advertisers by descending `c_i^q` (TA's second list);
     /// empty for phrases outside this resolver's subset.
     c_orders: Vec<Vec<(AdvertiserId, f64)>>,
-    /// Worker threads; `> 1` uses the lock-per-operator concurrent
-    /// network (identical results, only wall-clock changes).
-    threads: usize,
     /// Per leaf, the merge operators a bid change there invalidates
     /// (`SortPlan::leaf_cones`, computed once at plan-build time; CSR).
     cones: LeafCones,
     /// The persistent network; `None` until the first round builds it
     /// from that round's effective bids.
-    net: Option<SortNet>,
+    net: Option<MergeNetwork>,
     /// Per-phrase roots in network node space (`usize::MAX` for empty or
     /// unbound phrases).
     roots: Vec<usize>,
@@ -95,11 +60,9 @@ pub struct SortResolver {
     active: Option<Vec<u32>>,
     /// Reusable bid-delta buffer.
     changed: Vec<(usize, Money)>,
-    /// Sequential TA scratch + output buffer.
+    /// TA scratch + output buffer.
     ta_scratch: TaScratch,
     ta_out: Vec<(AdvertiserId, Score)>,
-    /// Concurrent TA scratch pool, one per worker.
-    ta_pool: Vec<parking_lot::Mutex<TaScratch>>,
     /// Per phrase, whether this resolver's plan was compiled over it. A
     /// phrase outside the compiled set has no root and no `c_order`;
     /// routing it here requires rebuilding the resolver first.
@@ -113,8 +76,9 @@ impl SortResolver {
     /// Compiles a sort plan over the phrases where `mask` is true (all
     /// phrases when `mask` is `None`). Masked-out phrases keep an empty
     /// interest set in the plan, so they root at `usize::MAX` and cost
-    /// the network nothing.
-    pub fn new(workload: &Workload, mask: Option<&[bool]>, threads: usize) -> Self {
+    /// the network nothing. `_threads` is accepted and unread: the frozen
+    /// `benchmark/` package still passes it; its next PR drops it.
+    pub fn new(workload: &Workload, mask: Option<&[bool]>, _threads: usize) -> Self {
         let n = workload.advertiser_count();
         let m = workload.phrase_count();
         let included = |q: usize| mask.is_none_or(|mask| mask[q]);
@@ -157,12 +121,10 @@ impl SortResolver {
                 order
             })
             .collect();
-        let threads = threads.max(1);
         SortResolver {
             cones: plan.leaf_cones(),
             plan,
             c_orders,
-            threads,
             net: None,
             roots: Vec::new(),
             prev_bids: Vec::new(),
@@ -170,9 +132,6 @@ impl SortResolver {
             changed: Vec::new(),
             ta_scratch: TaScratch::new(),
             ta_out: Vec::new(),
-            ta_pool: (0..threads)
-                .map(|_| parking_lot::Mutex::new(TaScratch::new()))
-                .collect(),
             compiled: (0..m).map(included).collect(),
             rounds_prepared: 0,
         }
@@ -213,11 +172,6 @@ impl SortResolver {
             .iter()
             .zip(plan_route)
             .any(|(&compiled, &to_plan)| compiled && to_plan)
-    }
-
-    /// Worker-thread count this resolver was built with.
-    pub(crate) fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Switches the resolver (typically one compiled over *all* phrases)
@@ -293,16 +247,12 @@ impl SortResolver {
     /// seam for the `ssa-testkit` differential oracle, which asserts a
     /// fresh network's caches are prefixes of these.
     pub fn cached_streams(&self) -> Option<Vec<Vec<SortItem>>> {
-        match self.net.as_ref()? {
-            SortNet::Seq(net) => Some(
-                (0..self.plan.node_count())
-                    .map(|v| net.cached(v).to_vec())
-                    .collect(),
-            ),
-            SortNet::Conc(net) => {
-                Some((0..self.plan.node_count()).map(|v| net.cached(v)).collect())
-            }
-        }
+        let net = self.net.as_ref()?;
+        Some(
+            (0..self.plan.node_count())
+                .map(|v| net.cached(v).to_vec())
+                .collect(),
+        )
     }
 }
 
@@ -319,16 +269,8 @@ impl PhraseResolver for SortResolver {
         self.rounds_prepared += 1;
         let stats = match self.net.as_mut() {
             None => {
-                let roots = if self.threads > 1 {
-                    let (net, roots) =
-                        ConcurrentMergeNetwork::from_plan(&self.plan, effective_bids);
-                    self.net = Some(SortNet::Conc(net));
-                    roots
-                } else {
-                    let (net, roots) = self.plan.instantiate(effective_bids);
-                    self.net = Some(SortNet::Seq(net));
-                    roots
-                };
+                let (net, roots) = self.plan.instantiate(effective_bids);
+                self.net = Some(net);
                 self.roots = roots;
                 self.prev_bids.clear();
                 self.prev_bids.extend_from_slice(effective_bids);
@@ -356,10 +298,7 @@ impl PhraseResolver for SortResolver {
                         *old = new;
                     }
                 }
-                let stats = match net {
-                    SortNet::Seq(n) => n.refresh(&self.changed, &self.cones),
-                    SortNet::Conc(n) => n.refresh(&self.changed, &self.cones),
-                };
+                let stats = net.refresh(&self.changed, &self.cones);
                 // Amortized cold-cache sweep: streams stay bit-identical
                 // (evicted nodes regenerate the same items on demand), so
                 // this only bounds memory, never changes outcomes.
@@ -388,63 +327,30 @@ impl PhraseResolver for SortResolver {
         let net = self.net.as_mut().expect("prepare builds the network");
         let invocations_before = net.invocations();
         let mut out = Vec::with_capacity(phrases.len());
-        match net {
-            SortNet::Conc(net) => {
-                let jobs: Vec<TaJob<'_>> = phrases
-                    .iter()
-                    .map(|p| {
-                        (
-                            self.roots[p.index()],
-                            self.c_orders[p.index()].as_slice(),
-                            k,
-                        )
-                    })
-                    .collect();
-                let workload = ctx.workload;
-                let bids: &[Money] = effective_bids;
-                let outcomes = resolve_parallel_with(
-                    net,
-                    &jobs,
-                    |_, a| bids[a.index()],
-                    |j, a| workload.phrase_factor(phrases[j], a).unwrap_or(0.0),
-                    self.threads,
-                    &self.ta_pool,
+        for &phrase in phrases {
+            let q = phrase.index();
+            let root = self.roots[q];
+            let workload = ctx.workload;
+            let stages = if root == usize::MAX {
+                self.ta_out.clear();
+                0
+            } else {
+                let (stages, _) = threshold_top_k_into(
+                    |i| net.get(root, i),
+                    &self.c_orders[q],
+                    |a| effective_bids[a.index()],
+                    |a| workload.phrase_factor(phrase, a).unwrap_or(0.0),
+                    k,
+                    &mut self.ta_scratch,
+                    &mut self.ta_out,
                 );
-                for (&phrase, outcome) in phrases.iter().zip(outcomes) {
-                    metrics.ta_stages += outcome.stages as u64;
-                    out.push(AuctionOutcome {
-                        phrase,
-                        assignment: assignment_from_ranking(&outcome.top_k, k),
-                    });
-                }
-            }
-            SortNet::Seq(net) => {
-                for &phrase in phrases {
-                    let q = phrase.index();
-                    let root = self.roots[q];
-                    let workload = ctx.workload;
-                    let stages = if root == usize::MAX {
-                        self.ta_out.clear();
-                        0
-                    } else {
-                        let (stages, _) = threshold_top_k_into(
-                            |i| net.get(root, i),
-                            &self.c_orders[q],
-                            |a| effective_bids[a.index()],
-                            |a| workload.phrase_factor(phrase, a).unwrap_or(0.0),
-                            k,
-                            &mut self.ta_scratch,
-                            &mut self.ta_out,
-                        );
-                        stages
-                    };
-                    metrics.ta_stages += stages as u64;
-                    out.push(AuctionOutcome {
-                        phrase,
-                        assignment: assignment_from_ranking(&self.ta_out, k),
-                    });
-                }
-            }
+                stages
+            };
+            metrics.ta_stages += stages as u64;
+            out.push(AuctionOutcome {
+                phrase,
+                assignment: assignment_from_ranking(&self.ta_out, k),
+            });
         }
         metrics.merge_invocations += net.invocations() - invocations_before;
         out

@@ -6,15 +6,13 @@ use ssa_auction::score::Score;
 use ssa_auction::winner::assignment_from_ranking;
 
 use crate::budget::topk::{top_k_uncertain, UncertainCandidate};
-use crate::exec;
 use crate::topk::{KList, ScoredAd};
 
 use super::super::{AuctionOutcome, BudgetPolicy, EngineMetrics};
 use super::{PhraseResolver, RoundContext};
 
-/// Independent scan per phrase, fanned out over `wd_threads` workers.
-/// Stateless: every round's work derives entirely from the
-/// [`RoundContext`].
+/// Independent scan per phrase. Stateless: every round's work derives
+/// entirely from the [`RoundContext`].
 ///
 /// Under `ThrottleBounds`, selection runs on lazily refined Hoeffding
 /// bounds instead of the exact throttled bids; exact values are computed
@@ -60,17 +58,6 @@ pub fn scan_top_k(
     top
 }
 
-/// One phrase's result, carried back from the worker.
-struct PhraseResolution {
-    ranked: Vec<(AdvertiserId, Score)>,
-    /// Exact throttled bids of the ranked advertisers (`ThrottleBounds`
-    /// only).
-    exact_bids: Vec<(AdvertiserId, Money)>,
-    scanned: u64,
-    bound_evaluations: u64,
-    exact_evaluations: u64,
-}
-
 impl PhraseResolver for UnsharedResolver {
     fn resolve(
         &mut self,
@@ -81,60 +68,43 @@ impl PhraseResolver for UnsharedResolver {
     ) -> Vec<AuctionOutcome> {
         let k = ctx.k;
         let bounds_mode = ctx.budget_policy == BudgetPolicy::ThrottleBounds;
-        let resolutions: Vec<PhraseResolution> = {
-            let bids: &[Money] = effective_bids;
-            exec::parallel_map(phrases.len(), ctx.wd_threads, |j| {
-                let q = phrases[j].index();
-                let interest = &ctx.workload.interest[q];
-                if bounds_mode {
-                    // `m_i` was computed once for the whole round; no
-                    // per-(phrase, candidate) rescan of the occurring set.
-                    let candidates: Vec<UncertainCandidate> = interest
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &a)| {
-                            let factor = ctx.workload.phrase_factors[q][pos];
-                            let budget = (ctx.budgets)(a.index(), ctx.m_i[a.index()]);
-                            UncertainCandidate::new(a, factor, &budget)
-                        })
-                        .collect();
-                    // k + 1: pricing needs the runner-up's exact score.
-                    let (winners, stats) = top_k_uncertain(&candidates, k + 1);
-                    PhraseResolution {
-                        ranked: winners.iter().map(|w| (w.advertiser, w.score)).collect(),
-                        exact_bids: winners.iter().map(|w| (w.advertiser, w.bid)).collect(),
-                        scanned: interest.len() as u64,
-                        bound_evaluations: stats.bound_evaluations,
-                        exact_evaluations: stats.exact_evaluations,
-                    }
-                } else {
-                    let top = scan_top_k(interest, &ctx.workload.phrase_factors[q], bids, k);
-                    PhraseResolution {
-                        ranked: top
-                            .items()
-                            .iter()
-                            .map(|s| (s.advertiser, s.score))
-                            .collect(),
-                        exact_bids: Vec::new(),
-                        scanned: interest.len() as u64,
-                        bound_evaluations: 0,
-                        exact_evaluations: 0,
-                    }
-                }
-            })
-        };
-
         let mut out = Vec::with_capacity(phrases.len());
-        for (&phrase, res) in phrases.iter().zip(resolutions) {
-            metrics.advertisers_scanned += res.scanned;
-            metrics.bound_evaluations += res.bound_evaluations;
-            metrics.exact_throttle_evaluations += res.exact_evaluations;
-            for (a, bid) in res.exact_bids {
-                effective_bids[a.index()] = bid;
-            }
+        for &phrase in phrases {
+            let q = phrase.index();
+            let interest = &ctx.workload.interest[q];
+            let factors = &ctx.workload.phrase_factors[q];
+            metrics.advertisers_scanned += interest.len() as u64;
+            let ranked: Vec<(AdvertiserId, Score)> = if bounds_mode {
+                // `m_i` was computed once for the whole round; no
+                // per-(phrase, candidate) rescan of the occurring set.
+                let candidates: Vec<UncertainCandidate> = interest
+                    .iter()
+                    .zip(factors)
+                    .map(|(&a, &factor)| {
+                        let budget = (ctx.budgets)(a.index(), ctx.m_i[a.index()]);
+                        UncertainCandidate::new(a, factor, &budget)
+                    })
+                    .collect();
+                // k + 1: pricing needs the runner-up's exact score.
+                let (winners, stats) = top_k_uncertain(&candidates, k + 1);
+                metrics.bound_evaluations += stats.bound_evaluations;
+                metrics.exact_throttle_evaluations += stats.exact_evaluations;
+                // An advertiser's exact bid depends only on its own
+                // budget state, so a later phrase re-writes the same value.
+                for w in &winners {
+                    effective_bids[w.advertiser.index()] = w.bid;
+                }
+                winners.iter().map(|w| (w.advertiser, w.score)).collect()
+            } else {
+                scan_top_k(interest, factors, effective_bids, k)
+                    .items()
+                    .iter()
+                    .map(|s| (s.advertiser, s.score))
+                    .collect()
+            };
             out.push(AuctionOutcome {
                 phrase,
-                assignment: assignment_from_ranking(&res.ranked, k),
+                assignment: assignment_from_ranking(&ranked, k),
             });
         }
         out

@@ -199,7 +199,7 @@ impl Sharded {
             .map(|s| {
                 let subset = plan.subset(s);
                 Mutex::new(ShardState {
-                    resolvers: Resolvers::for_shard(workload, config, &subset),
+                    resolvers: Resolvers::for_strategy(workload, config, Some(&subset)),
                     bids: vec![Money::ZERO; n],
                     participants: Vec::new(),
                     stamp: vec![0; n],
@@ -335,8 +335,7 @@ fn run_shard_chain(
     state.metrics.throttle_nanos += throttle_nanos;
     state.metrics.max_round_throttle_nanos = throttle_nanos;
 
-    // Stage 2 — winner determination over the shard's resolvers. The
-    // shard is the unit of parallelism: intra-resolver threads stay 1.
+    // Stage 2 — winner determination over the shard's resolvers.
     let started = Instant::now();
     let ShardState {
         ref mut resolvers,

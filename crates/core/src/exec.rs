@@ -1,91 +1,16 @@
-//! Deterministic scoped-worker fan-out shared by the round executor.
+//! The engine's one way to use more than one thread: a bounded MPSC
+//! channel and the scoped worker pool ([`shard_pipeline`]) that streams
+//! per-shard results over it to the committing thread.
 //!
-//! Every parallel stage of the engine (per-advertiser throttling,
-//! per-phrase unshared scans, level-parallel plan evaluation) reduces to
-//! the same shape: `jobs` independent computations whose results must
-//! come back *in job order*, bit-identical to a sequential loop. This
-//! module provides that primitive once, using the same work-stealing
-//! pattern proven in `sort::concurrent::resolve_parallel`: an atomic
-//! next-job counter, one mutex-guarded result slot per job, and the
-//! vendored `crossbeam` scoped threads. Each job index is claimed by
-//! exactly one worker and computed from the same inputs a sequential loop
-//! would see, so thread count affects wall-clock only, never results.
+//! Everything a worker runs (a shard's throttle, prepare and resolve
+//! stages) is single-threaded code over state that shard owns; workers
+//! claim shard indices from an atomic cursor, and every order-sensitive
+//! effect happens on the calling thread, so the pool size affects
+//! wall-clock only, never results.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-
-use parking_lot::Mutex;
-
-/// Default minimum number of jobs a worker claims per dispatch. Tiny work
-/// items (a throttled-bid lookup is tens of nanoseconds) must be batched,
-/// or the atomic claim + per-slot lock dominate and parallelism *loses*
-/// to sequential — the seed `BENCH_round_executor.json` measured 4
-/// threads at 0.31× of 1 thread on exactly that failure mode.
-pub const DEFAULT_MIN_BATCH: usize = 64;
-
-/// Computes `f(0), …, f(jobs - 1)` and returns the results in job order,
-/// batching [`DEFAULT_MIN_BATCH`] jobs per worker dispatch. See
-/// [`parallel_map_batched`].
-pub fn parallel_map<T, F>(jobs: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_batched(jobs, threads, DEFAULT_MIN_BATCH, f)
-}
-
-/// Computes `f(0), …, f(jobs - 1)` and returns the results in job order,
-/// with each worker claiming at least `min_batch` consecutive jobs per
-/// atomic dispatch.
-///
-/// With `threads <= 1` (or too few jobs to give a second worker a full
-/// batch) this is a plain sequential map; otherwise scoped workers drain
-/// an atomic cursor in chunks of
-/// `max(min_batch, jobs / (4 · threads))` — at least a batch, and at most
-/// ~4 claims per worker so stragglers still balance. Results are
-/// identical for every `threads`/`min_batch` combination — `f` must be a
-/// pure function of its index (it is `Fn`, not `FnMut`, so the type
-/// system already rules out cross-job mutation), and every result lands
-/// in its own slot.
-///
-/// # Panics
-/// Propagates any panic raised by `f`.
-pub fn parallel_map_batched<T, F>(jobs: usize, threads: usize, min_batch: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let min_batch = min_batch.max(1);
-    if threads <= 1 || jobs <= min_batch {
-        return (0..jobs).map(f).collect();
-    }
-    let chunk = min_batch.max(jobs / (4 * threads));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Vec<T>>> = (0..jobs.div_ceil(chunk))
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.min(slots.len()) {
-            scope.spawn(|_| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= jobs {
-                    break;
-                }
-                let end = (start + chunk).min(jobs);
-                let values: Vec<T> = (start..end).map(&f).collect();
-                *slots[start / chunk].lock() = values;
-            });
-        }
-    })
-    .expect("executor worker panicked");
-    let mut out = Vec::with_capacity(jobs);
-    for slot in slots {
-        out.append(&mut slot.into_inner());
-    }
-    debug_assert_eq!(out.len(), jobs, "every chunk was claimed");
-    out
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Mutex-protected state of a bounded MPSC channel. The sender count and
 /// receiver-liveness flag live *inside* the mutex, not in atomics beside
@@ -102,7 +27,7 @@ struct ChanState<T> {
 /// A bounded MPSC channel: a capacity-capped queue plus the two condvars
 /// that park producers (queue full) and the consumer (queue empty).
 struct Chan<T> {
-    state: StdMutex<ChanState<T>>,
+    state: Mutex<ChanState<T>>,
     cap: usize,
     not_empty: Condvar,
     not_full: Condvar,
@@ -128,7 +53,7 @@ pub struct Receiver<T> {
 /// committing thread park instead of queueing unbounded results.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
-        state: StdMutex::new(ChanState {
+        state: Mutex::new(ChanState {
             q: VecDeque::with_capacity(cap.max(1)),
             senders: 1,
             receiver_alive: true,
@@ -234,12 +159,11 @@ impl<T> Drop for Receiver<T> {
 /// threads and feeds each result to `collect` on the calling thread as
 /// it completes.
 ///
-/// Unlike [`parallel_map`], results are delivered in *completion* order
-/// (the shard index is passed alongside each result so the caller can
-/// reassemble), and delivery is streamed over a bounded channel instead
-/// of barriered: the calling thread can commit shard N's result while
-/// the pool is still working on shard N+1 — the pipeline shape of the
-/// sharded round executor. With `workers <= 1` or a single shard this
+/// Results are delivered in *completion* order (the shard index is
+/// passed alongside each result so the caller can reassemble), streamed
+/// over a bounded channel: the calling thread can commit shard N's
+/// result while the pool is still working on shard N+1 — the pipeline
+/// shape of the sharded round executor. With `workers <= 1` or a single shard this
 /// degenerates to a sequential in-order loop with no threads and no
 /// channel (and no allocation), which the zero-alloc harness relies on.
 ///
@@ -303,47 +227,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_arrive_in_job_order() {
-        let out = parallel_map(100, 4, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let inputs: Vec<u64> = (0..57).map(|i| i * 31 % 17).collect();
-        let f = |i: usize| inputs[i].wrapping_mul(0x9e37_79b9).rotate_left(7);
-        let seq = parallel_map(inputs.len(), 1, f);
-        let par = parallel_map(inputs.len(), 4, f);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_and_single_job() {
-        assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, 4, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn batched_chunks_agree_with_sequential() {
-        // Chunk boundaries must not reorder or drop results, for batch
-        // sizes below, at, and above the job count.
-        let want: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
-        for min_batch in [1, 3, 64, 100, 1000] {
-            for threads in [2, 4, 7] {
-                let out = parallel_map_batched(257, threads, min_batch, |i| i * 3 + 1);
-                assert_eq!(out, want, "min_batch {min_batch} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn borrows_from_enclosing_scope() {
-        let data = [1u32, 2, 3, 4, 5];
-        let doubled = parallel_map(data.len(), 3, |i| data[i] * 2);
-        assert_eq!(doubled, vec![2, 4, 6, 8, 10]);
-    }
 
     #[test]
     fn bounded_channel_delivers_everything_then_closes() {

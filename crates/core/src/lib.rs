@@ -32,8 +32,9 @@
 //! * [`engine`] — the round-based auction engine tying it together:
 //!   batching, per-round shared evaluation, pricing, delayed clicks,
 //!   budget settlement, and automated bidding programs.
-//! * [`exec`] — the deterministic scoped-worker fan-out behind the
-//!   engine's parallel round executor (`wd_threads`).
+//! * [`exec`] — the bounded channel and scoped worker pool behind the
+//!   sharded round pipeline, the engine's only use of threads
+//!   (`shards` × `wd_threads`).
 
 pub mod algebra;
 pub mod bloom;

@@ -65,37 +65,6 @@ use ssa_setcover::varset::{fnv1a_extend, sparse_limit, FNV_SEED};
 use ssa_setcover::{AsVarSetRef, BitSet, VarSet, VarSetRef};
 
 use crate::algebra::ops::AggregateOp;
-use crate::exec;
-
-/// A topological level schedule for a [`PlanDag`].
-///
-/// Level `d` holds the internal nodes whose longest leaf-to-node path has
-/// length `d + 1` (leaves sit at depth 0 and need no materialization).
-/// Both children of a level-`d` node live at strictly smaller depths, so
-/// all nodes within one level can be materialized concurrently; levels
-/// themselves run in ascending order. Within a level, nodes are kept in
-/// ascending index order so parallel evaluation visits (and counts) the
-/// same work as the sequential index-order sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelSchedule {
-    levels: Vec<Vec<usize>>,
-}
-
-impl LevelSchedule {
-    /// The levels, shallowest first; each is sorted ascending by node
-    /// index.
-    #[inline]
-    pub fn levels(&self) -> &[Vec<usize>] {
-        &self.levels
-    }
-
-    /// Depth of the plan: the number of sequential parallel steps one
-    /// round needs (the critical path length).
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-}
 
 /// Span sentinel: this internal node's set is dense, stored at
 /// `dense[len]` instead of in the CSR element pool.
@@ -636,8 +605,7 @@ impl PlanDag {
         seen
     }
 
-    /// Checks the `evaluate` preconditions shared by the sequential and
-    /// parallel paths.
+    /// Checks the [`PlanDag::evaluate`] preconditions.
     fn check_evaluate_inputs<O: AggregateOp>(
         &self,
         op: &O,
@@ -726,101 +694,6 @@ impl PlanDag {
             );
             ops += 1;
             memo[idx - self.var_count] = Some(value);
-        }
-        let results = self
-            .queries
-            .iter()
-            .zip(occurring)
-            .map(|(&idx, &occ)| {
-                if occ {
-                    Some(self.value_at(&memo, leaves, idx).clone())
-                } else {
-                    None
-                }
-            })
-            .collect();
-        (results, ops)
-    }
-
-    /// Computes the level schedule: internal nodes grouped by longest-path
-    /// depth from the leaves. Computed once at plan-build time and reused
-    /// every round by [`PlanDag::evaluate_parallel`].
-    pub fn level_schedule(&self) -> LevelSchedule {
-        let mut depth = vec![0usize; self.node_count()];
-        let mut max_depth = 0usize;
-        for idx in self.var_count..self.node_count() {
-            let (a, b) = self.children(idx).expect("internal node");
-            depth[idx] = depth[a].max(depth[b]) + 1;
-            max_depth = max_depth.max(depth[idx]);
-        }
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); max_depth];
-        // Ascending index order within each level falls out of the sweep.
-        for idx in self.var_count..self.node_count() {
-            levels[depth[idx] - 1].push(idx);
-        }
-        LevelSchedule { levels }
-    }
-
-    /// Level-parallel [`PlanDag::evaluate`]: materializes each schedule
-    /// level's needed nodes concurrently on `threads` scoped workers.
-    ///
-    /// Within a level no node depends on another (children live at
-    /// strictly smaller depths), so each worker reads already-materialized
-    /// values and writes its own slot. Results, the ⊕ count, and the set
-    /// of materialized nodes are identical to the sequential path for any
-    /// thread count; `threads <= 1` short-circuits to [`PlanDag::evaluate`].
-    ///
-    /// # Panics
-    /// Panics on the same conditions as [`PlanDag::evaluate`], or if
-    /// `schedule` was not produced by this plan's
-    /// [`PlanDag::level_schedule`].
-    pub fn evaluate_parallel<O>(
-        &self,
-        op: &O,
-        leaves: &[O::Value],
-        occurring: &[bool],
-        schedule: &LevelSchedule,
-        threads: usize,
-    ) -> (Vec<Option<O::Value>>, usize)
-    where
-        O: AggregateOp + Sync,
-        O::Value: Send + Sync,
-    {
-        if threads <= 1 {
-            return self.evaluate(op, leaves, occurring);
-        }
-        self.check_evaluate_inputs(op, leaves, occurring);
-        let scheduled: usize = schedule.levels.iter().map(Vec::len).sum();
-        assert_eq!(
-            scheduled,
-            self.spans.len(),
-            "schedule does not cover this plan's internal nodes"
-        );
-        let mut memo: Vec<Option<O::Value>> = vec![None; self.spans.len()];
-        let mut ops = 0usize;
-        let needed = self.needed_nodes(occurring);
-        for level in &schedule.levels {
-            let jobs: Vec<usize> = level.iter().copied().filter(|&idx| needed[idx]).collect();
-            if jobs.is_empty() {
-                continue;
-            }
-            // Workers only read children (materialized in earlier levels);
-            // results come back in job order and are written back serially.
-            let values = {
-                let memo_ref = &memo;
-                exec::parallel_map(jobs.len(), threads, |j| {
-                    let idx = jobs[j];
-                    let (a, b) = self.children(idx).expect("internal node");
-                    op.combine(
-                        self.value_at(memo_ref, leaves, a),
-                        self.value_at(memo_ref, leaves, b),
-                    )
-                })
-            };
-            ops += jobs.len();
-            for (idx, value) in jobs.into_iter().zip(values) {
-                memo[idx - self.var_count] = Some(value);
-            }
         }
         let results = self
             .queries
@@ -1129,59 +1002,6 @@ mod tests {
         // Max (idempotent) is fine and correct.
         let (results, _) = plan.evaluate(&MaxOp, &[1i64, 2, 3], &[true]);
         assert_eq!(results[0], Some(3));
-    }
-
-    #[test]
-    fn level_schedule_orders_children_before_parents() {
-        let mut plan = PlanDag::new(4);
-        let ab = plan.merge(0, 1);
-        let cd = plan.merge(2, 3);
-        let abc = plan.merge(ab, 2);
-        let abcd = plan.merge(ab, cd);
-        let sched = plan.level_schedule();
-        assert_eq!(sched.depth(), 2);
-        assert_eq!(sched.levels()[0], vec![ab, cd]);
-        assert_eq!(sched.levels()[1], vec![abc, abcd]);
-    }
-
-    #[test]
-    fn evaluate_parallel_matches_sequential() {
-        let op = TopKOp { k: 3 };
-        let mut plan = PlanDag::new(8);
-        // A few layers of shared structure with one unused branch.
-        let chains: Vec<usize> = (0..4).map(|i| plan.merge(2 * i, 2 * i + 1)).collect();
-        let left = plan.merge(chains[0], chains[1]);
-        let right = plan.merge(chains[2], chains[3]);
-        let all = plan.merge(left, right);
-        plan.queries = vec![left, right, all, chains[3]];
-        let sched = plan.level_schedule();
-        let leaves: Vec<KList<i64>> = (0..8).map(|v| KList::singleton(3, v * 7 % 13)).collect();
-        for occurring in [
-            [true, true, true, true],
-            [true, false, false, true],
-            [false, false, true, false],
-            [false, false, false, false],
-        ] {
-            let (seq, seq_ops) = plan.evaluate(&op, &leaves, &occurring);
-            for threads in [2, 4] {
-                let (par, par_ops) =
-                    plan.evaluate_parallel(&op, &leaves, &occurring, &sched, threads);
-                assert_eq!(seq, par, "results must be bit-identical");
-                assert_eq!(seq_ops, par_ops, "op counts must agree");
-            }
-        }
-    }
-
-    #[test]
-    fn evaluate_parallel_single_thread_short_circuits() {
-        let op = MaxOp;
-        let mut plan = PlanDag::new(2);
-        let ab = plan.merge(0, 1);
-        plan.queries = vec![ab];
-        let sched = plan.level_schedule();
-        let (res, ops) = plan.evaluate_parallel(&op, &[3i64, 5], &[true], &sched, 1);
-        assert_eq!(res[0], Some(5));
-        assert_eq!(ops, 1);
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! ever searched, and bit-identity survives because an evicted node
 //! regenerates exactly the same stream on demand.
 
-pub mod concurrent;
 pub mod planner;
 pub mod ta;
 
@@ -116,7 +115,7 @@ impl LeafCones {
     }
 }
 
-/// What one [`MergeNetwork::refresh`] (or its concurrent twin) did.
+/// What one [`MergeNetwork::refresh`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefreshStats {
     /// Nodes whose cache/cursors were reset: the changed leaves plus

@@ -105,25 +105,10 @@ pub fn threshold_top_k(
             stopped_early: false,
         };
     }
-    threshold_top_k_on(|i| net.get(root, i), c_order, bid_of, factor_of, k)
-}
-
-/// [`threshold_top_k`] over an arbitrary descending bid stream: `stream(i)`
-/// returns the `i`-th largest bid item, or `None` past the end. This is
-/// the entry point the concurrent network uses (its streams are `&self`
-/// closures over per-node locks). Allocates its own scratch; hot paths
-/// should hold a [`TaScratch`] and call [`threshold_top_k_into`].
-pub fn threshold_top_k_on(
-    stream: impl FnMut(usize) -> Option<super::SortItem>,
-    c_order: &[(AdvertiserId, f64)],
-    bid_of: impl Fn(AdvertiserId) -> Money,
-    factor_of: impl Fn(AdvertiserId) -> f64,
-    k: usize,
-) -> TaOutcome {
     let mut scratch = TaScratch::new();
     let mut top_k = Vec::new();
     let (stages, stopped_early) = threshold_top_k_into(
-        stream,
+        |i| net.get(root, i),
         c_order,
         bid_of,
         factor_of,
@@ -138,9 +123,11 @@ pub fn threshold_top_k_on(
     }
 }
 
-/// The allocation-free TA core: like [`threshold_top_k_on`], but the
-/// seen-set and working top-k live in a caller-held [`TaScratch`] and the
-/// winners are written into `out` (cleared first, capacity retained).
+/// The allocation-free TA core: like [`threshold_top_k`], but over an
+/// arbitrary descending bid stream (`stream(i)` returns the `i`-th
+/// largest bid item, or `None` past the end); the seen-set and working
+/// top-k live in a caller-held [`TaScratch`] and the winners are written
+/// into `out` (cleared first, capacity retained).
 /// Once `scratch` and `out` have warmed up to the phrase sizes in play,
 /// repeated runs perform zero heap allocations.
 ///

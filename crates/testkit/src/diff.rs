@@ -27,7 +27,6 @@ use ssa_core::engine::{
 use ssa_core::plan::cost::{expected_cost, unshared_expected_cost};
 use ssa_core::plan::cse::{cse_plan, CsePlan, NodeRef};
 use ssa_core::plan::{DisjointPlanner, PlanDag, PlanProblem, SharedPlanner};
-use ssa_core::sort::concurrent::{resolve_parallel, ConcurrentMergeNetwork, TaJob};
 use ssa_core::sort::planner::{build_shared_sort_plan, build_shared_sort_plan_bucketed, SortPlan};
 use ssa_core::sort::ta::{naive_top_k, threshold_top_k};
 use ssa_core::topk::{KList, ScoredAd, ScoredTopKOp};
@@ -100,7 +99,6 @@ pub const WORKLOAD_CHECKS: &[(&str, Profile, WorkloadCheck)] = &[
         check_plan_lazy_reference_with,
     ),
     ("shared-sort", Profile::NonSeparable, check_shared_sort_with),
-    ("wd-threads", Profile::TightBudgets, check_wd_threads_with),
     (
         "sort-persistent",
         Profile::TightBudgets,
@@ -159,16 +157,10 @@ pub fn run_all(seed: u64) -> Vec<Divergence> {
     out
 }
 
-fn engine_config(
-    sharing: SharingStrategy,
-    policy: BudgetPolicy,
-    wd_threads: usize,
-    seed: u64,
-) -> EngineConfig {
+fn engine_config(sharing: SharingStrategy, policy: BudgetPolicy, seed: u64) -> EngineConfig {
     EngineConfig {
         sharing,
         budget_policy: policy,
-        wd_threads,
         // Decorrelate round/click randomness from workload generation.
         seed: seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -386,21 +378,16 @@ fn run_engine_diff(
 
 /// Differential check over a separable (jitter-free) workload: the
 /// unshared scan, the Section II shared aggregation plan, the Section III
-/// shared sort (sequential and parallel), and the bounds-based budget
-/// policy must all produce the reference outcomes; the reference itself
-/// is replayed against the naive oracle each round. The `Ignore` budget
-/// policy gets its own oracle replay.
+/// shared sort, and the bounds-based budget policy must all produce the
+/// reference outcomes; the reference itself is replayed against the
+/// naive oracle each round. The `Ignore` budget policy gets its own
+/// oracle replay.
 pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "engine-separable";
     let w = Workload::generate(cfg);
     let reference = Engine::new(
         w.clone(),
-        engine_config(
-            SharingStrategy::Unshared,
-            BudgetPolicy::ThrottleExact,
-            1,
-            seed,
-        ),
+        engine_config(SharingStrategy::Unshared, BudgetPolicy::ThrottleExact, seed),
     );
     let variants = vec![
         Variant {
@@ -410,7 +397,6 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
                 engine_config(
                     SharingStrategy::SharedAggregation,
                     BudgetPolicy::ThrottleExact,
-                    1,
                     seed,
                 ),
             ),
@@ -424,21 +410,6 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
                 engine_config(
                     SharingStrategy::SharedSort,
                     BudgetPolicy::ThrottleExact,
-                    1,
-                    seed,
-                ),
-            ),
-            tolerant: false,
-            desynced: false,
-        },
-        Variant {
-            name: "shared-sort-parallel",
-            engine: Engine::new(
-                w.clone(),
-                engine_config(
-                    SharingStrategy::SharedSort,
-                    BudgetPolicy::ThrottleExact,
-                    2,
                     seed,
                 ),
             ),
@@ -452,7 +423,6 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
                 engine_config(
                     SharingStrategy::Unshared,
                     BudgetPolicy::ThrottleBounds,
-                    1,
                     seed,
                 ),
             ),
@@ -466,7 +436,7 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
     // replayed against the oracle, not against the throttled reference.
     let mut ignore = Engine::new(
         w.clone(),
-        engine_config(SharingStrategy::Unshared, BudgetPolicy::Ignore, 1, seed),
+        engine_config(SharingStrategy::Unshared, BudgetPolicy::Ignore, seed),
     );
     for round in 0..ROUNDS {
         let snapshots = ignore.budget_snapshots();
@@ -482,19 +452,14 @@ pub fn check_engine_separable(seed: u64) -> Result<(), Divergence> {
 }
 
 /// Differential check over a non-separable (phrase-jittered) workload:
-/// the shared sort — sequential and parallel — against the unshared scan,
-/// with the oracle replaying the reference.
+/// the shared sort against the unshared scan, with the oracle replaying
+/// the reference.
 pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "engine-nonseparable";
     let w = Workload::generate(cfg);
     let reference = Engine::new(
         w.clone(),
-        engine_config(
-            SharingStrategy::Unshared,
-            BudgetPolicy::ThrottleExact,
-            1,
-            seed,
-        ),
+        engine_config(SharingStrategy::Unshared, BudgetPolicy::ThrottleExact, seed),
     );
     let variants = vec![
         Variant {
@@ -504,21 +469,6 @@ pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result
                 engine_config(
                     SharingStrategy::SharedSort,
                     BudgetPolicy::ThrottleExact,
-                    1,
-                    seed,
-                ),
-            ),
-            tolerant: false,
-            desynced: false,
-        },
-        Variant {
-            name: "shared-sort-parallel",
-            engine: Engine::new(
-                w.clone(),
-                engine_config(
-                    SharingStrategy::SharedSort,
-                    BudgetPolicy::ThrottleExact,
-                    2,
                     seed,
                 ),
             ),
@@ -532,7 +482,6 @@ pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result
                 engine_config(
                     SharingStrategy::Unshared,
                     BudgetPolicy::ThrottleBounds,
-                    1,
                     seed,
                 ),
             ),
@@ -546,103 +495,6 @@ pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result
 /// Seed-only wrapper for [`check_engine_nonseparable_with`].
 pub fn check_engine_nonseparable(seed: u64) -> Result<(), Divergence> {
     check_engine_nonseparable_with(&gen::workload_config(seed, Profile::NonSeparable), seed)
-}
-
-/// Differential check of the parallel round executor: for every sharing
-/// strategy × budget policy, an engine running with `wd_threads = 4` must
-/// be *bit-identical* to one with `wd_threads = 1` — same auction
-/// outcomes, same metrics counters (wall-clock fields excluded), same
-/// budget snapshots, same effective bids.
-pub fn check_wd_threads_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
-    const CHECK: &str = "wd-threads";
-    // SharedAggregation requires a jitter-free workload; pin it so one
-    // workload serves all twelve combinations (Hybrid routes everything
-    // to its plan here, which still exercises the routed dispatch).
-    let mut cfg = cfg.clone();
-    cfg.phrase_factor_jitter = 0.0;
-    let w = Workload::generate(&cfg);
-    for sharing in [
-        SharingStrategy::Unshared,
-        SharingStrategy::SharedAggregation,
-        SharingStrategy::SharedSort,
-        SharingStrategy::Hybrid,
-    ] {
-        for policy in [
-            BudgetPolicy::Ignore,
-            BudgetPolicy::ThrottleExact,
-            BudgetPolicy::ThrottleBounds,
-        ] {
-            let run = |threads: usize| {
-                let ec = engine_config(sharing, policy, threads, seed);
-                let mut engine = Engine::new(w.clone(), ec);
-                let mut outcomes = Vec::new();
-                for _ in 0..ROUNDS {
-                    outcomes.extend(engine.run_round());
-                }
-                let snapshots = engine.budget_snapshots();
-                let bids = engine.last_effective_bids().to_vec();
-                let metrics = engine.metrics().without_timing();
-                (outcomes, metrics, snapshots, bids)
-            };
-            let (seq, seq_m, seq_snap, seq_bids) = run(1);
-            let (par, par_m, par_snap, par_bids) = run(4);
-            let label = format!("{sharing:?}/{policy:?}");
-            if seq.len() != par.len() {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!(
-                        "[{label}] outcome counts differ: {} sequential vs {} parallel",
-                        seq.len(),
-                        par.len()
-                    ),
-                ));
-            }
-            for (a, b) in seq.iter().zip(&par) {
-                if a.phrase != b.phrase || a.assignment != b.assignment {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] phrase {} resolves differently: sequential {:?}, \
-                             parallel {:?}",
-                            a.phrase, a.assignment, b.assignment
-                        ),
-                    ));
-                }
-            }
-            if seq_m != par_m {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!(
-                        "[{label}] metrics counters differ: sequential {seq_m:?}, \
-                         parallel {par_m:?}"
-                    ),
-                ));
-            }
-            if seq_snap != par_snap {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
-                ));
-            }
-            if seq_bids != par_bids {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!("[{label}] effective bids differ after {ROUNDS} rounds"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Seed-only wrapper for [`check_wd_threads_with`].
-pub fn check_wd_threads(seed: u64) -> Result<(), Divergence> {
-    check_wd_threads_with(&gen::workload_config(seed, Profile::TightBudgets), seed)
 }
 
 /// Differential check of the sharded pipelined executor: for every sharing
@@ -669,7 +521,8 @@ pub fn check_shard_exec_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Dive
             let run = |shards: usize, threads: usize| {
                 let ec = EngineConfig {
                     shards,
-                    ..engine_config(sharing, policy, threads, seed)
+                    wd_threads: threads,
+                    ..engine_config(sharing, policy, seed)
                 };
                 let mut engine = Engine::new(w.clone(), ec);
                 let mut outcomes = Vec::new();
@@ -938,8 +791,7 @@ pub fn check_plan_lazy_reference(seed: u64) -> Result<(), Divergence> {
 
 /// Static differential check of the shared-sort machinery: the quadratic
 /// and the bucketed planners, each resolved per phrase with the Threshold
-/// Algorithm (sequentially and through the concurrent network), against
-/// the naive full scan and the oracle.
+/// Algorithm, against the naive full scan and the oracle.
 pub fn check_shared_sort_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "shared-sort";
     let w = Workload::generate(cfg);
@@ -1040,30 +892,6 @@ pub fn check_shared_sort_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Div
                 ));
             }
         }
-        // The concurrent network must agree item for item.
-        let (cnet, croots) = ConcurrentMergeNetwork::from_plan(plan, &bids);
-        let jobs: Vec<TaJob> = (0..w.phrase_count())
-            .map(|q| (croots[q], c_orders[q].as_slice(), k))
-            .collect();
-        let outcomes = resolve_parallel(
-            &cnet,
-            &jobs,
-            |_, a| bids[a.index()],
-            |q, a| w.phrase_factor(PhraseId::from_index(q), a).unwrap_or(0.0),
-            2,
-        );
-        for (q, outcome) in outcomes.iter().enumerate() {
-            if outcome.top_k != expected[q] {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!(
-                        "{name} plan, parallel TA on phrase {q}: got {:?}, naive scan {:?}",
-                        outcome.top_k, expected[q]
-                    ),
-                ));
-            }
-        }
     }
     Ok(())
 }
@@ -1082,8 +910,7 @@ pub fn check_shared_sort(seed: u64) -> Result<(), Divergence> {
 /// cache (the persistent network may retain *deeper* merged prefixes
 /// from earlier rounds, but never different ones). Exercised under both
 /// throttling policies (tight budgets make effective bids actually churn
-/// between rounds) and at 1 and 4 worker threads (sequential and
-/// concurrent network variants).
+/// between rounds).
 pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "sort-persistent";
     let w = Workload::generate(cfg);
@@ -1108,82 +935,80 @@ pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(),
         .collect();
 
     for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-        for threads in [1usize, 4] {
-            let ec = engine_config(SharingStrategy::SharedSort, policy, threads, seed);
-            let k = ec.slot_factors.len();
-            let mut engine = Engine::new(w.clone(), ec);
-            let label = format!("{policy:?}/threads {threads}");
-            for round in 0..ROUNDS {
-                let stages_before = engine.metrics().ta_stages;
-                let outcomes = engine.run_round();
-                let persistent_stages = engine.metrics().ta_stages - stages_before;
-                let bids = engine.last_effective_bids().to_vec();
+        let ec = engine_config(SharingStrategy::SharedSort, policy, seed);
+        let k = ec.slot_factors.len();
+        let mut engine = Engine::new(w.clone(), ec);
+        let label = format!("{policy:?}");
+        for round in 0..ROUNDS {
+            let stages_before = engine.metrics().ta_stages;
+            let outcomes = engine.run_round();
+            let persistent_stages = engine.metrics().ta_stages - stages_before;
+            let bids = engine.last_effective_bids().to_vec();
 
-                // Fresh-per-round reference: instantiate from scratch on
-                // this round's effective bids and resolve the same
-                // occurring phrases.
-                let (mut fresh, roots) = plan.instantiate(&bids);
-                let mut fresh_stages = 0u64;
-                for o in &outcomes {
-                    let q = o.phrase.index();
-                    let ranked = if roots[q] == usize::MAX {
-                        Vec::new()
-                    } else {
-                        let outcome = threshold_top_k(
-                            &mut fresh,
-                            roots[q],
-                            &c_orders[q],
-                            |a| bids[a.index()],
-                            |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
-                            k,
-                        );
-                        fresh_stages += outcome.stages as u64;
-                        outcome.top_k
-                    };
-                    let expected = assignment_from_ranking(&ranked, k);
-                    if o.assignment != expected {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] round {round} phrase {}: persistent network \
-                                 assigned {:?}, fresh network {expected:?}",
-                                o.phrase, o.assignment
-                            ),
-                        ));
-                    }
-                }
-                if persistent_stages != fresh_stages {
+            // Fresh-per-round reference: instantiate from scratch on
+            // this round's effective bids and resolve the same
+            // occurring phrases.
+            let (mut fresh, roots) = plan.instantiate(&bids);
+            let mut fresh_stages = 0u64;
+            for o in &outcomes {
+                let q = o.phrase.index();
+                let ranked = if roots[q] == usize::MAX {
+                    Vec::new()
+                } else {
+                    let outcome = threshold_top_k(
+                        &mut fresh,
+                        roots[q],
+                        &c_orders[q],
+                        |a| bids[a.index()],
+                        |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
+                        k,
+                    );
+                    fresh_stages += outcome.stages as u64;
+                    outcome.top_k
+                };
+                let expected = assignment_from_ranking(&ranked, k);
+                if o.assignment != expected {
                     return Err(Divergence::new(
                         CHECK,
                         seed,
                         format!(
-                            "[{label}] round {round}: persistent TA ran {persistent_stages} \
-                             stages, fresh TA {fresh_stages}"
+                            "[{label}] round {round} phrase {}: persistent network \
+                                 assigned {:?}, fresh network {expected:?}",
+                            o.phrase, o.assignment
                         ),
                     ));
                 }
+            }
+            if persistent_stages != fresh_stages {
+                return Err(Divergence::new(
+                    CHECK,
+                    seed,
+                    format!(
+                        "[{label}] round {round}: persistent TA ran {persistent_stages} \
+                             stages, fresh TA {fresh_stages}"
+                    ),
+                ));
+            }
 
-                // Cache contents: whatever the fresh evaluation merged,
-                // the persistent network must hold bit-identically as a
-                // prefix of its (possibly deeper) cache.
-                let persistent = engine
-                    .sort_cached_streams()
-                    .expect("SharedSort engine has a network after a round");
-                for (v, p) in persistent.iter().enumerate().take(plan.node_count()) {
-                    let f = fresh.cached(v);
-                    if p.len() < f.len() || p[..f.len()] != f[..] {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] round {round} node {v}: fresh cache of \
+            // Cache contents: whatever the fresh evaluation merged,
+            // the persistent network must hold bit-identically as a
+            // prefix of its (possibly deeper) cache.
+            let persistent = engine
+                .sort_cached_streams()
+                .expect("SharedSort engine has a network after a round");
+            for (v, p) in persistent.iter().enumerate().take(plan.node_count()) {
+                let f = fresh.cached(v);
+                if p.len() < f.len() || p[..f.len()] != f[..] {
+                    return Err(Divergence::new(
+                        CHECK,
+                        seed,
+                        format!(
+                            "[{label}] round {round} node {v}: fresh cache of \
                                  {} items is not a prefix of persistent cache of {} items",
-                                f.len(),
-                                p.len()
-                            ),
-                        ));
-                    }
+                            f.len(),
+                            p.len()
+                        ),
+                    ));
                 }
             }
         }
@@ -1200,12 +1025,11 @@ pub fn check_sort_persistent(seed: u64) -> Result<(), Divergence> {
 /// (part separable, part jittered): a `Hybrid` engine must be
 /// *bit-identical* to a pure `SharedSort` engine — same outcomes every
 /// round, same effective bids, same budget snapshots — under both
-/// throttling policies and at 1 and 4 worker threads; its routing table
-/// must equal the workload's separability map; and every round at one
-/// thread is additionally replayed statically, plan-routed phrases
-/// against a fresh shared-aggregation evaluation over the separable
-/// subset and sort-routed phrases against a freshly instantiated subset
-/// sort network.
+/// throttling policies; its routing table must equal the workload's
+/// separability map; and every round is additionally replayed
+/// statically, plan-routed phrases against a fresh shared-aggregation
+/// evaluation over the separable subset and sort-routed phrases against
+/// a freshly instantiated subset sort network.
 pub fn check_hybrid_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "hybrid-routing";
     let w = Workload::generate(cfg);
@@ -1260,177 +1084,169 @@ pub fn check_hybrid_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), 
         .collect();
 
     for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-        for threads in [1usize, 4] {
-            let ec = engine_config(SharingStrategy::Hybrid, policy, threads, seed);
-            let k = ec.slot_factors.len();
-            let mut hybrid = Engine::new(w.clone(), ec);
-            let mut reference = Engine::new(
-                w.clone(),
-                engine_config(SharingStrategy::SharedSort, policy, threads, seed),
-            );
-            let label = format!("{policy:?}/threads {threads}");
+        let ec = engine_config(SharingStrategy::Hybrid, policy, seed);
+        let k = ec.slot_factors.len();
+        let mut hybrid = Engine::new(w.clone(), ec);
+        let mut reference = Engine::new(
+            w.clone(),
+            engine_config(SharingStrategy::SharedSort, policy, seed),
+        );
+        let label = format!("{policy:?}");
 
-            let routed = hybrid
-                .hybrid_plan_route()
-                .expect("hybrid engine has a route");
-            if routed != plan_route.as_slice() {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!(
-                        "[{label}] engine routing table disagrees with the workload's \
+        let routed = hybrid
+            .hybrid_plan_route()
+            .expect("hybrid engine has a route");
+        if routed != plan_route.as_slice() {
+            return Err(Divergence::new(
+                CHECK,
+                seed,
+                format!(
+                    "[{label}] engine routing table disagrees with the workload's \
                          separability map: {routed:?} vs {plan_route:?}"
-                    ),
-                ));
-            }
+                ),
+            ));
+        }
 
-            for round in 0..ROUNDS {
-                let hybrid_out = hybrid.run_round();
-                let ref_out = reference.run_round();
-                if hybrid_out.len() != ref_out.len()
-                    || hybrid_out
-                        .iter()
-                        .zip(&ref_out)
-                        .any(|(a, b)| a.phrase != b.phrase)
-                {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] round {round}: occurring phrase sets differ \
-                             (hybrid {:?}, shared-sort {:?})",
-                            hybrid_out.iter().map(|o| o.phrase).collect::<Vec<_>>(),
-                            ref_out.iter().map(|o| o.phrase).collect::<Vec<_>>()
-                        ),
-                    ));
-                }
-                for (a, b) in hybrid_out.iter().zip(&ref_out) {
-                    if a.assignment != b.assignment {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] round {round} phrase {} ({}-routed): hybrid \
-                                 assigned {:?}, shared-sort {:?}",
-                                a.phrase,
-                                if plan_route[a.phrase.index()] {
-                                    "plan"
-                                } else {
-                                    "sort"
-                                },
-                                a.assignment,
-                                b.assignment
-                            ),
-                        ));
-                    }
-                }
-                if hybrid.last_effective_bids() != reference.last_effective_bids() {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!("[{label}] round {round}: effective bids differ"),
-                    ));
-                }
-
-                if threads > 1 {
-                    continue;
-                }
-                // Static replay on this round's (exact) effective bids:
-                // both throttling policies compute full exact bids on the
-                // non-unshared paths, so an independent evaluation over
-                // each subset must reproduce the routed assignments.
-                let bids = hybrid.last_effective_bids().to_vec();
-                let plan_results = plan_dag.as_ref().map(|dag| {
-                    let op = ScoredTopKOp { k };
-                    let leaves: Vec<KList<ScoredAd>> = w
-                        .advertisers
-                        .iter()
-                        .enumerate()
-                        .map(|(i, adv)| {
-                            KList::singleton(
-                                k,
-                                ScoredAd::new(
-                                    adv.id,
-                                    Score::expected_value(bids[i], adv.base_factor),
-                                ),
-                            )
-                        })
-                        .collect();
-                    let mut flags = vec![false; dag.query_count()];
-                    for o in &hybrid_out {
-                        if let Some(qi) = query_index[o.phrase.index()] {
-                            flags[qi] = true;
-                        }
-                    }
-                    dag.evaluate(&op, &leaves, &flags).0
-                });
-                let (mut fresh, roots) = sort_plan.instantiate(&bids);
-                for o in &hybrid_out {
-                    let q = o.phrase.index();
-                    let ranked: Vec<(AdvertiserId, Score)> = if plan_route[q] {
-                        query_index[q]
-                            .and_then(|qi| plan_results.as_ref()?[qi].as_ref())
-                            .map(|list| {
-                                list.items()
-                                    .iter()
-                                    .map(|s| (s.advertiser, s.score))
-                                    .collect()
-                            })
-                            .unwrap_or_default()
-                    } else if roots[q] == usize::MAX {
-                        Vec::new()
-                    } else {
-                        threshold_top_k(
-                            &mut fresh,
-                            roots[q],
-                            &c_orders[q],
-                            |a| bids[a.index()],
-                            |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
-                            k,
-                        )
-                        .top_k
-                    };
-                    let want = assignment_from_ranking(&ranked, k);
-                    if o.assignment != want {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] round {round} phrase {} ({}-routed): hybrid \
-                                 assigned {:?}, static subset replay gives {want:?}",
-                                o.phrase,
-                                if plan_route[q] { "plan" } else { "sort" },
-                                o.assignment
-                            ),
-                        ));
-                    }
-                }
-            }
-
-            if hybrid.budget_snapshots() != reference.budget_snapshots() {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
-                ));
-            }
-            let metrics = hybrid.metrics();
-            if metrics.phrases_routed_unshared != 0
-                || metrics.phrases_routed_plan + metrics.phrases_routed_sort != metrics.auctions
+        for round in 0..ROUNDS {
+            let hybrid_out = hybrid.run_round();
+            let ref_out = reference.run_round();
+            if hybrid_out.len() != ref_out.len()
+                || hybrid_out
+                    .iter()
+                    .zip(&ref_out)
+                    .any(|(a, b)| a.phrase != b.phrase)
             {
                 return Err(Divergence::new(
                     CHECK,
                     seed,
                     format!(
-                        "[{label}] routing counters do not partition the {} auctions: \
-                         plan {}, sort {}, unshared {}",
-                        metrics.auctions,
-                        metrics.phrases_routed_plan,
-                        metrics.phrases_routed_sort,
-                        metrics.phrases_routed_unshared
+                        "[{label}] round {round}: occurring phrase sets differ \
+                             (hybrid {:?}, shared-sort {:?})",
+                        hybrid_out.iter().map(|o| o.phrase).collect::<Vec<_>>(),
+                        ref_out.iter().map(|o| o.phrase).collect::<Vec<_>>()
                     ),
                 ));
             }
+            for (a, b) in hybrid_out.iter().zip(&ref_out) {
+                if a.assignment != b.assignment {
+                    return Err(Divergence::new(
+                        CHECK,
+                        seed,
+                        format!(
+                            "[{label}] round {round} phrase {} ({}-routed): hybrid \
+                                 assigned {:?}, shared-sort {:?}",
+                            a.phrase,
+                            if plan_route[a.phrase.index()] {
+                                "plan"
+                            } else {
+                                "sort"
+                            },
+                            a.assignment,
+                            b.assignment
+                        ),
+                    ));
+                }
+            }
+            if hybrid.last_effective_bids() != reference.last_effective_bids() {
+                return Err(Divergence::new(
+                    CHECK,
+                    seed,
+                    format!("[{label}] round {round}: effective bids differ"),
+                ));
+            }
+
+            // Static replay on this round's (exact) effective bids:
+            // both throttling policies compute full exact bids on the
+            // non-unshared paths, so an independent evaluation over
+            // each subset must reproduce the routed assignments.
+            let bids = hybrid.last_effective_bids().to_vec();
+            let plan_results = plan_dag.as_ref().map(|dag| {
+                let op = ScoredTopKOp { k };
+                let leaves: Vec<KList<ScoredAd>> = w
+                    .advertisers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, adv)| {
+                        KList::singleton(
+                            k,
+                            ScoredAd::new(adv.id, Score::expected_value(bids[i], adv.base_factor)),
+                        )
+                    })
+                    .collect();
+                let mut flags = vec![false; dag.query_count()];
+                for o in &hybrid_out {
+                    if let Some(qi) = query_index[o.phrase.index()] {
+                        flags[qi] = true;
+                    }
+                }
+                dag.evaluate(&op, &leaves, &flags).0
+            });
+            let (mut fresh, roots) = sort_plan.instantiate(&bids);
+            for o in &hybrid_out {
+                let q = o.phrase.index();
+                let ranked: Vec<(AdvertiserId, Score)> = if plan_route[q] {
+                    query_index[q]
+                        .and_then(|qi| plan_results.as_ref()?[qi].as_ref())
+                        .map(|list| {
+                            list.items()
+                                .iter()
+                                .map(|s| (s.advertiser, s.score))
+                                .collect()
+                        })
+                        .unwrap_or_default()
+                } else if roots[q] == usize::MAX {
+                    Vec::new()
+                } else {
+                    threshold_top_k(
+                        &mut fresh,
+                        roots[q],
+                        &c_orders[q],
+                        |a| bids[a.index()],
+                        |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
+                        k,
+                    )
+                    .top_k
+                };
+                let want = assignment_from_ranking(&ranked, k);
+                if o.assignment != want {
+                    return Err(Divergence::new(
+                        CHECK,
+                        seed,
+                        format!(
+                            "[{label}] round {round} phrase {} ({}-routed): hybrid \
+                                 assigned {:?}, static subset replay gives {want:?}",
+                            o.phrase,
+                            if plan_route[q] { "plan" } else { "sort" },
+                            o.assignment
+                        ),
+                    ));
+                }
+            }
+        }
+
+        if hybrid.budget_snapshots() != reference.budget_snapshots() {
+            return Err(Divergence::new(
+                CHECK,
+                seed,
+                format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
+            ));
+        }
+        let metrics = hybrid.metrics();
+        if metrics.phrases_routed_unshared != 0
+            || metrics.phrases_routed_plan + metrics.phrases_routed_sort != metrics.auctions
+        {
+            return Err(Divergence::new(
+                CHECK,
+                seed,
+                format!(
+                    "[{label}] routing counters do not partition the {} auctions: \
+                         plan {}, sort {}, unshared {}",
+                    metrics.auctions,
+                    metrics.phrases_routed_plan,
+                    metrics.phrases_routed_sort,
+                    metrics.phrases_routed_unshared
+                ),
+            ));
         }
     }
     Ok(())
@@ -1445,12 +1261,12 @@ pub fn check_hybrid_routing(seed: u64) -> Result<(), Divergence> {
 /// `RoutingMode::Adaptive` engine must be bit-identical to a pure
 /// `SharedSort` engine — outcomes, effective bids, budget snapshots —
 /// and survive a naive-oracle replay of every round, under both
-/// throttling policies and at 1 and 4 worker threads, *whatever its
-/// migration history*. Two engines run per combination: a `route_frozen`
-/// one whose migrations are forced deterministically between rounds
-/// (guaranteeing rounds where a migration fired), and — unless the soak
-/// minimizer has [pinned routes](set_freeze_adaptive_routes) — a
-/// free-running one whose migration schedule is the router's own.
+/// throttling policies, *whatever its migration history*. Two engines
+/// run per policy: a `route_frozen` one whose migrations are forced
+/// deterministically between rounds (guaranteeing rounds where a
+/// migration fired), and — unless the soak minimizer has
+/// [pinned routes](set_freeze_adaptive_routes) — a free-running one
+/// whose migration schedule is the router's own.
 pub fn check_adaptive_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "adaptive-routing";
     let w = Workload::generate(cfg);
@@ -1461,123 +1277,121 @@ pub fn check_adaptive_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
     let any_eligible = (0..m).any(|q| w.phrase_is_separable(q) && !w.interest[q].is_empty());
 
     for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-        for threads in [1usize, 4] {
-            let mut frozen_modes = vec![true];
-            if !freeze_adaptive_routes() {
-                frozen_modes.push(false);
-            }
-            for frozen in frozen_modes {
-                let mut ec = engine_config(SharingStrategy::Hybrid, policy, threads, seed);
-                ec.routing = RoutingMode::Adaptive;
-                ec.route_frozen = frozen;
-                let mut engine = Engine::new(w.clone(), ec);
-                let mut reference = Engine::new(
-                    w.clone(),
-                    engine_config(SharingStrategy::SharedSort, policy, threads, seed),
-                );
-                let label = format!(
-                    "{policy:?}/threads {threads}/{}",
-                    if frozen {
-                        "frozen+forced"
-                    } else {
-                        "free-running"
-                    }
-                );
-                let mut forced = 0u64;
-                for round in 0..ROUNDS {
-                    let snapshots = engine.budget_snapshots();
-                    let out = engine.run_round();
-                    oracle_check_round(CHECK, &w, &engine, &snapshots, &out, seed, round)?;
-                    let ref_out = reference.run_round();
-                    if out.len() != ref_out.len()
-                        || out.iter().zip(&ref_out).any(|(a, b)| a.phrase != b.phrase)
-                    {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!("[{label}] round {round}: occurring phrase sets differ"),
-                        ));
-                    }
-                    for (a, b) in out.iter().zip(&ref_out) {
-                        if a.assignment != b.assignment {
-                            return Err(Divergence::new(
-                                CHECK,
-                                seed,
-                                format!(
-                                    "[{label}] round {round} phrase {}: adaptive hybrid \
-                                     assigned {:?}, shared-sort {:?}",
-                                    a.phrase, a.assignment, b.assignment
-                                ),
-                            ));
-                        }
-                    }
-                    if engine.last_effective_bids() != reference.last_effective_bids() {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!("[{label}] round {round}: effective bids differ"),
-                        ));
-                    }
-                    if frozen {
-                        // Force one migration per round boundary: flip the
-                        // first phrase the router accepts a move for. The
-                        // seed route and this scan are deterministic, so
-                        // the whole frozen variant replays exactly.
-                        let route: Vec<bool> = engine
-                            .hybrid_plan_route()
-                            .expect("hybrid engine has a route")
-                            .to_vec();
-                        let migrated = (0..m)
-                            .any(|q| engine.force_hybrid_route(PhraseId::from_index(q), !route[q]));
-                        if migrated {
-                            forced += 1;
-                        }
-                    }
-                }
+        let mut frozen_modes = vec![true];
+        if !freeze_adaptive_routes() {
+            frozen_modes.push(false);
+        }
+        for frozen in frozen_modes {
+            let mut ec = engine_config(SharingStrategy::Hybrid, policy, seed);
+            ec.routing = RoutingMode::Adaptive;
+            ec.route_frozen = frozen;
+            let mut engine = Engine::new(w.clone(), ec);
+            let mut reference = Engine::new(
+                w.clone(),
+                engine_config(SharingStrategy::SharedSort, policy, seed),
+            );
+            let label = format!(
+                "{policy:?}/{}",
                 if frozen {
-                    if any_eligible && forced == 0 {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] no forced migration was accepted despite \
-                                 plan-eligible phrases existing"
-                            ),
-                        ));
-                    }
-                    if engine.metrics().router_migrations != forced {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] router_migrations counts {} but {} forced \
-                                 migrations were applied",
-                                engine.metrics().router_migrations,
-                                forced
-                            ),
-                        ));
-                    }
+                    "frozen+forced"
+                } else {
+                    "free-running"
                 }
-                if engine.budget_snapshots() != reference.budget_snapshots() {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
-                    ));
-                }
-                let metrics = engine.metrics();
-                if metrics.phrases_routed_unshared != 0
-                    || metrics.phrases_routed_plan + metrics.phrases_routed_sort != metrics.auctions
+            );
+            let mut forced = 0u64;
+            for round in 0..ROUNDS {
+                let snapshots = engine.budget_snapshots();
+                let out = engine.run_round();
+                oracle_check_round(CHECK, &w, &engine, &snapshots, &out, seed, round)?;
+                let ref_out = reference.run_round();
+                if out.len() != ref_out.len()
+                    || out.iter().zip(&ref_out).any(|(a, b)| a.phrase != b.phrase)
                 {
                     return Err(Divergence::new(
                         CHECK,
                         seed,
+                        format!("[{label}] round {round}: occurring phrase sets differ"),
+                    ));
+                }
+                for (a, b) in out.iter().zip(&ref_out) {
+                    if a.assignment != b.assignment {
+                        return Err(Divergence::new(
+                            CHECK,
+                            seed,
+                            format!(
+                                "[{label}] round {round} phrase {}: adaptive hybrid \
+                                     assigned {:?}, shared-sort {:?}",
+                                a.phrase, a.assignment, b.assignment
+                            ),
+                        ));
+                    }
+                }
+                if engine.last_effective_bids() != reference.last_effective_bids() {
+                    return Err(Divergence::new(
+                        CHECK,
+                        seed,
+                        format!("[{label}] round {round}: effective bids differ"),
+                    ));
+                }
+                if frozen {
+                    // Force one migration per round boundary: flip the
+                    // first phrase the router accepts a move for. The
+                    // seed route and this scan are deterministic, so
+                    // the whole frozen variant replays exactly.
+                    let route: Vec<bool> = engine
+                        .hybrid_plan_route()
+                        .expect("hybrid engine has a route")
+                        .to_vec();
+                    let migrated = (0..m)
+                        .any(|q| engine.force_hybrid_route(PhraseId::from_index(q), !route[q]));
+                    if migrated {
+                        forced += 1;
+                    }
+                }
+            }
+            if frozen {
+                if any_eligible && forced == 0 {
+                    return Err(Divergence::new(
+                        CHECK,
+                        seed,
                         format!(
-                            "[{label}] routing counters do not partition the {} auctions",
-                            metrics.auctions
+                            "[{label}] no forced migration was accepted despite \
+                                 plan-eligible phrases existing"
                         ),
                     ));
                 }
+                if engine.metrics().router_migrations != forced {
+                    return Err(Divergence::new(
+                        CHECK,
+                        seed,
+                        format!(
+                            "[{label}] router_migrations counts {} but {} forced \
+                                 migrations were applied",
+                            engine.metrics().router_migrations,
+                            forced
+                        ),
+                    ));
+                }
+            }
+            if engine.budget_snapshots() != reference.budget_snapshots() {
+                return Err(Divergence::new(
+                    CHECK,
+                    seed,
+                    format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
+                ));
+            }
+            let metrics = engine.metrics();
+            if metrics.phrases_routed_unshared != 0
+                || metrics.phrases_routed_plan + metrics.phrases_routed_sort != metrics.auctions
+            {
+                return Err(Divergence::new(
+                    CHECK,
+                    seed,
+                    format!(
+                        "[{label}] routing counters do not partition the {} auctions",
+                        metrics.auctions
+                    ),
+                ));
             }
         }
     }
