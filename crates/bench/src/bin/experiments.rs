@@ -1780,23 +1780,20 @@ fn hybrid_routing(quick: bool) {
 /// "memory discipline at 100k-1M advertisers" item asks about. Two
 /// strategies sweep the same workload per `n`:
 ///
-/// * **`SharedSort`** — the occurrence-driven round path; gated on both
-///   latency growth and hot-state bytes.
+/// * **`SharedSort`** — the persistent merge network, refreshed along
+///   dirty cones and pulled by the Threshold Algorithm.
 /// * **`SharedAggregation`** — the plan-bearing path (adaptive-sparse
-///   `VarSet` queries, CSR node pool, sparse reach tracker); gated on
-///   hot-state bytes. Its round path rebuilds the population-sized leaf
-///   value vector each round, so the per-decade latency ratio is
-///   recorded in the artifact but not gated — the scaling claim for the
-///   plan stack is memory, and that it *completes* a 1M round at all.
+///   `VarSet` queries, CSR node pool, sparse reach tracker), evaluated
+///   over the occurring phrases' cones only.
 ///
 /// For every `(strategy, n)` the sweep asserts the engine is revenue-
 /// and impression-identical to an `Unshared` twin before trusting any
 /// number, then gates loudly:
 ///
-/// 1. **Sub-linear round latency** (`SharedSort` only) — mean
-///    steady-state round wall-clock grows by less than `10x` per `10x`
-///    advertisers (census, throttle, and settlement all touch
-///    participants, not the population).
+/// 1. **Sub-linear round latency** — mean steady-state round wall-clock
+///    grows by less than `10x` per `10x` advertisers (census, throttle,
+///    resolution and settlement all touch participants, not the
+///    population).
 /// 2. **Bounded hot state** — [`Engine::hot_state_bytes`] (deterministic
 ///    capacity accounting: SoA ledgers, bid vectors, plan arena + CSR
 ///    variable-set pool, reach tracker, merge caches) stays under a
@@ -1819,22 +1816,17 @@ fn memory_scaling(quick: bool) {
         sharing: SharingStrategy,
         /// Hot-state bytes-per-advertiser ceiling for this strategy.
         bytes_ceiling: usize,
-        /// Whether the per-decade latency ratio is a hard gate (true for
-        /// occurrence-driven round paths) or artifact-only.
-        gate_latency: bool,
     }
     let strategies = [
         StrategyCase {
             name: "shared-sort",
             sharing: SharingStrategy::SharedSort,
             bytes_ceiling: 600,
-            gate_latency: true,
         },
         StrategyCase {
             name: "shared-aggregation",
             sharing: SharingStrategy::SharedAggregation,
             bytes_ceiling: 1_200,
-            gate_latency: false,
         },
     ];
 
@@ -1983,7 +1975,6 @@ fn memory_scaling(quick: bool) {
                     ("to_advertisers".into(), Value::from(to)),
                     ("mean_latency_ratio".into(), Value::from(r)),
                     ("gate".into(), Value::from(latency_gate)),
-                    ("gated".into(), Value::from(case.gate_latency)),
                 ])
             })
             .collect();
@@ -1993,7 +1984,6 @@ fn memory_scaling(quick: bool) {
                 "bytes_per_advertiser_ceiling".into(),
                 Value::from(case.bytes_ceiling),
             ),
-            ("latency_gated".into(), Value::from(case.gate_latency)),
             ("points".into(), Value::Array(point_values)),
             ("latency_ratios".into(), Value::Array(ratio_values)),
         ]));
@@ -2009,17 +1999,15 @@ fn memory_scaling(quick: bool) {
                 ));
             }
         }
-        if case.gate_latency {
-            for &(from, to, ratio) in &ratios {
-                if ratio >= latency_gate {
-                    failures.push(format!(
-                        "{} mean round latency grew {ratio:.2}x from n={from} to \
-                         n={to} (gate {latency_gate}x): the round path is no longer \
-                         occurrence-driven — look for a new O(n) loop in \
-                         census/throttle/settle or a resolver scanning the population",
-                        case.name
-                    ));
-                }
+        for &(from, to, ratio) in &ratios {
+            if ratio >= latency_gate {
+                failures.push(format!(
+                    "{} mean round latency grew {ratio:.2}x from n={from} to \
+                     n={to} (gate {latency_gate}x): the round path is no longer \
+                     occurrence-driven — look for a new O(n) loop in \
+                     census/throttle/settle or a resolver scanning the population",
+                    case.name
+                ));
             }
         }
     }
@@ -2038,9 +2026,8 @@ fn memory_scaling(quick: bool) {
                  both strategies share one workload): interest sets stay \
                  ~2k advertisers and ~1-2 phrases occur per round, so a \
                  population-proportional round path would show up as a \
-                 ~10x latency ratio per decade (gated for shared-sort; \
-                 recorded but not gated for shared-aggregation, whose \
-                 leaf-value build is population-sized by design); every \
+                 ~10x latency ratio per decade (gated for both \
+                 strategies); every \
                  point is asserted revenue-identical to an unshared twin \
                  before timing is trusted; hot_state_bytes is capacity \
                  accounting (SoA ledgers, bid vectors, plan/sort arenas, \

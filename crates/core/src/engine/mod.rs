@@ -81,8 +81,8 @@ pub enum SharingStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
     /// Fixed at construction: every separable phrase to the aggregation
-    /// plan, the rest to the sort network. Deterministic, but pays the
-    /// plan's per-round sweep even on workloads where it loses.
+    /// plan, the rest to the sort network. Deterministic, but keeps a
+    /// phrase on the plan even where the sort network serves it cheaper.
     #[default]
     Static,
     /// Cost-model routing with online phrase migration: routes are seeded

@@ -229,8 +229,7 @@ impl Resolvers {
                 let mut sort = SortResolver::new(workload, subset, 1);
                 // Marginals in common item units: one plan node is a
                 // pairwise top-k aggregation (~2k item ops), one sort
-                // unit an item sent upstream; the plan's fixed term is
-                // its O(n) per-round leaf sweep.
+                // unit an item sent upstream.
                 let items_per_node = 2.0 * config.slot_factors.len().max(1) as f64;
                 let plan_marginal: Vec<f64> = plan
                     .phrase_marginals()
@@ -264,7 +263,6 @@ impl Resolvers {
                     plan_marginal,
                     sort_marginal,
                     rates.clone(),
-                    workload.advertiser_count() as f64,
                     sort_fixed,
                     sort_total - sort_fixed,
                     ta_items,

@@ -6,8 +6,7 @@ use ssa_auction::winner::assignment_from_ranking;
 use ssa_setcover::VarSet;
 use ssa_workload::Workload;
 
-use crate::plan::{PlanDag, PlanMaintainer, PlanProblem, PlannerMode, SharedPlanner};
-use crate::topk::{KList, ScoredAd, ScoredTopKOp};
+use crate::plan::{PlanDag, PlanMaintainer, PlanProblem, PlannerMode, SharedPlanner, TopKCones};
 
 use super::super::{AuctionOutcome, EngineMetrics};
 use super::{PhraseResolver, RoundContext};
@@ -44,6 +43,9 @@ pub struct PlanResolver {
     /// this plan: the tracker's total drop when the phrase's rate is
     /// zeroed. Zero for unbound phrases.
     marginals: Vec<f64>,
+    /// Per-round evaluation scratch, sized by the largest set of
+    /// occurring cones seen so far and kept across rounds.
+    cones: TopKCones,
 }
 
 impl PlanResolver {
@@ -93,6 +95,7 @@ impl PlanResolver {
             query_index,
             query_rates,
             marginals: vec![0.0; m],
+            cones: TopKCones::new(),
         };
         resolver.compute_marginals();
         resolver
@@ -125,7 +128,8 @@ impl PlanResolver {
 
     /// Heap footprint of the resolver's persistent state in bytes — the
     /// full maintainer (plan DAG, maintained problem, incremental cost
-    /// tracker) plus the per-phrase tables — for the memory-scaling gate.
+    /// tracker), the per-phrase tables and the evaluation scratch — for
+    /// the memory-scaling gate.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.maintainer
@@ -134,6 +138,7 @@ impl PlanResolver {
             + self.query_index.capacity() * size_of::<Option<usize>>()
             + self.query_rates.capacity() * size_of::<f64>()
             + self.marginals.capacity() * size_of::<f64>()
+            + self.cones.heap_bytes()
     }
 
     /// The plan's expected per-round cost under the rates of the phrases
@@ -191,40 +196,28 @@ impl PhraseResolver for PlanResolver {
                 })
                 .collect();
         };
-        let op = ScoredTopKOp { k };
-        // Leaves: singleton k-lists of each advertiser's current score.
-        let leaf_values: Vec<KList<ScoredAd>> = ctx
-            .workload
-            .advertisers
-            .iter()
-            .enumerate()
-            .map(|(i, adv)| {
-                let score = Score::expected_value(effective_bids[i], adv.base_factor);
-                KList::singleton(k, ScoredAd::new(adv.id, score))
-            })
-            .collect();
-        let mut flags = vec![false; plan.query_count()];
-        for &p in phrases {
-            if let Some(qi) = self.query_index[p.index()] {
-                flags[qi] = true;
-            }
-        }
-        let (results, ops) = plan.evaluate(&op, &leaf_values, &flags);
-        metrics.aggregation_ops += ops as u64;
+        // Demand-driven: walk the occurring phrases' cones and merge only
+        // those nodes, reading each leaf's score straight off the bid
+        // buffer — the §II-B materialization cost, nothing per advertiser.
+        let advertisers = &ctx.workload.advertisers;
+        let bids = &*effective_bids;
+        let score = |i: usize| Score::expected_value(bids[i], advertisers[i].base_factor);
+        let query_nodes = plan.query_nodes();
+        let bound = |phrase: PhraseId| self.query_index[phrase.index()].map(|qi| query_nodes[qi]);
+        self.cones
+            .walk(plan, phrases.iter().filter_map(|&phrase| bound(phrase)));
+        metrics.aggregation_ops += self.cones.fill(plan, k, score) as u64;
+        let mut ranked: Vec<(AdvertiserId, Score)> = Vec::new();
         phrases
             .iter()
             .map(|&phrase| {
                 // A query node's variable set is exactly the phrase's
                 // interest set, so every ranked advertiser is interested.
-                let ranked: Vec<(AdvertiserId, Score)> = self.query_index[phrase.index()]
-                    .and_then(|qi| results[qi].as_ref())
-                    .map(|list| {
-                        list.items()
-                            .iter()
-                            .map(|s| (s.advertiser, s.score))
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                ranked.clear();
+                if let Some(node) = bound(phrase) {
+                    let top = self.cones.top(plan, node);
+                    ranked.extend(top.map(|i| (advertisers[i].id, score(i))));
+                }
                 AuctionOutcome {
                     phrase,
                     assignment: assignment_from_ranking(&ranked, k),

@@ -1,18 +1,18 @@
 //! The cost-model phrase router for `SharingStrategy::Hybrid`.
 //!
 //! The static hybrid routes every separable phrase to the aggregation
-//! plan unconditionally, which pays the plan's per-round leaf sweep as a
-//! fixed cost whether or not it wins — the 25%-separable regression in
-//! `BENCH_hybrid_routing.json`. This router instead treats routing as a
-//! cost-model decision, in three layers:
+//! plan unconditionally, whether or not the plan wins it — the
+//! 25%-separable regression in `BENCH_hybrid_routing.json`. This router
+//! instead treats routing as a cost-model decision, in three layers:
 //!
 //! 1. **Seed** — each plan-eligible phrase starts on the path with the
 //!    smaller *marginal* expected cost: the Section II-B plan model
 //!    (expected materialized nodes, scaled to item units by `2k`) against
 //!    the Section III-B merge model (expected items sent upstream), both
-//!    over the workload's search rates, plus the plan's `O(n)` leaf-sweep
-//!    fixed cost amortized by occupancy probability. The seed walks
-//!    downhill one move at a time until no move lowers the modeled total.
+//!    over the workload's search rates. The plan path has no fixed term:
+//!    its evaluation is demand-driven, so a round costs exactly the nodes
+//!    under the phrases that occur. The seed walks downhill one move at a
+//!    time until no move lowers the modeled total.
 //! 2. **Calibrate** — each round's measured `resolve` wall-clock per path
 //!    divides by that round's model-unit weight into an EWMA of ns per
 //!    model unit. The model supplies the *shape* (per-phrase marginals);
@@ -43,8 +43,8 @@ const MAX_MIGRATIONS_PER_BOUNDARY: usize = 8;
 /// Pre-calibration prior for the sort path's ns per item unit, relative
 /// to the plan path's 1.0. A merge-network item op (heap pops, pointer
 /// chasing through persistent nodes, TA threshold checks) costs several
-/// times a plan item op (one comparison in a sequential leaf sweep or a
-/// pairwise top-k merge over contiguous arrays); seeding with that skew
+/// times a plan item op (one comparison in a pairwise top-k merge over a
+/// contiguous slot arena); seeding with that skew
 /// keeps the model-only route honest until real measurements land and
 /// overwrite both scales.
 const SORT_NS_PRIOR: f64 = 4.0;
@@ -100,10 +100,6 @@ pub(crate) struct Router {
     sort_marginal: Vec<f64>,
     /// Per phrase search rates `sr_q`.
     rates: Vec<f64>,
-    /// The plan path's fixed per-occupied-round cost in item units (the
-    /// `O(n)` leaf sweep `PlanResolver::resolve` pays whenever at least
-    /// one plan-routed phrase occurs).
-    plan_fixed: f64,
     /// Expected merge-network items per round over the *currently*
     /// sort-routed phrases (the Section III-B cost of the network
     /// restricted to them). This is the sort path's group cost — the
@@ -149,11 +145,6 @@ pub(crate) struct Router {
     evac_streak: u32,
     /// Reusable migration buffer handed back by [`Router::rebalance`].
     pending: Vec<(usize, bool)>,
-    /// Reusable leave-one-out vacancy scratch for
-    /// [`Router::best_single_move`]: prefix/suffix products of
-    /// `(1 - sr)` over plan-routed phrases.
-    vacancy_prefix: Vec<f64>,
-    vacancy_suffix: Vec<f64>,
     /// False for the static separability route (no model, no migration).
     adaptive: bool,
     /// Pins an adaptive router to its seed route (the `route_frozen`
@@ -170,7 +161,6 @@ impl Router {
             plan_marginal: Vec::new(),
             sort_marginal: Vec::new(),
             rates: Vec::new(),
-            plan_fixed: 0.0,
             sort_fixed: 0.0,
             sort_absorb_extra: 0.0,
             ta_items: 0.0,
@@ -185,8 +175,6 @@ impl Router {
             cooldown: Vec::new(),
             evac_streak: 0,
             pending: Vec::new(),
-            vacancy_prefix: Vec::new(),
-            vacancy_suffix: Vec::new(),
             adaptive: false,
             frozen: true,
         }
@@ -205,7 +193,6 @@ impl Router {
         plan_marginal: Vec<f64>,
         sort_marginal: Vec<f64>,
         rates: Vec<f64>,
-        plan_fixed: f64,
         sort_fixed: f64,
         sort_absorb_extra: f64,
         ta_items: f64,
@@ -218,7 +205,6 @@ impl Router {
             plan_marginal,
             sort_marginal,
             rates,
-            plan_fixed,
             sort_fixed,
             sort_absorb_extra,
             ta_items,
@@ -233,8 +219,6 @@ impl Router {
             cooldown: vec![0; m],
             evac_streak: 0,
             pending: Vec::new(),
-            vacancy_prefix: Vec::new(),
-            vacancy_suffix: Vec::new(),
             adaptive: true,
             frozen,
         };
@@ -310,11 +294,7 @@ impl Router {
         if !self.adaptive {
             return;
         }
-        let weight: f64 = self.plan_fixed
-            + phrases
-                .iter()
-                .map(|p| self.plan_marginal[p.index()])
-                .sum::<f64>();
+        let weight: f64 = phrases.iter().map(|p| self.plan_marginal[p.index()]).sum();
         if weight <= f64::EPSILON {
             return;
         }
@@ -386,10 +366,9 @@ impl Router {
         for c in &mut self.cooldown {
             *c = c.saturating_sub(1);
         }
-        // Evacuating the plan wholesale drops its fixed per-round sweep —
-        // the move single-phrase deltas cannot see when occupancy stays
-        // saturated (e.g. every search rate at 1.0). It is also the one
-        // move noise must never fire: [`EVAC_STREAK`] net boundaries of
+        // Evacuating the plan wholesale is priced from whole-round
+        // measurements, not per-phrase deltas, and it is the one move
+        // noise must never fire: [`EVAC_STREAK`] net boundaries of
         // sustained evidence are required.
         if self.measured_evacuation_saving(ONLINE_EVAC_MARGIN) > 0.0 {
             self.evac_streak += 1;
@@ -418,21 +397,10 @@ impl Router {
         &self.pending
     }
 
-    /// `Π (1 − sr_q)` over plan-routed phrases, optionally excluding one.
-    fn plan_vacancy(&self, exclude: usize) -> f64 {
-        let mut none = 1.0;
-        for q in 0..self.route.len() {
-            if self.route[q] && q != exclude {
-                none *= 1.0 - self.rates[q];
-            }
-        }
-        none
-    }
-
-    /// Calibrated cost of serving `q` on the plan, charging it the fixed
-    /// sweep's occupancy increase `p_any(with q) − p_any(without q)`.
-    fn plan_cost(&self, q: usize, occupancy_delta: f64) -> f64 {
-        self.plan_ns * (self.plan_marginal[q] + self.plan_fixed * occupancy_delta)
+    /// Calibrated cost of serving `q` on the plan: its marginal expected
+    /// materialized nodes.
+    fn plan_cost(&self, q: usize) -> f64 {
+        self.plan_ns * self.plan_marginal[q]
     }
 
     /// Calibrated cost of serving `q` on the sort path: its marginal
@@ -443,15 +411,11 @@ impl Router {
 
     /// Seed-time saving from moving every plan-routed phrase to the sort
     /// path, priced from the structural model alone (nothing has been
-    /// measured yet): the plan side's whole modeled cost (fixed sweep
-    /// plus marginals) against the network's modeled absorption traffic
-    /// plus the movers' TA scans.
+    /// measured yet): the plan side's whole modeled cost (the routed
+    /// marginals) against the network's modeled absorption traffic plus
+    /// the movers' TA scans.
     fn seed_evacuation_saving(&self, theta: f64) -> f64 {
-        let occupancy = 1.0 - self.plan_vacancy(usize::MAX);
-        if occupancy <= 0.0 {
-            return 0.0;
-        }
-        let mut plan_total = self.plan_fixed * occupancy;
+        let mut plan_total = 0.0;
         let mut mover_scans = 0.0;
         for q in 0..self.route.len() {
             if self.route[q] {
@@ -475,10 +439,8 @@ impl Router {
     /// path's measured *mean* cost per occurring phrase. The mean
     /// overstates the marginal (it amortizes the shared network's fixed
     /// traffic over the phrases riding it), which biases the decision
-    /// toward staying — the plan path only evacuates when its fixed
-    /// sweep is so poorly amortized that it loses even to that
-    /// overestimate, which is precisely the low-occupancy regime the
-    /// group move exists for.
+    /// toward staying — the plan path only evacuates when its measured
+    /// round loses even to that overestimate.
     fn measured_evacuation_saving(&self, theta: f64) -> f64 {
         if self.sort_round_phrases < 1.0 {
             return 0.0;
@@ -504,48 +466,16 @@ impl Router {
 
     /// The single migration with the largest modeled saving, or `None`
     /// when nothing clears `theta × current cost`.
-    fn best_single_move(&mut self, theta: f64) -> Option<(usize, bool)> {
-        let m = self.route.len();
-        // Leave-one-out vacancies from one prefix and one suffix product
-        // sweep: `plan_vacancy(q) = prefix[q] * suffix[q + 1]`. The
-        // direct per-candidate product loop made every boundary O(m^2) —
-        // at a few hundred phrases that burned tens of microseconds per
-        // round on a scan that usually proposes nothing.
-        self.vacancy_prefix.clear();
-        self.vacancy_suffix.clear();
-        self.vacancy_prefix.resize(m + 1, 1.0);
-        self.vacancy_suffix.resize(m + 1, 1.0);
-        for q in 0..m {
-            let f = if self.route[q] {
-                1.0 - self.rates[q]
-            } else {
-                1.0
-            };
-            self.vacancy_prefix[q + 1] = self.vacancy_prefix[q] * f;
-        }
-        for q in (0..m).rev() {
-            let f = if self.route[q] {
-                1.0 - self.rates[q]
-            } else {
-                1.0
-            };
-            self.vacancy_suffix[q] = self.vacancy_suffix[q + 1] * f;
-        }
-        let vacancy = self.vacancy_prefix[m];
-        let p_any = 1.0 - vacancy;
+    fn best_single_move(&self, theta: f64) -> Option<(usize, bool)> {
         let mut best: Option<(usize, bool, f64)> = None;
-        for q in 0..m {
+        for q in 0..self.route.len() {
             if !self.eligible[q] || self.cooldown.get(q).is_some_and(|&c| c > 0) {
                 continue;
             }
             let (to_plan, cur, alt) = if self.route[q] {
-                let p_any_without = 1.0 - self.vacancy_prefix[q] * self.vacancy_suffix[q + 1];
-                let cur = self.plan_cost(q, p_any - p_any_without);
-                (false, cur, self.sort_cost(q))
+                (false, self.plan_cost(q), self.sort_cost(q))
             } else {
-                let p_any_with = 1.0 - vacancy * (1.0 - self.rates[q]);
-                let alt = self.plan_cost(q, p_any_with - p_any);
-                (true, self.sort_cost(q), alt)
+                (true, self.sort_cost(q), self.plan_cost(q))
             };
             let saving = cur - alt - theta * cur;
             if saving > 0.0 && best.as_ref().is_none_or(|&(_, _, s)| saving > s) {

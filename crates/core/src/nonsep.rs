@@ -23,8 +23,7 @@ use ssa_auction::score::Score;
 use ssa_auction::winner::{Assignment, RankedWinner};
 use ssa_setcover::BitSet;
 
-use crate::plan::{PlanDag, PlanProblem, SharedPlanner};
-use crate::topk::{KList, ScoredAd, ScoredTopKOp};
+use crate::plan::{PlanDag, PlanProblem, SharedPlanner, TopKCones};
 
 /// A compiled shared non-separable resolver for one round structure.
 #[derive(Debug, Clone)]
@@ -86,45 +85,48 @@ impl SharedNonSeparable {
         assert_eq!(bids.len(), self.advertiser_count, "one bid per advertiser");
         assert_eq!(occurring.len(), interest.len(), "one flag per phrase");
         assert_eq!(model.slot_count(), self.k, "model must cover k slots");
-        let op = ScoredTopKOp { k: self.k };
 
-        // One shared-plan evaluation per slot; `slot_tops[j][q]` is the
-        // top-k of slot j's edge weights within phrase q's interest set.
+        // One walk of the occurring phrases' cones, then one fill per
+        // slot's weight vector. After fill j a query node holds the top-k
+        // of slot j's edge weights within its phrase's interest set; a
+        // phrase's candidates are the union of its k such lists.
+        let query_nodes = self.plan.query_nodes();
+        let live = |q: usize| occurring[q] && !interest[q].is_empty();
+        let mut cones = TopKCones::new();
+        cones.walk(
+            &self.plan,
+            (0..interest.len())
+                .filter(|&q| live(q))
+                .map(|q| query_nodes[q]),
+        );
         let mut aggregation_ops = 0usize;
-        let mut slot_tops: Vec<Vec<Option<KList<ScoredAd>>>> = Vec::with_capacity(self.k);
+        let mut candidates: Vec<Vec<AdvertiserId>> = vec![Vec::new(); interest.len()];
         for j in 0..self.k {
             let slot = SlotIndex(j as u8);
-            let leaves: Vec<KList<ScoredAd>> = (0..self.advertiser_count)
-                .map(|i| {
+            aggregation_ops += cones.fill(&self.plan, self.k, |i| {
+                let adv = AdvertiserId::from_index(i);
+                Score::new(model.ctr(adv, slot).value() * bids[i].to_f64())
+            });
+            for (q, found) in candidates.iter_mut().enumerate() {
+                if !live(q) {
+                    continue;
+                }
+                for i in cones.top(&self.plan, query_nodes[q]) {
                     let adv = AdvertiserId::from_index(i);
-                    let weight = model.ctr(adv, slot).value() * bids[i].to_f64();
-                    KList::singleton(self.k, ScoredAd::new(adv, Score::new(weight)))
-                })
-                .collect();
-            let (results, ops) = self.plan.evaluate(&op, &leaves, occurring);
-            aggregation_ops += ops;
-            slot_tops.push(results);
-        }
-
-        // Per occurring phrase: candidates = union of its k slot lists,
-        // then the pruned maximum-weight matching.
-        let mut assignments = Vec::with_capacity(interest.len());
-        for (q, (&occ, iq)) in occurring.iter().zip(interest).enumerate() {
-            if !occ || iq.is_empty() {
-                assignments.push(None);
-                continue;
-            }
-            let mut candidates: Vec<AdvertiserId> = Vec::new();
-            for tops in slot_tops.iter() {
-                if let Some(list) = &tops[q] {
-                    for s in list.items() {
-                        // Guard against the empty-phrase placeholder leaf.
-                        if iq.contains(s.advertiser.index()) && !candidates.contains(&s.advertiser)
-                        {
-                            candidates.push(s.advertiser);
-                        }
+                    if !found.contains(&adv) {
+                        found.push(adv);
                     }
                 }
+            }
+        }
+
+        // Per occurring phrase: the pruned maximum-weight matching over
+        // its candidates.
+        let mut assignments = Vec::with_capacity(interest.len());
+        for (q, mut candidates) in candidates.into_iter().enumerate() {
+            if !live(q) {
+                assignments.push(None);
+                continue;
             }
             candidates.sort_unstable();
             let weights: Vec<Vec<f64>> = (0..self.k)

@@ -44,7 +44,9 @@
 //!   only), polynomial per Figure 5 row 1;
 //! * [`optimal`] — exhaustive minimum-cost planner for small instances;
 //! * [`reduction`] — the executable set-cover constructions behind
-//!   Theorems 2 and 3.
+//!   Theorems 2 and 3;
+//! * [`topk_cones`] — the per-round scored top-k evaluator over a
+//!   [`ConeWalker`]'s slots (the engine's ⊕ hot path).
 
 pub mod cost;
 pub mod cse;
@@ -54,10 +56,12 @@ pub mod greedy;
 pub mod maintenance;
 pub mod optimal;
 pub mod reduction;
+pub mod topk_cones;
 
 pub use disjoint::DisjointPlanner;
 pub use greedy::{reference_plan, PlannerMode, SharedPlanner};
 pub use maintenance::PlanMaintainer;
+pub use topk_cones::TopKCones;
 
 use std::collections::HashMap;
 
@@ -97,9 +101,8 @@ pub struct PlanDag {
     /// O(tail), not O(prefix + tail).
     hashes: Vec<u64>,
     /// Packed child pairs, one per *internal* node (index `idx -
-    /// var_count`). The per-round walkers (needed set, materialization,
-    /// cone masks) traverse this flat `u32` arena — 8 bytes per node
-    /// streamed contiguously.
+    /// var_count`). The per-round [`ConeWalker`] and the cone masks
+    /// traverse this flat `u32` arena — 8 bytes per node.
     children_packed: Vec<[u32; 2]>,
     /// Content-hash interning: hash → first internal node with that set.
     /// Distinct sets colliding on the hash go to `by_set_overflow`
@@ -623,49 +626,14 @@ impl PlanDag {
         }
     }
 
-    /// Marks the nodes needed this round: the descendants of every
-    /// occurring query's node.
-    fn needed_nodes(&self, occurring: &[bool]) -> Vec<bool> {
-        let mut needed = vec![false; self.node_count()];
-        let mut stack: Vec<usize> = self
-            .queries
-            .iter()
-            .zip(occurring)
-            .filter(|(_, &occ)| occ)
-            .map(|(&idx, _)| idx)
-            .collect();
-        while let Some(idx) = stack.pop() {
-            if needed[idx] {
-                continue;
-            }
-            needed[idx] = true;
-            if let Some((a, b)) = self.children(idx) {
-                stack.push(a);
-                stack.push(b);
-            }
-        }
-        needed
-    }
-
-    /// A node's materialized value: leaves read straight from the input
-    /// slice (never copied into the memo), internal nodes from their
-    /// memo slot.
-    #[inline]
-    fn value_at<'v, V>(&self, memo: &'v [Option<V>], leaves: &'v [V], idx: usize) -> &'v V {
-        if idx < self.var_count {
-            &leaves[idx]
-        } else {
-            memo[idx - self.var_count].as_ref().expect("child computed")
-        }
-    }
-
     /// Evaluates the plan for one round.
     ///
     /// `leaves[v]` is variable `v`'s current value; `occurring[q]` says
     /// whether query `q`'s bid phrase occurs this round. Only nodes needed
     /// by occurring queries are materialized (the cost model's notion of
-    /// materialization). Returns per-query results (`None` for phrases
-    /// that did not occur) and the number of ⊕ applications performed.
+    /// materialization), via a throwaway [`ConeWalker`]. Returns per-query
+    /// results (`None` for phrases that did not occur) and the number of ⊕
+    /// applications performed.
     ///
     /// # Panics
     /// Panics if the operator is not idempotent but the plan contains
@@ -677,37 +645,174 @@ impl PlanDag {
         occurring: &[bool],
     ) -> (Vec<Option<O::Value>>, usize) {
         self.check_evaluate_inputs(op, leaves, occurring);
-        // Memo over internal nodes only: leaf values are read from the
-        // input slice, so a round never clones the population.
-        let mut memo: Vec<Option<O::Value>> = vec![None; self.spans.len()];
-        let mut ops = 0usize;
-        let needed = self.needed_nodes(occurring);
-        // Materialize in index order (children precede parents).
-        for idx in self.var_count..self.node_count() {
-            if !needed[idx] || memo[idx - self.var_count].is_some() {
-                continue;
-            }
-            let (a, b) = self.children(idx).expect("internal node");
+        let mut walker = ConeWalker::new();
+        walker.walk(
+            self,
+            self.queries
+                .iter()
+                .zip(occurring)
+                .filter(|(_, &occ)| occ)
+                .map(|(&idx, _)| idx),
+        );
+        // Slot-indexed memo over the walked internal nodes only: leaf
+        // values are read from the input slice, never cloned.
+        let mut memo: Vec<O::Value> = Vec::with_capacity(walker.slots());
+        for slot in 0..walker.slots() {
+            let [a, b] = walker.operands(self, slot);
             let value = op.combine(
-                self.value_at(&memo, leaves, a),
-                self.value_at(&memo, leaves, b),
+                operand_value(&memo, leaves, a),
+                operand_value(&memo, leaves, b),
             );
-            ops += 1;
-            memo[idx - self.var_count] = Some(value);
+            memo.push(value);
         }
         let results = self
             .queries
             .iter()
             .zip(occurring)
             .map(|(&idx, &occ)| {
-                if occ {
-                    Some(self.value_at(&memo, leaves, idx).clone())
-                } else {
-                    None
-                }
+                occ.then(|| operand_value(&memo, leaves, walker.locate(self, idx)).clone())
             })
             .collect();
-        (results, ops)
+        (results, memo.len())
+    }
+}
+
+/// An operand's materialized value: leaves read straight from the input
+/// slice, internal nodes from their slot in the round's memo.
+#[inline]
+fn operand_value<'v, V>(memo: &'v [V], leaves: &'v [V], operand: Operand) -> &'v V {
+    match operand {
+        Operand::Leaf(v) => &leaves[v],
+        Operand::Slot(s) => &memo[s],
+    }
+}
+
+/// Where a walked node's value lives this round: a variable leaf (read
+/// from the caller's input) or an internal node's dense per-round slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// Variable `v`: the caller supplies its value.
+    Leaf(usize),
+    /// The value computed for slot `s` of the current walk.
+    Slot(usize),
+}
+
+/// Stack-entry flag: the node's children are scheduled, assign its slot.
+const EXPANDED: u32 = 1 << 31;
+
+/// The demand-driven plan traversal: visits exactly the internal nodes
+/// under a round's occurring query nodes — the Σᵥ(1 − Π(1 − sr_q)) nodes
+/// §II-B charges, never the whole DAG — children first, and assigns each
+/// a dense per-round *slot*. Evaluators keep one value per slot and fill
+/// them in slot order ([`ConeWalker::operands`] resolves each slot's two
+/// children to earlier slots or leaves).
+///
+/// The scratch is persistent and nothing in it is cleared between rounds:
+/// `slot_of` is a sparse-set index (one `u32` per internal node), and an
+/// entry counts only if it points below the current slot count *and*
+/// `slot_node` points back at the node, so stale entries from earlier
+/// rounds — or from an earlier, differently sized plan — are never read
+/// as scheduled.
+#[derive(Debug, Clone, Default)]
+pub struct ConeWalker {
+    /// Per internal node, its slot in the walk that last scheduled it.
+    slot_of: Vec<u32>,
+    /// Per slot of the current walk, the node it holds; children precede
+    /// parents.
+    slot_node: Vec<u32>,
+    /// DFS stack of node indices, [`EXPANDED`]-flagged on the way back up.
+    stack: Vec<u32>,
+}
+
+impl ConeWalker {
+    /// An empty walker; its scratch is sized by the first walk.
+    pub fn new() -> Self {
+        ConeWalker::default()
+    }
+
+    /// Heap footprint in bytes (capacities): 4 B per internal plan node
+    /// for the slot index plus the peak cone's slot list and stack.
+    pub fn heap_bytes(&self) -> usize {
+        (self.slot_of.capacity() + self.slot_node.capacity() + self.stack.capacity())
+            * std::mem::size_of::<u32>()
+    }
+
+    /// Schedules the union of the cones of `roots` (node indices; leaves
+    /// and repeats are fine), replacing the previous walk.
+    ///
+    /// # Panics
+    /// Panics if a root is out of range.
+    pub fn walk(&mut self, plan: &PlanDag, roots: impl IntoIterator<Item = usize>) {
+        assert!(
+            plan.node_count() <= EXPANDED as usize,
+            "node index collides with the stack flag bit"
+        );
+        let var_count = plan.var_count;
+        self.slot_node.clear();
+        // Sized to this plan; entries kept from another plan are as
+        // harmless as entries kept from another round.
+        self.slot_of.resize(plan.spans.len(), 0);
+        for root in roots {
+            assert!(root < plan.node_count(), "node out of range");
+            if root < var_count {
+                continue;
+            }
+            self.stack.push(root as u32);
+            while let Some(entry) = self.stack.pop() {
+                let node = (entry & !EXPANDED) as usize;
+                if entry & EXPANDED != 0 {
+                    self.slot_of[node - var_count] = self.slot_node.len() as u32;
+                    self.slot_node.push(node as u32);
+                } else if !self.scheduled(var_count, node) {
+                    self.stack.push(entry | EXPANDED);
+                    for child in plan.children_packed[node - var_count] {
+                        if child as usize >= var_count && !self.scheduled(var_count, child as usize)
+                        {
+                            self.stack.push(child);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// True iff internal node `node` has a slot in the current walk.
+    #[inline]
+    fn scheduled(&self, var_count: usize, node: usize) -> bool {
+        let slot = self.slot_of[node - var_count] as usize;
+        self.slot_node.get(slot) == Some(&(node as u32))
+    }
+
+    /// Number of internal nodes the current walk scheduled — the ⊕
+    /// applications an evaluation of it performs.
+    #[inline]
+    pub fn slots(&self) -> usize {
+        self.slot_node.len()
+    }
+
+    /// Where `node`'s value lives after the current walk.
+    ///
+    /// # Panics
+    /// Panics if `node` is an internal node outside the walked cones.
+    #[inline]
+    pub fn locate(&self, plan: &PlanDag, node: usize) -> Operand {
+        if node < plan.var_count {
+            Operand::Leaf(node)
+        } else {
+            assert!(
+                self.scheduled(plan.var_count, node),
+                "node {node} is not under a walked root"
+            );
+            Operand::Slot(self.slot_of[node - plan.var_count] as usize)
+        }
+    }
+
+    /// The two children of the node in `slot`, each a leaf or an earlier
+    /// slot.
+    #[inline]
+    pub fn operands(&self, plan: &PlanDag, slot: usize) -> [Operand; 2] {
+        let node = self.slot_node[slot] as usize;
+        plan.children_packed[node - plan.var_count].map(|child| self.locate(plan, child as usize))
     }
 }
 

@@ -67,14 +67,16 @@ fn bytes_per_advertiser_stay_under_ceiling() {
     // ceiling), both ceilings in bytes per advertiser. Measured 2026-08
     // at n=10k, 32 phrases: hot state Unshared 80 (stateless resolver:
     // just the engine's SoA ledgers/bid vectors), SharedSort 752 (merge
-    // arena + caches), SharedAggregation 304 and Hybrid 754 (plan nodes
+    // arena + caches), SharedAggregation 320 and Hybrid 766 (plan nodes
     // hold adaptive-sparse `VarSet`s in a CSR pool and the cost tracker's
     // reach sets are sparse, so the plan's footprint follows interest
     // density, not nodes x n/8 — down from 5360/5539 when every node
-    // owned a dense n-bit set). The shared-aggregation-100k case re-pins
-    // the plan-bearing ceiling a decade up (measured 288 hot / 542 peak)
-    // to catch anything population-quadratic hiding at 10k. Peaks add
-    // the planner's construction scratch, dropped before steady state.
+    // owned a dense n-bit set; 16 and 12 of those bytes are the plan
+    // resolver's persistent cone scratch). The shared-aggregation-100k
+    // case re-pins the plan-bearing ceiling a decade up (measured 303
+    // hot / 542 peak) to catch anything population-quadratic hiding at
+    // 10k. Peaks add the planner's construction scratch, dropped before
+    // steady state.
     // Ceilings leave ~50% headroom; one extra dense population-sized
     // vector (8+ bytes/advertiser) blows through them.
     let cases = [
