@@ -34,12 +34,16 @@ pub struct RankedWinner {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
     winners: Vec<RankedWinner>,
+    /// The score ranked directly below the last winner: the one fact
+    /// about the losers that pricing needs. Zero when nobody ranks there.
+    runner_up: Score,
 }
 
 impl Assignment {
     /// Builds an assignment from explicit per-slot winners. Winners are
     /// sorted by slot; slots and advertisers must be unique. Slots need not
-    /// be contiguous — a non-separable optimum may leave a slot empty.
+    /// be contiguous — a non-separable optimum may leave a slot empty. Such
+    /// an assignment has no ranking behind it, so its runner-up is zero.
     ///
     /// # Panics
     /// Panics if a slot or advertiser appears twice.
@@ -57,13 +61,22 @@ impl Assignment {
         for pair in advertisers.windows(2) {
             assert!(pair[0] != pair[1], "advertiser {} assigned twice", pair[0]);
         }
-        Assignment { winners }
+        Assignment {
+            winners,
+            runner_up: Score::ZERO,
+        }
     }
 
     /// The winners in slot order (slot 0 first).
     #[inline]
     pub fn winners(&self) -> &[RankedWinner] {
         &self.winners
+    }
+
+    /// The score ranked directly below the last winner, zero if none.
+    #[inline]
+    pub(crate) fn runner_up(&self) -> Score {
+        self.runner_up
     }
 
     /// Number of slots actually filled.
@@ -159,25 +172,21 @@ pub fn top_k_entries(entries: &[AuctionEntry], k: usize) -> Vec<AuctionEntry> {
 /// ```
 pub fn determine_winners(instance: &AuctionInstance) -> Assignment {
     let k = instance.slot_count();
-    let ranked = top_k_entries(instance.entries(), k);
-    let winners = ranked
-        .into_iter()
-        .filter(|e| !e.score().is_zero())
-        .enumerate()
-        .map(|(j, e)| RankedWinner {
-            slot: SlotIndex(j as u8),
-            advertiser: e.advertiser,
-            score: e.score(),
-        })
+    let ranked: Vec<(AdvertiserId, Score)> = top_k_entries(instance.entries(), k + 1)
+        .iter()
+        .map(|e| (e.advertiser, e.score()))
         .collect();
-    Assignment { winners }
+    assignment_from_ranking(&ranked, k)
 }
 
 /// Builds an assignment directly from a pre-ranked list of (advertiser,
 /// score) pairs — used when the ranking came out of a shared aggregation
-/// plan rather than a scan over this auction's entries.
+/// plan rather than a scan over this auction's entries. The first `k`
+/// nonzero scores win; the score ranked right after them is kept as the
+/// assignment's runner-up, so hand over the top `k + 1` wherever the
+/// assignment will be priced.
 pub fn assignment_from_ranking(ranked: &[(AdvertiserId, Score)], k: usize) -> Assignment {
-    let winners = ranked
+    let winners: Vec<RankedWinner> = ranked
         .iter()
         .take(k)
         .filter(|(_, s)| !s.is_zero())
@@ -188,7 +197,8 @@ pub fn assignment_from_ranking(ranked: &[(AdvertiserId, Score)], k: usize) -> As
             score,
         })
         .collect();
-    Assignment { winners }
+    let runner_up = ranked.get(winners.len()).map_or(Score::ZERO, |&(_, s)| s);
+    Assignment { winners, runner_up }
 }
 
 /// Exhaustive reference solver for the winner-determination integer
@@ -323,11 +333,28 @@ mod tests {
         ];
         let a = assignment_from_ranking(&ranked, 2);
         assert_eq!(a.len(), 2);
+        assert_eq!(a.runner_up(), Score::ZERO, "a zero score ranks next");
         let a = assignment_from_ranking(&ranked, 5);
         assert_eq!(a.len(), 2, "zero-score tail dropped");
+        assert_eq!(a.runner_up(), Score::ZERO);
         let a = assignment_from_ranking(&ranked, 1);
         assert_eq!(a.len(), 1);
         assert_eq!(a.advertiser_in_slot(SlotIndex(0)), Some(AdvertiserId(4)));
+        assert_eq!(a.runner_up(), Score::new(2.0));
+        let a = assignment_from_ranking(&ranked[..1], 1);
+        assert_eq!(a.runner_up(), Score::ZERO, "nobody ranks below");
+    }
+
+    #[test]
+    fn determine_winners_keeps_the_runner_up() {
+        // Scores: A = 2.4, B = 2.2, C = 2.08; two slots.
+        let a = determine_winners(&AuctionInstance::paper_example());
+        assert_eq!(
+            a.runner_up(),
+            Score::expected_value(Money::from_f64(1.6), 1.3)
+        );
+        let thin = AuctionInstance::new(vec![entry(0, 3.0, 1.0)], vec![0.3, 0.2]).unwrap();
+        assert_eq!(determine_winners(&thin).runner_up(), Score::ZERO);
     }
 
     #[test]

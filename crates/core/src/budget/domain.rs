@@ -24,8 +24,9 @@
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
 
-/// One priced slot display, recorded by a shard's settle-prep stage and
-/// committed against the ledgers by the ordered reconciliation replay.
+/// One priced slot display, recorded by the round's pricing step (serial,
+/// or a shard's settle-prep stage) and committed against the ledgers in
+/// global phrase-occurrence order.
 /// Everything here is a pure function of the round's effective bids and
 /// the pre-round workload state — crucially *not* of the RNG, which is
 /// only consumed at commit time.

@@ -24,14 +24,14 @@ pub mod shard;
 use std::time::Instant;
 
 use ssa_auction::ids::{PhraseId, SlotIndex};
-use ssa_auction::instance::AuctionEntry;
 use ssa_auction::money::Money;
-use ssa_auction::pricing::{price_assignment_parts, PricingRule};
+use ssa_auction::pricing::{price_ranked, PricingRule};
 use ssa_auction::winner::Assignment;
 use ssa_workload::clicks::{ClickOutcome, ClickSimulator};
 use ssa_workload::rounds::RoundSampler;
 use ssa_workload::Workload;
 
+use crate::budget::domain::DisplayEvent;
 use crate::budget::{BudgetContext, OutstandingAd};
 use crate::plan::PlannerMode;
 use crate::sort::SortItem;
@@ -305,8 +305,9 @@ pub struct Engine {
     /// Last round's participants — exactly the nonzero entries of
     /// `last_effective_bids` to re-zero next round.
     prev_participants: Vec<u32>,
-    /// Reusable per-phrase auction-entry scratch for pricing.
-    entries_scratch: Vec<AuctionEntry>,
+    /// The most recent round's display events in commit order (ascending
+    /// phrase, slots best first within a phrase); a reused buffer.
+    display_events: Vec<(PhraseId, DisplayEvent)>,
     metrics: EngineMetrics,
 }
 
@@ -384,7 +385,7 @@ impl Engine {
             m_i_scratch: vec![0; n],
             participants: Vec::new(),
             prev_participants: Vec::new(),
-            entries_scratch: Vec::new(),
+            display_events: Vec::new(),
             metrics,
         }
     }
@@ -431,12 +432,23 @@ impl Engine {
     ///
     /// Under `Unshared` + `ThrottleBounds` the engine never computes the
     /// whole population's exact convolutions (Section IV-B's point):
-    /// entries are exact for each phrase's ranked winners and runner-up
-    /// (everything pricing reads) and zero for everyone else. All other
-    /// strategy/policy combinations hold every participant's effective
-    /// bid, which is what the differential oracle replays.
+    /// entries are exact for each phrase's ranked top `k + 1` — the
+    /// winners, whose bids pricing reads, and the runner-up, whose score
+    /// the last winner is charged against — and zero for everyone else.
+    /// All other strategy/policy combinations hold every participant's
+    /// effective bid, which is what the differential oracle replays.
     pub fn last_effective_bids(&self) -> &[Money] {
         &self.last_effective_bids
+    }
+
+    /// What the most recent round displayed and will charge on a click:
+    /// one event per winner, ascending by phrase and best slot first
+    /// within a phrase (a phrase's `j`-th event is its slot `j`); empty
+    /// before the first round. Identical under serial and sharded
+    /// execution. The differential oracle checks these prices against its
+    /// own reading of the pricing rule.
+    pub fn last_display_events(&self) -> &[(PhraseId, DisplayEvent)] {
+        &self.display_events
     }
 
     /// Which resolver each phrase is *currently* bound to: `true` means
@@ -531,7 +543,7 @@ impl Engine {
             + self.m_i_scratch.capacity() * size_of::<u64>()
             + self.participants.capacity() * 4
             + self.prev_participants.capacity() * 4
-            + self.entries_scratch.capacity() * size_of::<AuctionEntry>()
+            + self.display_events.capacity() * size_of::<(PhraseId, DisplayEvent)>()
             + resolvers
     }
 
@@ -619,10 +631,18 @@ impl Engine {
 
         // Stage 3 — settle: pricing + display, then click settlement.
         let started = Instant::now();
+        self.display_events.clear();
         for outcome in &outcomes {
-            self.display_winners(outcome, &effective_bids);
+            price_outcome(
+                &self.workload,
+                &self.config,
+                &effective_bids,
+                outcome,
+                &mut self.display_events,
+            );
         }
         self.last_effective_bids = effective_bids;
+        self.commit_display_events();
         self.settle_round();
         let settle_nanos = started.elapsed().as_nanos();
         self.metrics.settle_nanos += settle_nanos;
@@ -768,50 +788,19 @@ impl Engine {
         }
     }
 
-    /// Prices an assignment and displays the winning ads.
-    fn display_winners(&mut self, outcome: &AuctionOutcome, effective_bids: &[Money]) {
-        let q = outcome.phrase.index();
-        // Borrowed-parts pricing: no per-phrase slot-factor clone, no
-        // re-validation, and the entry list reuses one retained buffer.
-        let mut entries = std::mem::take(&mut self.entries_scratch);
-        entries.clear();
-        entries.extend(
-            self.workload.interest[q]
-                .iter()
-                .enumerate()
-                .map(|(pos, &a)| {
-                    AuctionEntry::new(
-                        a,
-                        effective_bids[a.index()],
-                        self.workload.phrase_factors[q][pos],
-                    )
-                }),
-        );
-        let priced = price_assignment_parts(
-            &entries,
-            &self.config.slot_factors,
-            &outcome.assignment,
-            self.config.pricing,
-        );
-        self.entries_scratch = entries;
-        for slot in priced {
-            let factor = self
-                .workload
-                .phrase_factor(outcome.phrase, slot.advertiser)
-                .unwrap_or(0.0);
-            let display_ctr =
-                (factor * self.config.slot_factors[slot.slot.index()]).clamp(0.0, 1.0);
-            let fate = self.clicker.impression(display_ctr);
-            let billed_price = slot
-                .price_per_click
-                .round_down_to(self.config.billing_increment);
+    /// Displays the round's priced winners: draws each impression's click
+    /// fate and queues the pending ad, in event order. The only consumer
+    /// of the click RNG, so both executors commit through here.
+    fn commit_display_events(&mut self) {
+        for (_, ev) in &self.display_events {
+            let fate = self.clicker.impression(ev.display_ctr);
             self.metrics.impressions += 1;
-            self.metrics.expected_value += display_ctr * billed_price.to_f64();
+            self.metrics.expected_value += ev.display_ctr * ev.price.to_f64();
             self.ledgers.push_pending(
-                slot.advertiser.index(),
+                ev.advertiser.index(),
                 PendingAd {
-                    price: billed_price,
-                    display_ctr,
+                    price: ev.price,
+                    display_ctr: ev.display_ctr,
                     age: 0,
                     clicks_at_age: match fate {
                         ClickOutcome::ClickAfter { delay } => Some(delay),
@@ -879,6 +868,37 @@ impl Engine {
             }
         }
     }
+}
+
+/// Prices one resolved auction into display events, appended to `events`
+/// in slot order: `O(k)` — each winner's bid and factor, plus the ranking
+/// the resolver already produced. A pure function of the round's
+/// effective bids and the workload, so a shard can run it off the commit
+/// thread.
+fn price_outcome(
+    workload: &Workload,
+    config: &EngineConfig,
+    effective_bids: &[Money],
+    outcome: &AuctionOutcome,
+    events: &mut Vec<(PhraseId, DisplayEvent)>,
+) {
+    let phrase = outcome.phrase;
+    let factor_of = |a| workload.phrase_factor(phrase, a).unwrap_or(0.0);
+    let priced = price_ranked(
+        &outcome.assignment,
+        &config.slot_factors,
+        config.pricing,
+        |a| (effective_bids[a.index()], factor_of(a)),
+    );
+    events.extend(priced.map(|slot| {
+        let display_ctr = factor_of(slot.advertiser) * config.slot_factors[slot.slot.index()];
+        let event = DisplayEvent {
+            advertiser: slot.advertiser,
+            price: slot.price_per_click.round_down_to(config.billing_increment),
+            display_ctr: display_ctr.clamp(0.0, 1.0),
+        };
+        (phrase, event)
+    }));
 }
 
 /// [`Engine::budget_context`] over the engine's fields individually, so

@@ -68,8 +68,8 @@ pub struct RoundContext<'a> {
 /// auction outcomes, in the same phrase order.
 ///
 /// `effective_bids` is mutable because the unshared bounds path computes
-/// exact throttled bids only for ranked winners and backfills them for
-/// pricing; the shared resolvers treat it as read-only.
+/// exact throttled bids only for its ranked top `k + 1` and backfills
+/// them for pricing; the shared resolvers treat it as read-only.
 pub trait PhraseResolver {
     /// Round preamble; default is a no-op.
     fn prepare(
@@ -81,7 +81,9 @@ pub trait PhraseResolver {
     }
 
     /// Resolves `phrases` (ascending, a subset of the round's occurring
-    /// phrases) into one outcome each.
+    /// phrases) into one outcome each. Every resolver ranks `ctx.k + 1`:
+    /// the winners, plus the runner-up whose score the assignment carries
+    /// to pricing — this ranking is the only one an auction gets.
     fn resolve(
         &mut self,
         ctx: &RoundContext<'_>,

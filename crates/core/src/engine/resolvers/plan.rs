@@ -206,7 +206,7 @@ impl PhraseResolver for PlanResolver {
         let bound = |phrase: PhraseId| self.query_index[phrase.index()].map(|qi| query_nodes[qi]);
         self.cones
             .walk(plan, phrases.iter().filter_map(|&phrase| bound(phrase)));
-        metrics.aggregation_ops += self.cones.fill(plan, k, score) as u64;
+        metrics.aggregation_ops += self.cones.fill(plan, k + 1, score) as u64;
         let mut ranked: Vec<(AdvertiserId, Score)> = Vec::new();
         phrases
             .iter()

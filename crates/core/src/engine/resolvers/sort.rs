@@ -340,7 +340,7 @@ impl PhraseResolver for SortResolver {
                     &self.c_orders[q],
                     |a| effective_bids[a.index()],
                     |a| workload.phrase_factor(phrase, a).unwrap_or(0.0),
-                    k,
+                    k + 1,
                     &mut self.ta_scratch,
                     &mut self.ta_out,
                 );

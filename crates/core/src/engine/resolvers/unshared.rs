@@ -16,8 +16,8 @@ use super::{PhraseResolver, RoundContext};
 ///
 /// Under `ThrottleBounds`, selection runs on lazily refined Hoeffding
 /// bounds instead of the exact throttled bids; exact values are computed
-/// only for each phrase's ranked top `k + 1` (the winners plus the
-/// runner-up pricing reads) and backfilled into `effective_bids`.
+/// only for each phrase's ranked top `k + 1` and backfilled into
+/// `effective_bids`.
 #[derive(Debug, Default)]
 pub struct UnsharedResolver;
 
@@ -85,7 +85,6 @@ impl PhraseResolver for UnsharedResolver {
                         UncertainCandidate::new(a, factor, &budget)
                     })
                     .collect();
-                // k + 1: pricing needs the runner-up's exact score.
                 let (winners, stats) = top_k_uncertain(&candidates, k + 1);
                 metrics.bound_evaluations += stats.bound_evaluations;
                 metrics.exact_throttle_evaluations += stats.exact_evaluations;
@@ -96,7 +95,7 @@ impl PhraseResolver for UnsharedResolver {
                 }
                 winners.iter().map(|w| (w.advertiser, w.score)).collect()
             } else {
-                scan_top_k(interest, factors, effective_bids, k)
+                scan_top_k(interest, factors, effective_bids, k + 1)
                     .items()
                     .iter()
                     .map(|s| (s.advertiser, s.score))

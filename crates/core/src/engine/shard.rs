@@ -27,20 +27,19 @@
 //!   interest set's bids, all refreshed by the shard's throttle stage.
 //!   The `ThrottleBounds` budget accessor reads ledgers *during* WD,
 //!   which is why no ledger mutation may overlap the pipeline.
-//! - **Settle prep.** Pricing reads effective bids, never the RNG or
-//!   ledgers; each priced slot becomes a [`DisplayEvent`].
-//! - **Commit.** The only RNG- and ledger-mutating stage, serial and in
-//!   global order — the deterministic cross-shard budget reconciliation.
+//! - **Settle prep.** Pricing (the serial round's `price_outcome`) reads
+//!   the winners' effective bids, never the RNG or ledgers; each priced
+//!   slot becomes a [`DisplayEvent`].
+//! - **Commit.** The only RNG- and ledger-mutating stage (the serial
+//!   round's `commit_display_events`), serial and in global order — the
+//!   deterministic cross-shard budget reconciliation.
 
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use ssa_auction::ids::PhraseId;
-use ssa_auction::instance::AuctionEntry;
 use ssa_auction::money::Money;
-use ssa_auction::pricing::price_assignment_parts;
-use ssa_workload::clicks::ClickOutcome;
 use ssa_workload::Workload;
 
 use crate::budget::domain::DisplayEvent;
@@ -49,8 +48,8 @@ use crate::exec;
 
 use super::resolvers::{Resolvers, RoundContext};
 use super::{
-    budget_context_parts, AuctionOutcome, BudgetPolicy, Engine, EngineConfig, EngineMetrics,
-    Ledgers, PendingAd, SharingStrategy, WdExec,
+    budget_context_parts, price_outcome, AuctionOutcome, BudgetPolicy, Engine, EngineConfig,
+    EngineMetrics, Ledgers, SharingStrategy, WdExec,
 };
 
 /// The static phrase → shard assignment, fixed at engine construction.
@@ -169,10 +168,11 @@ struct ShardState {
     /// Round stamp per advertiser backing `participants` dedup.
     stamp: Vec<u64>,
     epoch: u64,
-    /// This round's outcomes, one per occurring shard phrase in order.
-    outcomes: Vec<AuctionOutcome>,
-    /// This round's display events, one list per outcome.
-    events: Vec<Vec<DisplayEvent>>,
+    /// This round's outcomes, one per occurring shard phrase in order;
+    /// the commit moves them out one by one.
+    outcomes: std::vec::IntoIter<AuctionOutcome>,
+    /// This round's display events, in outcome order (a reused buffer).
+    events: Vec<(PhraseId, DisplayEvent)>,
     /// Per-round metrics scratch, absorbed into the engine's metrics at
     /// commit time (zeroed at the start of each chain).
     metrics: EngineMetrics,
@@ -188,7 +188,8 @@ pub(super) struct Sharded {
     occ: Vec<Vec<PhraseId>>,
     /// Indices of shards with at least one occurring phrase this round.
     active: Vec<usize>,
-    /// Per-shard commit cursors (reused each round).
+    /// Per shard, how many of its display events the commit has taken
+    /// (reused each round).
     cursors: Vec<usize>,
 }
 
@@ -204,7 +205,7 @@ impl Sharded {
                     participants: Vec::new(),
                     stamp: vec![0; n],
                     epoch: 0,
-                    outcomes: Vec::new(),
+                    outcomes: Vec::new().into_iter(),
                     events: Vec::new(),
                     metrics: EngineMetrics::default(),
                 })
@@ -241,8 +242,7 @@ impl Sharded {
                 + state.bids.capacity() * size_of::<Money>()
                 + state.participants.capacity() * size_of::<u32>()
                 + state.stamp.capacity() * size_of::<u64>()
-                + state.outcomes.capacity() * size_of::<AuctionOutcome>()
-                + state.events.capacity() * size_of::<Vec<DisplayEvent>>();
+                + state.events.capacity() * size_of::<(PhraseId, DisplayEvent)>();
         }
         total
     }
@@ -341,7 +341,6 @@ fn run_shard_chain(
         ref mut resolvers,
         ref mut bids,
         ref mut metrics,
-        ref mut outcomes,
         ..
     } = *state;
     let ctx = RoundContext {
@@ -352,7 +351,7 @@ fn run_shard_chain(
         m_i,
         budgets,
     };
-    *outcomes = resolvers.resolve_round(&ctx, occ, bids, metrics);
+    let outcomes = resolvers.resolve_round(&ctx, occ, bids, metrics);
     state.metrics.wd_nanos += started.elapsed().as_nanos();
 
     // Stage 3 prep — price each outcome into display events. Reads only
@@ -360,37 +359,10 @@ fn run_shard_chain(
     // commit.
     let started = Instant::now();
     state.events.clear();
-    for outcome in &state.outcomes {
-        let q = outcome.phrase.index();
-        let entries: Vec<AuctionEntry> = workload.interest[q]
-            .iter()
-            .enumerate()
-            .map(|(pos, &a)| {
-                AuctionEntry::new(a, state.bids[a.index()], workload.phrase_factors[q][pos])
-            })
-            .collect();
-        // Borrowed-parts pricing: the shared slot-factor table is never
-        // cloned (or re-validated) per phrase.
-        let priced = price_assignment_parts(
-            &entries,
-            &config.slot_factors,
-            &outcome.assignment,
-            config.pricing,
-        );
-        let mut events = Vec::with_capacity(priced.len());
-        for slot in priced {
-            let factor = workload
-                .phrase_factor(outcome.phrase, slot.advertiser)
-                .unwrap_or(0.0);
-            let display_ctr = (factor * config.slot_factors[slot.slot.index()]).clamp(0.0, 1.0);
-            events.push(DisplayEvent {
-                advertiser: slot.advertiser,
-                price: slot.price_per_click.round_down_to(config.billing_increment),
-                display_ctr,
-            });
-        }
-        state.events.push(events);
+    for outcome in &outcomes {
+        price_outcome(workload, config, &state.bids, outcome, &mut state.events);
     }
+    state.outcomes = outcomes.into_iter();
     state.metrics.settle_nanos += started.elapsed().as_nanos();
 }
 
@@ -513,31 +485,22 @@ pub(super) fn run_round_sharded(engine: &mut Engine) -> Vec<AuctionOutcome> {
             let state = sharded.shards[s].get_mut();
             engine.metrics.absorb(&state.metrics);
         }
+        engine.display_events.clear();
         for &q in &occurring {
             let s = sharded.plan.shard_of(q.index());
-            let at = sharded.cursors[s];
-            sharded.cursors[s] += 1;
             let state = sharded.shards[s].get_mut();
-            outcomes.push(state.outcomes[at].clone());
-            for ev in &state.events[at] {
-                let fate = engine.clicker.impression(ev.display_ctr);
-                engine.metrics.impressions += 1;
-                engine.metrics.expected_value += ev.display_ctr * ev.price.to_f64();
-                engine.ledgers.push_pending(
-                    ev.advertiser.index(),
-                    PendingAd {
-                        price: ev.price,
-                        display_ctr: ev.display_ctr,
-                        age: 0,
-                        clicks_at_age: match fate {
-                            ClickOutcome::ClickAfter { delay } => Some(delay),
-                            ClickOutcome::NoClick => None,
-                        },
-                    },
-                );
-            }
+            let outcome = state.outcomes.next();
+            outcomes.push(outcome.expect("one outcome per occurring shard phrase"));
+            let pending = &state.events[sharded.cursors[s]..];
+            let taken = pending
+                .iter()
+                .take_while(|(phrase, _)| *phrase == q)
+                .count();
+            engine.display_events.extend_from_slice(&pending[..taken]);
+            sharded.cursors[s] += taken;
         }
     }
+    engine.commit_display_events();
     engine.settle_round();
     let settle_nanos = started.elapsed().as_nanos();
     engine.metrics.settle_nanos += settle_nanos;

@@ -19,68 +19,34 @@
 //! counter is process-global, and a concurrently running test in the same
 //! binary would pollute it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ssa_core::engine::{Engine, EngineConfig, SharingStrategy};
 use ssa_workload::{Workload, WorkloadConfig};
 
-struct PeakAlloc;
-
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn track(delta: u64) {
-    let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track(layout.size() as u64);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let old = layout.size() as u64;
-        let new = new_size as u64;
-        if new > old {
-            track(new - old);
-        } else {
-            LIVE.fetch_sub(old - new, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+mod common;
 
 #[global_allocator]
-static COUNTER: PeakAlloc = PeakAlloc;
+static COUNTER: common::CountingAlloc = common::CountingAlloc;
 
 #[test]
 fn bytes_per_advertiser_stay_under_ceiling() {
     // (name, sharing, n, jitter, hot-state ceiling, allocator-peak
-    // ceiling), both ceilings in bytes per advertiser. Measured 2026-08
-    // at n=10k, 32 phrases: hot state Unshared 80 (stateless resolver:
-    // just the engine's SoA ledgers/bid vectors), SharedSort 752 (merge
-    // arena + caches), SharedAggregation 320 and Hybrid 766 (plan nodes
+    // ceiling), both ceilings in bytes per advertiser. Measured 2026-10
+    // at n=10k, 32 phrases: hot state Unshared 70 (stateless resolver:
+    // just the engine's SoA ledgers/bid vectors), SharedSort 742 (merge
+    // arena + caches), SharedAggregation 311 and Hybrid 758 (plan nodes
     // hold adaptive-sparse `VarSet`s in a CSR pool and the cost tracker's
     // reach sets are sparse, so the plan's footprint follows interest
     // density, not nodes x n/8 — down from 5360/5539 when every node
-    // owned a dense n-bit set; 16 and 12 of those bytes are the plan
+    // owned a dense n-bit set; 18 and 13 of those bytes are the plan
     // resolver's persistent cone scratch). The shared-aggregation-100k
-    // case re-pins the plan-bearing ceiling a decade up (measured 303
+    // case re-pins the plan-bearing ceiling a decade up (measured 295
     // hot / 542 peak) to catch anything population-quadratic hiding at
     // 10k. Peaks add the planner's construction scratch, dropped before
     // steady state.
     // Ceilings leave ~50% headroom; one extra dense population-sized
     // vector (8+ bytes/advertiser) blows through them.
     let cases = [
-        ("unshared", SharingStrategy::Unshared, 10_000, 0.4, 120, 160),
+        ("unshared", SharingStrategy::Unshared, 10_000, 0.4, 105, 140),
         (
             "shared-aggregation",
             SharingStrategy::SharedAggregation,
@@ -122,8 +88,7 @@ fn bytes_per_advertiser_stay_under_ceiling() {
         // Baseline after the workload exists: everything the engine adds
         // on top — construction spikes included — counts against the
         // peak ceiling.
-        let base = LIVE.load(Ordering::Relaxed);
-        PEAK.store(base, Ordering::Relaxed);
+        let base = common::restart_peak();
         let mut engine = Engine::new(
             workload,
             EngineConfig {
@@ -134,7 +99,7 @@ fn bytes_per_advertiser_stay_under_ceiling() {
         for _ in 0..5 {
             engine.run_round();
         }
-        let peak_delta = PEAK.load(Ordering::Relaxed).saturating_sub(base) as usize;
+        let peak_delta = common::peak().saturating_sub(base) as usize;
 
         let hot = engine.hot_state_bytes();
         eprintln!("MEASURE {name}: hot={hot} peak={peak_delta}");

@@ -14,34 +14,13 @@
 //! counter is process-global, and a concurrently running test in the same
 //! binary would pollute it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ssa_core::engine::{Engine, EngineConfig, RoutingMode, SharingStrategy};
 use ssa_workload::{Workload, WorkloadConfig};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+mod common;
 
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static COUNTER: common::CountingAlloc = common::CountingAlloc;
 
 #[test]
 fn steady_state_round_allocates_nothing() {
@@ -86,9 +65,9 @@ fn steady_state_round_allocates_nothing() {
         }
 
         for round in 0..10 {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = common::allocations();
             let outcomes = engine.run_round();
-            let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            let allocated = common::allocations() - before;
             assert!(outcomes.is_empty(), "zero search rates: no auctions");
             assert_eq!(
                 allocated, 0,

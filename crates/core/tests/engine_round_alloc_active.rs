@@ -9,8 +9,8 @@
 //! occur per round). After warm-up has sized the resolver's cone scratch:
 //!
 //! 1. every round allocates at most a small constant per returned
-//!    outcome (the outcome, its assignment, pricing and display vectors),
-//!    and
+//!    outcome (its assignment's winner list; pricing and display write
+//!    into reused buffers), and
 //! 2. the fewest allocations a round with `a` auctions makes — its
 //!    deterministic part; a click or a pending-list growth adds one or
 //!    two on top — is the same number at both sizes.
@@ -25,41 +25,23 @@
 //! counter is process-global, and a concurrently running test in the same
 //! binary would pollute it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ssa_core::engine::{BudgetPolicy, Engine, EngineConfig, SharingStrategy};
 use ssa_workload::{Workload, WorkloadConfig};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+mod common;
 
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static COUNTER: common::CountingAlloc = common::CountingAlloc;
 
 /// Allocations a round may make per returned outcome, and on top of that
-/// regardless of outcomes (measured: 5 and 3, plus up to 3 for clicks
-/// and pending-list growth).
-const PER_AUCTION: u64 = 8;
-const PER_ROUND: u64 = 4;
+/// regardless of outcomes. Measured: 1 (the assignment's winner list) and
+/// 3 (the occurring-phrase list, the outcome list, the plan resolver's
+/// ranking buffer); on top, each of an auction's three displayed winners
+/// may grow its pending-ad list once, and a round the settle worklist.
+const PER_AUCTION: u64 = 1 + 3;
+const PER_ROUND: u64 = 3 + 1;
 
 /// Per auction count, the fewest allocations any measured round with that
 /// many auctions made, and how many such rounds there were.
@@ -89,9 +71,9 @@ fn allocation_floors(advertisers: usize) -> BTreeMap<usize, (u64, usize)> {
     }
     let mut floors: BTreeMap<usize, (u64, usize)> = BTreeMap::new();
     for round in 0..600 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = common::allocations();
         let outcomes = engine.run_round();
-        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocated = common::allocations() - before;
         let auctions = outcomes.len();
         drop(outcomes);
         assert!(

@@ -10,36 +10,15 @@
 //! counter is process-global, and a concurrently running test in the same
 //! binary would pollute it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
 use ssa_core::sort::ta::{threshold_top_k_into, TaScratch};
 use ssa_core::sort::MergeNetwork;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+mod common;
 
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static COUNTER: common::CountingAlloc = common::CountingAlloc;
 
 #[test]
 fn steady_state_ta_allocates_nothing() {
@@ -102,9 +81,9 @@ fn steady_state_ta_allocates_nothing() {
 
     // Steady state: several rounds, zero allocations.
     for round in 0..5 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = common::allocations();
         let steady = run(&mut net, &mut scratch, &mut out);
-        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocated = common::allocations() - before;
         assert_eq!(
             allocated, 0,
             "steady-state TA round {round} performed {allocated} heap allocations"

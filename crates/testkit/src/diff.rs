@@ -14,6 +14,7 @@ use rand::SeedableRng;
 
 use ssa_auction::ids::{AdvertiserId, PhraseId};
 use ssa_auction::money::Money;
+use ssa_auction::pricing::PricingRule;
 use ssa_auction::score::Score;
 use ssa_auction::winner::assignment_from_ranking;
 use ssa_core::algebra::expr::Expr;
@@ -157,10 +158,20 @@ pub fn run_all(seed: u64) -> Vec<Divergence> {
     out
 }
 
+/// Every engine of one seed prices under the same rule (variants must
+/// agree with their reference on spend), and the corpus' consecutive
+/// seeds cycle through all three.
+const PRICING_RULES: [PricingRule; 3] = [
+    PricingRule::GeneralizedSecondPrice,
+    PricingRule::Vcg,
+    PricingRule::FirstPrice,
+];
+
 fn engine_config(sharing: SharingStrategy, policy: BudgetPolicy, seed: u64) -> EngineConfig {
     EngineConfig {
         sharing,
         budget_policy: policy,
+        pricing: PRICING_RULES[(seed % 3) as usize],
         // Decorrelate round/click randomness from workload generation.
         seed: seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -216,40 +227,97 @@ fn oracle_check_round(
                 ),
             ));
         }
-        let want_prices = oracle::phrase_prices(
+    }
+    check_charged_prices(
+        check,
+        w,
+        engine,
+        outcomes,
+        &want_bids,
+        Money::ZERO,
+        seed,
+        round,
+    )
+}
+
+/// Checks what the engine actually charged — the round's committed
+/// [`Engine::last_display_events`] — against the oracle's own reading of
+/// the pricing rule over `exact_bids`, rounded down to the billing
+/// increment: one event per displayed winner, in outcome and slot order,
+/// priced within `tolerance` of the oracle and never above the winner's
+/// effective bid. `tolerance` is zero except for the bounds policy, whose
+/// runner-up may tie-swap within [`SCORE_EPS`] and so land one billing
+/// increment away after rounding.
+#[allow(clippy::too_many_arguments)] // internal helper; same shape as its siblings
+fn check_charged_prices(
+    check: &'static str,
+    w: &Workload,
+    engine: &Engine,
+    outcomes: &[AuctionOutcome],
+    exact_bids: &[Money],
+    tolerance: Money,
+    seed: u64,
+    round: usize,
+) -> Result<(), Divergence> {
+    let cfg = engine.config();
+    let mut events = engine.last_display_events().iter();
+    for outcome in outcomes {
+        let winners: Vec<AdvertiserId> = outcome
+            .assignment
+            .winners()
+            .iter()
+            .map(|winner| winner.advertiser)
+            .collect();
+        let want = oracle::phrase_prices(
             w,
             outcome.phrase,
-            &want_bids,
-            &want,
+            exact_bids,
+            &winners,
             &cfg.slot_factors,
             cfg.pricing,
         );
-        let got_prices = oracle::phrase_prices(
-            w,
-            outcome.phrase,
-            got_bids,
-            &outcome.assignment,
-            &cfg.slot_factors,
-            cfg.pricing,
-        );
-        let same = want_prices.len() == got_prices.len()
-            && want_prices.iter().zip(&got_prices).all(|(a, b)| {
-                a.slot == b.slot
-                    && a.advertiser == b.advertiser
-                    && a.price_per_click == b.price_per_click
-            });
-        if !same {
-            return Err(Divergence::new(
-                check,
-                seed,
-                format!(
-                    "round {round} phrase {}: prices diverge — engine {:?}, oracle {:?}",
-                    outcome.phrase, got_prices, want_prices
-                ),
-            ));
+        for (slot, (&advertiser, want)) in winners.iter().zip(want).enumerate() {
+            let want = want.round_down_to(cfg.billing_increment);
+            let bid = exact_bids[advertiser.index()];
+            let charged = match events.next() {
+                Some(&(phrase, ev)) if phrase == outcome.phrase && ev.advertiser == advertiser => {
+                    ev.price
+                }
+                other => {
+                    return Err(Divergence::new(
+                        check,
+                        seed,
+                        format!(
+                            "round {round} phrase {} slot {slot}: advertiser {advertiser} \
+                             won it but the engine's next display event is {other:?}",
+                            outcome.phrase
+                        ),
+                    ));
+                }
+            };
+            let off_by = charged.micros().abs_diff(want.micros());
+            if off_by > tolerance.micros() || charged > bid {
+                return Err(Divergence::new(
+                    check,
+                    seed,
+                    format!(
+                        "round {round} phrase {} slot {slot}: engine charges advertiser \
+                         {advertiser} {charged} per click under {:?}; the oracle's rescan \
+                         prices it at {want} (effective bid {bid})",
+                        outcome.phrase, cfg.pricing
+                    ),
+                ));
+            }
         }
     }
-    Ok(())
+    match events.next() {
+        None => Ok(()),
+        Some(extra) => Err(Divergence::new(
+            check,
+            seed,
+            format!("round {round}: display event {extra:?} belongs to no winner"),
+        )),
+    }
 }
 
 /// Outcome of a variant-vs-reference round comparison.
@@ -357,6 +425,24 @@ fn run_engine_diff(
             if v.desynced {
                 continue;
             }
+            // Not desynced: the variant entered the round with the
+            // reference's ledgers, so the reference's (oracle-verified)
+            // exact bids are its own.
+            let tolerance = if v.tolerant {
+                v.engine.config().billing_increment
+            } else {
+                Money::ZERO
+            };
+            check_charged_prices(
+                check,
+                w,
+                &v.engine,
+                &out,
+                &oracle_bids,
+                tolerance,
+                seed,
+                round,
+            )?;
             match compare_outcomes(
                 check,
                 v.name,
@@ -501,9 +587,9 @@ pub fn check_engine_nonseparable(seed: u64) -> Result<(), Divergence> {
 /// strategy × throttle policy, an engine partitioned into {2, 4} shards
 /// (with varying worker counts) must produce *bit-identical* outcomes to
 /// the classic single-executor engine — same auction outcomes, same
-/// budget snapshots, same effective bids. Internal work counters are
-/// excluded: per-shard resolvers legitimately do different amounts of
-/// rebuild/merge work than one global resolver.
+/// display events, same budget snapshots, same effective bids. Internal
+/// work counters are excluded: per-shard resolvers legitimately do
+/// different amounts of rebuild/merge work than one global resolver.
 pub fn check_shard_exec_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "shard-exec";
     // SharedAggregation requires a jitter-free workload; pin it so one
@@ -526,16 +612,18 @@ pub fn check_shard_exec_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Dive
                 };
                 let mut engine = Engine::new(w.clone(), ec);
                 let mut outcomes = Vec::new();
+                let mut events = Vec::new();
                 for _ in 0..ROUNDS {
                     outcomes.extend(engine.run_round());
+                    events.extend_from_slice(engine.last_display_events());
                 }
                 let snapshots = engine.budget_snapshots();
                 let bids = engine.last_effective_bids().to_vec();
-                (outcomes, snapshots, bids)
+                (outcomes, events, snapshots, bids)
             };
-            let (seq, seq_snap, seq_bids) = run(1, 1);
+            let (seq, seq_events, seq_snap, seq_bids) = run(1, 1);
             for (shards, threads) in [(2usize, 1usize), (4, 2), (4, 4)] {
-                let (par, par_snap, par_bids) = run(shards, threads);
+                let (par, par_events, par_snap, par_bids) = run(shards, threads);
                 let label = format!("{sharing:?}/{policy:?}/shards={shards}/threads={threads}");
                 if seq.len() != par.len() {
                     return Err(Divergence::new(
@@ -560,6 +648,13 @@ pub fn check_shard_exec_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Dive
                             ),
                         ));
                     }
+                }
+                if seq_events != par_events {
+                    return Err(Divergence::new(
+                        CHECK,
+                        seed,
+                        format!("[{label}] display events differ over {ROUNDS} rounds"),
+                    ));
                 }
                 if seq_snap != par_snap {
                     return Err(Divergence::new(
@@ -947,7 +1042,8 @@ pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(),
 
             // Fresh-per-round reference: instantiate from scratch on
             // this round's effective bids and resolve the same
-            // occurring phrases.
+            // occurring phrases, ranking `k + 1` as every resolver does
+            // (the assignment carries the runner-up).
             let (mut fresh, roots) = plan.instantiate(&bids);
             let mut fresh_stages = 0u64;
             for o in &outcomes {
@@ -961,7 +1057,7 @@ pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(),
                         &c_orders[q],
                         |a| bids[a.index()],
                         |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
-                        k,
+                        k + 1,
                     );
                     fresh_stages += outcome.stages as u64;
                     outcome.top_k
@@ -1161,14 +1257,14 @@ pub fn check_hybrid_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), 
             // each subset must reproduce the routed assignments.
             let bids = hybrid.last_effective_bids().to_vec();
             let plan_results = plan_dag.as_ref().map(|dag| {
-                let op = ScoredTopKOp { k };
+                let op = ScoredTopKOp { k: k + 1 };
                 let leaves: Vec<KList<ScoredAd>> = w
                     .advertisers
                     .iter()
                     .enumerate()
                     .map(|(i, adv)| {
                         KList::singleton(
-                            k,
+                            k + 1,
                             ScoredAd::new(adv.id, Score::expected_value(bids[i], adv.base_factor)),
                         )
                     })
@@ -1203,7 +1299,7 @@ pub fn check_hybrid_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), 
                         &c_orders[q],
                         |a| bids[a.index()],
                         |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
-                        k,
+                        k + 1,
                     )
                     .top_k
                 };

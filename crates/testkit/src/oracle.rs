@@ -2,15 +2,16 @@
 //!
 //! Resolves every bid phrase *independently* — no shared plans, no merge
 //! networks, no Threshold Algorithm, no lazy bounds — using only the
-//! per-auction primitives from `ssa-auction` and the exact throttled-bid
-//! convolution from `ssa-core::budget` (itself backed by `ssa-stats`).
+//! per-auction primitives from `ssa-auction`, the exact throttled-bid
+//! convolution from `ssa-core::budget` (itself backed by `ssa-stats`), and
+//! its own reading of the pricing rules over a full rescan.
 //! Anything an optimized path computes must agree with what this module
 //! computes from the same inputs.
 
 use ssa_auction::ids::{AdvertiserId, PhraseId};
 use ssa_auction::instance::{AuctionEntry, AuctionInstance};
 use ssa_auction::money::Money;
-use ssa_auction::pricing::{price_assignment, PricedSlot, PricingRule};
+use ssa_auction::pricing::PricingRule;
 use ssa_auction::winner::{determine_winners, Assignment};
 use ssa_core::budget::BudgetContext;
 use ssa_core::engine::{BudgetPolicy, BudgetSnapshot};
@@ -99,19 +100,56 @@ pub fn phrase_assignment(
     }
 }
 
-/// Prices an assignment for one phrase under the given rule.
+/// The per-click price of each of `winners` (the displayed order, best
+/// slot first) on one phrase, read straight off the rule's definition
+/// with nothing taken from the engine's ranking: every score is
+/// recomputed from `bids`, and the runner-up is found by rescanning the
+/// whole interest set for the best score among the advertisers not
+/// displayed. With ranked scores `s_1 ≥ s_2 ≥ …` (the displayed winners,
+/// then that runner-up) and slot factors `d_j`, the winner in slot `j`
+/// with factor `c` pays its bid under first-price, `s_(j+1) / c` under
+/// GSP, and `Σ_{t≥j} (d_t − d_(t+1)) · s_(t+1) / (c · d_j)` under VCG,
+/// never more than its bid. Winners have positive scores and the slots
+/// positive factors, so nothing divides by zero.
 pub fn phrase_prices(
     w: &Workload,
     phrase: PhraseId,
     bids: &[Money],
-    assignment: &Assignment,
+    winners: &[AdvertiserId],
     slot_factors: &[f64],
     rule: PricingRule,
-) -> Vec<PricedSlot> {
-    match phrase_instance(w, phrase, bids, slot_factors) {
-        Some(instance) => price_assignment(&instance, assignment, rule),
-        None => Vec::new(),
-    }
+) -> Vec<Money> {
+    let factor = |a: AdvertiserId| w.phrase_factor(phrase, a).unwrap_or(0.0);
+    let score = |a: AdvertiserId| bids[a.index()].to_f64() * factor(a);
+    let runner_up = w.interest[phrase.index()]
+        .iter()
+        .filter(|a| !winners.contains(a))
+        .map(|&a| score(a))
+        .fold(0.0, f64::max);
+    let ranked: Vec<f64> = winners
+        .iter()
+        .map(|&a| score(a))
+        .chain([runner_up])
+        .collect();
+    let d = |slot: usize| slot_factors.get(slot).copied().unwrap_or(0.0);
+    winners
+        .iter()
+        .enumerate()
+        .map(|(j, &a)| {
+            let bid = bids[a.index()];
+            let price = match rule {
+                PricingRule::FirstPrice => bid,
+                PricingRule::GeneralizedSecondPrice => Money::from_f64(ranked[j + 1] / factor(a)),
+                PricingRule::Vcg => {
+                    let externality: f64 = (j..winners.len())
+                        .map(|t| (d(t) - d(t + 1)) * ranked[t + 1])
+                        .sum();
+                    Money::from_f64(externality / (factor(a) * d(j)))
+                }
+            };
+            price.min(bid)
+        })
+        .collect()
 }
 
 /// The phrase's full ranking (every interested advertiser by descending
