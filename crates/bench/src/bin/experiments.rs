@@ -52,6 +52,7 @@ use ssa_core::plan::{PlanProblem, PlannerMode, SharedPlanner};
 use ssa_core::sort::planner::{build_shared_sort_plan_bucketed, SortPlan};
 use ssa_core::sort::ta::threshold_top_k;
 use ssa_setcover::{BitSet, SetCoverInstance};
+use ssa_testkit::plan_oracle::{reference_plan, REFERENCE_COST_SLACK};
 use ssa_workload::scenarios::hiking_boots_high_heels;
 use ssa_workload::{Workload, WorkloadConfig};
 
@@ -118,9 +119,12 @@ fn main() {
 
 /// Figure 4: "Expected cost of plan vs query probability" — 10 coin-flip
 /// top-k queries over 20 advertisers, duplicates discarded; we sweep the
-/// uniform search rate and average over seeds, reporting the heuristic
-/// plan's expected cost alongside the fragments-only and unshared
-/// baselines.
+/// uniform search rate and average over seeds, reporting the production
+/// planner's expected cost alongside the fragments-only and unshared
+/// baselines and — at the four rows EXPERIMENTS.md tabulates — the
+/// paper's literal Section II-D loop (~0.2 s a plan at this size).
+/// Asserts the figure's shape: shared below unshared, savings monotone in
+/// `sr`.
 fn fig4(quick: bool) {
     let seeds: u64 = if quick { 5 } else { 25 };
     let mut table = Table::new(
@@ -129,14 +133,17 @@ fn fig4(quick: bool) {
         &[
             "sr",
             "shared(full)",
+            "shared(II-D literal)",
             "shared(fragments)",
             "unshared",
             "savings%",
         ],
     );
+    let mut last_savings = 0.0;
     for step in 0..=20 {
         let sr = step as f64 / 20.0;
-        let (mut full_acc, mut frag_acc, mut unshared_acc) = (0.0, 0.0, 0.0);
+        let with_reference = step > 0 && step % 5 == 0;
+        let (mut full_acc, mut ref_acc, mut frag_acc, mut unshared_acc) = (0.0, 0.0, 0.0, 0.0);
         for seed in 0..seeds {
             let problem = fig4_problem(20, 10, sr, seed);
             let full = SharedPlanner::full().plan(&problem);
@@ -144,6 +151,9 @@ fn fig4(quick: bool) {
             full_acc += expected_cost(&full, &problem.search_rates);
             frag_acc += expected_cost(&frag, &problem.search_rates);
             unshared_acc += unshared_expected_cost(&problem);
+            if with_reference {
+                ref_acc += expected_cost(&reference_plan(&problem), &problem.search_rates);
+            }
         }
         let n = seeds as f64;
         let (full, frag, unshared) = (full_acc / n, frag_acc / n, unshared_acc / n);
@@ -152,9 +162,23 @@ fn fig4(quick: bool) {
         } else {
             0.0
         };
+        assert!(
+            full <= unshared + 1e-9,
+            "sr={sr}: shared {full} above unshared {unshared}"
+        );
+        assert!(
+            savings >= last_savings - 1e-9,
+            "sr={sr}: savings fell from {last_savings}% to {savings}%"
+        );
+        last_savings = savings;
         table.push(vec![
             format!("{sr:.2}"),
             format!("{full:.2}"),
+            if with_reference {
+                format!("{:.2}", ref_acc / n)
+            } else {
+                "-".into()
+            },
             format!("{frag:.2}"),
             format!("{unshared:.2}"),
             format!("{savings:.1}"),
@@ -1286,11 +1310,12 @@ fn shard_scaling(quick: bool) {
     }
 }
 
-/// Planner build-time scaling: fragments-only vs the reference
-/// recompute-all-pairs greedy completion vs the lazy-greedy completion,
-/// on the executor workload shape (24 phrases, 6 topics). The reference
-/// loop is only timed where it is tractable; larger sizes record it as
-/// skipped. Writes `results/planner_scaling.*` plus the top-level
+/// Planner build-time scaling: fragments-only vs the paper-literal
+/// recompute-all-pairs completion (the testkit oracle) vs the production
+/// lazy-greedy completion, on the executor workload shape (24 phrases, 6
+/// topics). The literal loop is only timed where it is tractable; larger
+/// sizes record it as skipped. Where both run, the production plan's
+/// expected cost must sit within the corpus slack of the literal loop's. Writes `results/planner_scaling.*` plus the top-level
 /// `BENCH_planner_scaling.json` the CI smoke job uploads.
 fn planner_scaling(quick: bool) {
     let sizes: &[usize] = if quick {
@@ -1329,19 +1354,16 @@ fn planner_scaling(quick: bool) {
 
         let reference = (n <= reference_limit).then(|| {
             let t0 = Instant::now();
-            let plan = ssa_core::plan::reference_plan(&problem);
+            let plan = reference_plan(&problem);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             (ms, expected_cost(&plan, &problem.search_rates))
         });
         if let Some((_, ref_cost)) = reference {
-            // Below the exact-mode limit the lazy completion must be a
-            // step-for-step replica of the reference loop.
-            if problem.var_count <= ssa_core::plan::greedy::EXACT_COMPLETION_VAR_LIMIT {
-                assert_eq!(
-                    lazy_cost, ref_cost,
-                    "exact-mode lazy plan diverged from the reference at n={n}"
-                );
-            }
+            assert!(
+                lazy_cost <= ref_cost * (1.0 + REFERENCE_COST_SLACK) + 1e-9,
+                "production plan cost {lazy_cost} is more than {REFERENCE_COST_SLACK} above \
+                 the literal loop's {ref_cost} at n={n}"
+            );
         }
 
         let (ref_ms_s, ref_cost_s) = match reference {
@@ -1390,16 +1412,14 @@ fn planner_scaling(quick: bool) {
         ("phrases".into(), Value::from(24usize)),
         ("topics".into(), Value::from(6usize)),
         (
-            "exact_mode_var_limit".into(),
-            Value::from(ssa_core::plan::greedy::EXACT_COMPLETION_VAR_LIMIT),
-        ),
-        (
             "note".into(),
             Value::from(
-                "build-time curves for the shared-aggregation planner; at or \
-                 below the exact-mode limit the lazy completion produces \
-                 bit-identical plans to the reference loop (asserted here), \
-                 above it candidates are capped by overlap-signature buckets",
+                "build-time curves for the shared-aggregation planner; \
+                 reference_greedy is the paper-literal Section II-D loop \
+                 (ssa-testkit's planner oracle), lazy_greedy the one \
+                 production completion, whose expected cost is asserted \
+                 within the corpus slack of the literal loop's wherever \
+                 both run",
             ),
         ),
         ("runs".into(), Value::Array(run_values)),

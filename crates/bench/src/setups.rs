@@ -6,18 +6,12 @@
 
 use ssa_core::plan::PlanProblem;
 use ssa_setcover::BitSet;
-use ssa_workload::scenarios::fig4_coinflip_queries;
 use ssa_workload::{Workload, WorkloadConfig};
 
 /// The Figure 4 protocol instance: `queries` coin-flip queries over
 /// `advertisers` advertisers, all with search rate `sr`.
 pub fn fig4_problem(advertisers: usize, queries: usize, sr: f64, seed: u64) -> PlanProblem {
-    let sets: Vec<BitSet> = fig4_coinflip_queries(advertisers, queries, seed)
-        .iter()
-        .map(|q| BitSet::from_elements(advertisers, q.iter().map(|a| a.index())))
-        .collect();
-    let m = sets.len();
-    PlanProblem::new(advertisers, sets, Some(vec![sr; m]))
+    ssa_testkit::gen::fig4_problem(advertisers, queries, sr, seed)
 }
 
 /// A plan problem derived from a topic-model workload's interest sets.

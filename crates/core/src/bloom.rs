@@ -125,21 +125,6 @@ impl BloomFilter {
         }
     }
 
-    /// Overlap test without allocating: true iff the two filters share at
-    /// least one set bit. `false` means the inserted key sets are
-    /// *definitely* disjoint; `true` means they may intersect (subject to
-    /// the usual false-positive rate). The lazy planner uses this as the
-    /// first-stage prune on node signature overlap before the exact bitset
-    /// intersection.
-    ///
-    /// # Panics
-    /// Panics on geometry mismatch (different universes).
-    pub fn intersects(&self, other: &BloomFilter) -> bool {
-        assert_eq!(self.m_bits, other.m_bits, "geometry mismatch");
-        assert_eq!(self.hashes, other.hashes, "geometry mismatch");
-        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
-    }
-
     /// Number of set bits (diagnostic; drives fill-ratio estimates).
     pub fn popcount(&self) -> usize {
         self.bits.iter().map(|b| b.count_ones() as usize).sum()
@@ -216,21 +201,6 @@ mod tests {
         }
         let i = a.intersection(&b);
         assert!(i.contains(3));
-    }
-
-    #[test]
-    fn intersects_agrees_with_intersection_emptiness() {
-        let mut a = BloomFilter::new(512, 4);
-        let mut b = BloomFilter::new(512, 4);
-        a.insert(1);
-        b.insert(2);
-        assert_eq!(a.intersects(&b), !a.intersection(&b).is_empty());
-        b.insert(1);
-        assert!(a.intersects(&b));
-        assert_eq!(a.intersects(&b), !a.intersection(&b).is_empty());
-        // Empty filters never intersect anything.
-        let e = BloomFilter::new(512, 4);
-        assert!(!e.intersects(&a) && !a.intersects(&e));
     }
 
     #[test]

@@ -756,16 +756,6 @@ impl Engine {
         }
     }
 
-    /// The single-domain resolver set (test seam; panics on a sharded
-    /// engine, whose resolvers live per shard).
-    #[cfg(test)]
-    fn single_resolvers(&self) -> &Resolvers {
-        match &self.wd {
-            WdExec::Single(resolvers) => resolvers,
-            WdExec::Sharded(_) => panic!("sharded engine has per-shard resolvers"),
-        }
-    }
-
     fn budget_context(&self, advertiser: usize, m: u64) -> BudgetContext {
         budget_context_parts(
             &self.ledgers,
@@ -919,6 +909,18 @@ fn budget_context_parts(
             .iter()
             .map(|p| OutstandingAd::new(p.price, clicker.residual_ctr(p.display_ctr, p.age)))
             .collect(),
+    }
+}
+
+#[cfg(test)]
+impl Engine {
+    /// The single-domain resolver set (test seam; panics on a sharded
+    /// engine, whose resolvers live per shard).
+    fn single_resolvers(&self) -> &Resolvers {
+        match &self.wd {
+            WdExec::Single(resolvers) => resolvers,
+            WdExec::Sharded(_) => panic!("sharded engine has per-shard resolvers"),
+        }
     }
 }
 

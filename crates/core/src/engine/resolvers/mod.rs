@@ -293,15 +293,6 @@ impl Resolvers {
         }
     }
 
-    /// The plan resolver, when the strategy has one (test seam).
-    #[cfg(test)]
-    pub(super) fn plan(&self) -> Option<&PlanResolver> {
-        match self {
-            Resolvers::Plan(plan) | Resolvers::Hybrid { plan, .. } => Some(plan),
-            _ => None,
-        }
-    }
-
     /// The sort resolver, when the strategy has one.
     pub(super) fn sort(&self) -> Option<&SortResolver> {
         match self {
@@ -484,6 +475,17 @@ impl Resolvers {
                 }
                 outcomes
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Resolvers {
+    /// The plan resolver, when the strategy has one (test seam).
+    pub(super) fn plan(&self) -> Option<&PlanResolver> {
+        match self {
+            Resolvers::Plan(plan) | Resolvers::Hybrid { plan, .. } => Some(plan),
+            _ => None,
         }
     }
 }

@@ -59,7 +59,7 @@ pub mod reduction;
 pub mod topk_cones;
 
 pub use disjoint::DisjointPlanner;
-pub use greedy::{reference_plan, PlannerMode, SharedPlanner};
+pub use greedy::{PlannerMode, SharedPlanner};
 pub use maintenance::PlanMaintainer;
 pub use topk_cones::TopKCones;
 

@@ -26,16 +26,15 @@
 //! The finished [`SortPlan`] is an index-based arena: per-node `u32`
 //! child pairs, subtree sizes, and one shared CSR pool of served phrase
 //! ids — no per-node heap allocations and nothing whose footprint grows
-//! with the advertiser *universe* rather than with actual interest. The
-//! earlier representation kept three `BitSet`s per node (advertisers,
-//! serves, remaining), each sized to the full universe; at n = 1M and
-//! ~2n nodes that is O(n²) bits — hundreds of gigabytes — where the
-//! arena is O(n + Σ|interest|). Builders keep their working sets sparse
-//! for the same reason: [`build_shared_sort_plan_sparse`] never
-//! materializes a universe-sized set. The quadratic reference builder
-//! ([`build_shared_sort_plan`]) still uses dense `BitSet` working nodes
-//! internally — it is only meant for a few hundred advertisers — and
-//! converts to the arena at the end.
+//! with the advertiser *universe* rather than with actual interest: the
+//! arena is O(n + Σ|interest|), where universe-sized sets per node would
+//! be O(n²) bits at ~2n nodes. The builders' working nodes are sparse for
+//! the same reason — phrase sets as ascending id lists, advertiser sets
+//! as a cardinality — so [`build_shared_sort_plan_sparse`] never
+//! materializes a universe-sized set. Both builders are the same code
+//! around one pair search: the exhaustive [`build_shared_sort_plan`]
+//! searches over the leaves under the paper's equal-size constraint, the
+//! scalable one over fragment roots without it.
 
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
@@ -418,195 +417,10 @@ pub fn expected_beyond_first(rates: &[f64]) -> f64 {
     total
 }
 
-// ---------------------------------------------------------------------
-// Quadratic reference builder (dense working nodes, small n only).
-// ---------------------------------------------------------------------
-
-/// Dense working node of the quadratic builder — the paper's literal
-/// formulation, kept internal; only the arena leaves the builder.
-struct DenseNode {
-    advertisers: BitSet,
-    serves: BitSet,
-    remaining: BitSet,
-    children: Option<(usize, usize)>,
-}
-
-/// Builds the per-advertiser leaf nodes (node index = advertiser index).
-fn dense_leaf_nodes(advertiser_count: usize, interest: &[BitSet]) -> Vec<DenseNode> {
-    let m = interest.len();
-    (0..advertiser_count)
-        .map(|i| {
-            let mut serves = BitSet::new(m);
-            for (q, iq) in interest.iter().enumerate() {
-                if iq.contains(i) {
-                    serves.insert(q);
-                }
-            }
-            DenseNode {
-                advertisers: BitSet::singleton(advertiser_count, i),
-                serves: serves.clone(),
-                remaining: serves,
-                children: None,
-            }
-        })
-        .collect()
-}
-
-/// Merges `u` and `v` into a new node adopting them for the phrases in
-/// `remaining(u) ∩ remaining(v)`.
-fn dense_adopt(nodes: &mut Vec<DenseNode>, u: usize, v: usize) -> usize {
-    let qw = nodes[u].remaining.intersection(&nodes[v].remaining);
-    debug_assert!(!qw.is_empty(), "merge without a common phrase");
-    debug_assert!(
-        nodes[u].advertisers.is_disjoint(&nodes[v].advertisers),
-        "advertiser sets must be disjoint"
-    );
-    let iw = nodes[u].advertisers.union(&nodes[v].advertisers);
-    nodes[u].remaining.difference_with(&qw);
-    nodes[v].remaining.difference_with(&qw);
-    let idx = nodes.len();
-    nodes.push(DenseNode {
-        advertisers: iw,
-        serves: qw.clone(),
-        remaining: qw,
-        children: Some((u, v)),
-    });
-    idx
-}
-
-/// Folds each phrase's surviving roots until one root per phrase remains,
-/// smallest nodes first; returns the per-phrase roots.
-fn dense_complete_per_phrase(nodes: &mut Vec<DenseNode>, m: usize) -> Vec<usize> {
-    let mut roots = Vec::with_capacity(m);
-    for q in 0..m {
-        loop {
-            let mut owners: Vec<usize> = (0..nodes.len())
-                .filter(|&v| nodes[v].remaining.contains(q))
-                .collect();
-            match owners.len() {
-                0 => {
-                    roots.push(usize::MAX);
-                    break;
-                }
-                1 => {
-                    roots.push(owners[0]);
-                    break;
-                }
-                _ => {
-                    owners.sort_by_key(|&v| (nodes[v].advertisers.len(), v));
-                    dense_adopt(nodes, owners[0], owners[1]);
-                }
-            }
-        }
-    }
-    roots
-}
-
-/// Converts finished dense working nodes into the arena form.
-fn arena_from_dense(advertiser_count: usize, nodes: Vec<DenseNode>, roots: Vec<usize>) -> SortPlan {
-    let total = nodes.len();
-    let mut children = Vec::with_capacity(total);
-    let mut sizes = Vec::with_capacity(total);
-    let mut serves_off = Vec::with_capacity(total + 1);
-    let mut serves_pool = Vec::new();
-    serves_off.push(0u32);
-    for node in &nodes {
-        children.push(match node.children {
-            None => [NO_NODE; 2],
-            Some((a, b)) => [a as u32, b as u32],
-        });
-        sizes.push(node.advertisers.len() as u32);
-        serves_pool.extend(node.serves.iter().map(|q| q as u32));
-        serves_off.push(serves_pool.len() as u32);
-    }
-    SortPlan {
-        advertiser_count,
-        children,
-        sizes,
-        serves_off,
-        serves_pool,
-        roots: roots
-            .into_iter()
-            .map(|r| if r == usize::MAX { NO_NODE } else { r as u32 })
-            .collect(),
-    }
-}
-
-/// The Section III-C greedy planner, considering every node pair at every
-/// step (the paper's formulation). Quadratic in the node count per step —
-/// intended for up to a few hundred advertisers; use
-/// [`build_shared_sort_plan_bucketed`] at scale.
-///
-/// `interest[q]` is `I_q` over an advertiser universe of size `n`;
-/// `search_rates[q]` is `sr_q`.
-pub fn build_shared_sort_plan(
-    advertiser_count: usize,
-    interest: &[BitSet],
-    search_rates: &[f64],
-) -> SortPlan {
-    let m = interest.len();
-    assert_eq!(search_rates.len(), m, "one rate per phrase");
-    for (q, iq) in interest.iter().enumerate() {
-        assert_eq!(
-            iq.capacity(),
-            advertiser_count,
-            "interest set {q} universe mismatch"
-        );
-    }
-
-    let mut nodes = dense_leaf_nodes(advertiser_count, interest);
-
-    // Greedy phase: merge the pair with the largest expected savings
-    // |I_w| · E[beyond-first occurrences of Q_w].
-    loop {
-        let active: Vec<usize> = (0..nodes.len())
-            .filter(|&v| !nodes[v].remaining.is_empty())
-            .collect();
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (ai, &u) in active.iter().enumerate() {
-            for &v in &active[ai + 1..] {
-                if nodes[u].advertisers.len() != nodes[v].advertisers.len() {
-                    continue;
-                }
-                if !nodes[u].advertisers.is_disjoint(&nodes[v].advertisers) {
-                    continue;
-                }
-                let qw = nodes[u].remaining.intersection(&nodes[v].remaining);
-                if qw.is_empty() {
-                    continue;
-                }
-                let rates: Vec<f64> = qw.iter().map(|q| search_rates[q]).collect();
-                let size = nodes[u].advertisers.len() + nodes[v].advertisers.len();
-                let savings = size as f64 * expected_beyond_first(&rates);
-                if savings > 0.0 && best.is_none_or(|(s, _, _)| savings > s) {
-                    best = Some((savings, u, v));
-                }
-            }
-        }
-        match best {
-            Some((_, u, v)) => {
-                dense_adopt(&mut nodes, u, v);
-            }
-            None => break,
-        }
-    }
-
-    // Completion phase: fold each phrase's surviving roots, smallest
-    // first, until one root per phrase remains (empty phrases get a
-    // sentinel root).
-    let roots = dense_complete_per_phrase(&mut nodes, m);
-
-    arena_from_dense(advertiser_count, nodes, roots)
-}
-
-// ---------------------------------------------------------------------
-// Sparse bucketed builder (the at-scale path).
-// ---------------------------------------------------------------------
-
-/// Sparse working node: phrase sets as ascending id lists, advertiser
-/// sets reduced to their cardinality (disjointness of every merge is
-/// guaranteed structurally, see `frag_sets` in the stage-3 loop).
-struct SparseNode {
+/// Working node of the builders: phrase sets as ascending id lists,
+/// advertiser sets reduced to their cardinality (the pair search tracks
+/// disjointness itself, see [`merge_by_savings`]).
+struct WorkNode {
     serves: Vec<u32>,
     remaining: Vec<u32>,
     size: u32,
@@ -642,19 +456,54 @@ fn remove_sorted(v: &mut Vec<u32>, qw: &[u32]) {
     });
 }
 
-/// Sparse counterpart of `dense_adopt`: merges `u` and `v` into a new
-/// node adopting them for `remaining(u) ∩ remaining(v)`. The caller is
-/// responsible for only merging advertiser-disjoint nodes (the dense
-/// builder's `I_u ∩ I_v = ∅` precondition), which makes `|I_w|` the sum
-/// of the children's sizes.
-fn sparse_adopt(nodes: &mut Vec<SparseNode>, u: usize, v: usize) -> usize {
+/// Dense interest sets as ascending advertiser-index lists.
+fn sparse_interest(advertiser_count: usize, interest: &[BitSet]) -> Vec<Vec<u32>> {
+    interest
+        .iter()
+        .enumerate()
+        .map(|(q, iq)| {
+            assert_eq!(
+                iq.capacity(),
+                advertiser_count,
+                "interest set {q} universe mismatch"
+            );
+            iq.iter().map(|i| i as u32).collect()
+        })
+        .collect()
+}
+
+/// The per-advertiser leaf nodes (node index = advertiser index), their
+/// ascending signatures transposed from the per-phrase lists.
+fn leaf_nodes(advertiser_count: usize, interest: &[Vec<u32>]) -> Vec<WorkNode> {
+    let mut serves_of: Vec<Vec<u32>> = vec![Vec::new(); advertiser_count];
+    for (q, iq) in interest.iter().enumerate() {
+        for &i in iq {
+            serves_of[i as usize].push(q as u32);
+        }
+    }
+    serves_of
+        .into_iter()
+        .map(|serves| WorkNode {
+            remaining: serves.clone(),
+            serves,
+            size: 1,
+            children: None,
+        })
+        .collect()
+}
+
+/// Merges `u` and `v` into a new node adopting them for the phrases in
+/// `remaining(u) ∩ remaining(v)`. The caller is responsible for only
+/// merging advertiser-disjoint nodes (the paper's `I_u ∩ I_v = ∅`
+/// precondition), which makes `|I_w|` the sum of the children's sizes.
+fn adopt(nodes: &mut Vec<WorkNode>, u: usize, v: usize) -> usize {
     let qw = intersect_sorted(&nodes[u].remaining, &nodes[v].remaining);
     debug_assert!(!qw.is_empty(), "merge without a common phrase");
     remove_sorted(&mut nodes[u].remaining, &qw);
     remove_sorted(&mut nodes[v].remaining, &qw);
     let size = nodes[u].size + nodes[v].size;
     let idx = nodes.len();
-    nodes.push(SparseNode {
+    nodes.push(WorkNode {
         serves: qw.clone(),
         remaining: qw,
         size,
@@ -663,13 +512,70 @@ fn sparse_adopt(nodes: &mut Vec<SparseNode>, u: usize, v: usize) -> usize {
     idx
 }
 
-/// Sparse completion, bit-identical to `dense_complete_per_phrase`: per
-/// phrase, repeatedly fold the two owners smallest by `(|I_v|, v)` until
-/// one owner remains. Instead of rescanning every node per step, the
-/// per-phrase owner lists are maintained incrementally — each adopt
-/// replaces the two children with the new parent in *every* phrase list
-/// the adoption covered, which is exactly how the rescans evolved.
-fn sparse_complete_per_phrase(nodes: &mut Vec<SparseNode>, m: usize) -> Vec<usize> {
+/// The paper's greedy savings rule: repeatedly merge the pair of nodes —
+/// `frontier` members and their merge results — with the largest expected
+/// savings `|I_w| · E[beyond-first occurrences of Q_w]`, until no pair
+/// saves anything. Ties keep the first pair in frontier order.
+///
+/// The frontier nodes must be pairwise advertiser-disjoint; every node
+/// the search creates is then a union of whole frontier nodes, so
+/// `I_u ∩ I_v = ∅` is exactly disjointness of the pair's frontier-id
+/// sets — small BitSets over the frontier instead of universe-sized
+/// advertiser sets. `equal_sizes` switches the paper's `|I_u| = |I_v|`
+/// constraint on.
+fn merge_by_savings(
+    nodes: &mut Vec<WorkNode>,
+    mut frontier: Vec<usize>,
+    search_rates: &[f64],
+    equal_sizes: bool,
+) {
+    // `origins[p]` is the set of original frontier positions under
+    // `frontier[p]`; the pair search works in frontier positions.
+    let universe = frontier.len();
+    let mut origins: Vec<BitSet> = (0..universe)
+        .map(|g| BitSet::singleton(universe, g))
+        .collect();
+    loop {
+        let active: Vec<usize> = (0..frontier.len())
+            .filter(|&p| !nodes[frontier[p]].remaining.is_empty())
+            .collect();
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (ai, &pu) in active.iter().enumerate() {
+            let u = &nodes[frontier[pu]];
+            for &pv in &active[ai + 1..] {
+                let v = &nodes[frontier[pv]];
+                if equal_sizes && u.size != v.size {
+                    continue;
+                }
+                if !origins[pu].is_disjoint(&origins[pv]) {
+                    continue;
+                }
+                let qw = intersect_sorted(&u.remaining, &v.remaining);
+                if qw.is_empty() {
+                    continue;
+                }
+                let rates: Vec<f64> = qw.iter().map(|&q| search_rates[q as usize]).collect();
+                let size = (u.size + v.size) as usize;
+                let savings = size as f64 * expected_beyond_first(&rates);
+                if savings > 0.0 && best.is_none_or(|(s, _, _)| savings > s) {
+                    best = Some((savings, pu, pv));
+                }
+            }
+        }
+        let Some((_, pu, pv)) = best else { break };
+        let w = adopt(nodes, frontier[pu], frontier[pv]);
+        origins.push(origins[pu].union(&origins[pv]));
+        frontier.push(w);
+    }
+}
+
+/// Folds each phrase's surviving roots, the two smallest by `(|I_v|, v)`
+/// first, until one root per phrase remains (these final merges are the
+/// unshared tail every plan needs); returns the per-phrase roots, empty
+/// phrases getting `usize::MAX`. The per-phrase owner lists are
+/// maintained incrementally — each adopt replaces the two children with
+/// the new parent in *every* phrase list the adoption covered.
+fn complete_per_phrase(nodes: &mut Vec<WorkNode>, m: usize) -> Vec<usize> {
     let mut owners: Vec<Vec<u32>> = vec![Vec::new(); m];
     for (v, node) in nodes.iter().enumerate() {
         for &q in &node.remaining {
@@ -691,7 +597,7 @@ fn sparse_complete_per_phrase(nodes: &mut Vec<SparseNode>, m: usize) -> Vec<usiz
                 _ => {
                     owners[q].sort_by_key(|&v| (nodes[v as usize].size, v));
                     let (a, b) = (owners[q][0], owners[q][1]);
-                    let w = sparse_adopt(nodes, a as usize, b as usize) as u32;
+                    let w = adopt(nodes, a as usize, b as usize) as u32;
                     let qw = nodes[w as usize].serves.clone();
                     for &p in &qw {
                         let list = &mut owners[p as usize];
@@ -705,12 +611,8 @@ fn sparse_complete_per_phrase(nodes: &mut Vec<SparseNode>, m: usize) -> Vec<usiz
     roots
 }
 
-/// Converts finished sparse working nodes into the arena form.
-fn arena_from_sparse(
-    advertiser_count: usize,
-    nodes: Vec<SparseNode>,
-    roots: Vec<usize>,
-) -> SortPlan {
+/// Converts finished working nodes into the arena form.
+fn into_arena(advertiser_count: usize, nodes: Vec<WorkNode>, roots: Vec<usize>) -> SortPlan {
     let total = nodes.len();
     let mut children = Vec::with_capacity(total);
     let mut sizes = Vec::with_capacity(total);
@@ -740,6 +642,29 @@ fn arena_from_sparse(
     }
 }
 
+/// The Section III-C greedy planner, considering every node pair at every
+/// step (the paper's formulation, `|I_u| = |I_v|` included). Quadratic in
+/// the node count per step — intended for up to a few hundred
+/// advertisers; use [`build_shared_sort_plan_bucketed`] at scale.
+///
+/// `interest[q]` is `I_q` over an advertiser universe of size `n`;
+/// `search_rates[q]` is `sr_q`.
+pub fn build_shared_sort_plan(
+    advertiser_count: usize,
+    interest: &[BitSet],
+    search_rates: &[f64],
+) -> SortPlan {
+    let m = interest.len();
+    assert_eq!(search_rates.len(), m, "one rate per phrase");
+    let interest = sparse_interest(advertiser_count, interest);
+    let mut nodes = leaf_nodes(advertiser_count, &interest);
+    // Every advertiser is its own frontier node.
+    let leaves = (0..advertiser_count).collect();
+    merge_by_savings(&mut nodes, leaves, search_rates, true);
+    let roots = complete_per_phrase(&mut nodes, m);
+    into_arena(advertiser_count, nodes, roots)
+}
+
 /// A scalable variant of the Section III-C planner, over *sparse*
 /// interest lists (`interest[q]` = ascending advertiser indices in
 /// `I_q`). Never materializes a universe-sized set — working memory is
@@ -766,30 +691,13 @@ pub fn build_shared_sort_plan_sparse(
     let m = interest.len();
     assert_eq!(search_rates.len(), m, "one rate per phrase");
 
-    // Leaves: per-advertiser ascending signatures, transposed from the
-    // per-phrase lists.
-    let mut serves_of: Vec<Vec<u32>> = vec![Vec::new(); advertiser_count];
-    for (q, iq) in interest.iter().enumerate() {
-        for &i in iq {
-            serves_of[i as usize].push(q as u32);
-        }
-    }
-    let mut nodes: Vec<SparseNode> = serves_of
-        .into_iter()
-        .map(|serves| SparseNode {
-            remaining: serves.clone(),
-            serves,
-            size: 1,
-            children: None,
-        })
-        .collect();
+    let mut nodes = leaf_nodes(advertiser_count, interest);
 
     // Stage 1: fragments by signature (ignoring advertisers in no
-    // phrase). Keyed by the sorted signature list — the same equivalence
-    // classes the dense builder's BitSet keys produced.
+    // phrase), ordered by first member.
     let mut groups: std::collections::HashMap<Vec<u32>, Vec<usize>> =
         std::collections::HashMap::new();
-    for (i, node) in nodes.iter().enumerate().take(advertiser_count) {
+    for (i, node) in nodes.iter().enumerate() {
         if !node.serves.is_empty() {
             groups.entry(node.serves.clone()).or_default().push(i);
         }
@@ -807,7 +715,7 @@ pub fn build_shared_sort_plan_sparse(
             let mut next = Vec::with_capacity(level.len().div_ceil(2));
             for pair in level.chunks(2) {
                 if pair.len() == 2 {
-                    next.push(sparse_adopt(&mut nodes, pair[0], pair[1]));
+                    next.push(adopt(&mut nodes, pair[0], pair[1]));
                 } else {
                     next.push(pair[0]);
                 }
@@ -817,54 +725,11 @@ pub fn build_shared_sort_plan_sparse(
         frontier.push(level[0]);
     }
 
-    // Stage 3: greedy savings rule across the (small) frontier. Every
-    // frontier node is a union of whole fragments, so advertiser
-    // disjointness of a candidate pair is exactly disjointness of their
-    // fragment-id sets — tracked as small BitSets over the fragment
-    // universe instead of universe-sized advertiser sets.
-    let frag_universe = group_list.len();
-    let mut frag_sets: std::collections::HashMap<usize, BitSet> = frontier
-        .iter()
-        .enumerate()
-        .map(|(g, &v)| (v, BitSet::singleton(frag_universe, g)))
-        .collect();
-    loop {
-        let active: Vec<usize> = frontier
-            .iter()
-            .copied()
-            .filter(|&v| !nodes[v].remaining.is_empty())
-            .collect();
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (ai, &u) in active.iter().enumerate() {
-            for &v in &active[ai + 1..] {
-                if !frag_sets[&u].is_disjoint(&frag_sets[&v]) {
-                    continue;
-                }
-                let qw = intersect_sorted(&nodes[u].remaining, &nodes[v].remaining);
-                if qw.is_empty() {
-                    continue;
-                }
-                let rates: Vec<f64> = qw.iter().map(|&q| search_rates[q as usize]).collect();
-                let size = (nodes[u].size + nodes[v].size) as usize;
-                let savings = size as f64 * expected_beyond_first(&rates);
-                if savings > 0.0 && best.is_none_or(|(s, _, _)| savings > s) {
-                    best = Some((savings, u, v));
-                }
-            }
-        }
-        match best {
-            Some((_, u, v)) => {
-                let w = sparse_adopt(&mut nodes, u, v);
-                let merged = frag_sets[&u].union(&frag_sets[&v]);
-                frag_sets.insert(w, merged);
-                frontier.push(w);
-            }
-            None => break,
-        }
-    }
+    // Stage 3: the savings rule across the (small) set of fragment roots.
+    merge_by_savings(&mut nodes, frontier, search_rates, false);
 
-    let roots = sparse_complete_per_phrase(&mut nodes, m);
-    arena_from_sparse(advertiser_count, nodes, roots)
+    let roots = complete_per_phrase(&mut nodes, m);
+    into_arena(advertiser_count, nodes, roots)
 }
 
 /// [`build_shared_sort_plan_sparse`] over dense `BitSet` interest sets —
@@ -875,17 +740,7 @@ pub fn build_shared_sort_plan_bucketed(
     interest: &[BitSet],
     search_rates: &[f64],
 ) -> SortPlan {
-    for (q, iq) in interest.iter().enumerate() {
-        assert_eq!(
-            iq.capacity(),
-            advertiser_count,
-            "interest set {q} universe mismatch"
-        );
-    }
-    let sparse: Vec<Vec<u32>> = interest
-        .iter()
-        .map(|iq| iq.iter().map(|i| i as u32).collect())
-        .collect();
+    let sparse = sparse_interest(advertiser_count, interest);
     build_shared_sort_plan_sparse(advertiser_count, &sparse, search_rates)
 }
 

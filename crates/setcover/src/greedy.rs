@@ -36,59 +36,14 @@ impl GreedyCover {
 ///
 /// Complexity: `O(steps × |candidates| × n/64)`.
 pub fn greedy_cover(target: &BitSet, candidates: &[BitSet]) -> Option<GreedyCover> {
-    let refs: Vec<&BitSet> = candidates.iter().collect();
-    greedy_cover_refs(target, &refs)
+    let views: Vec<VarSetRef<'_>> = candidates.iter().map(|c| c.as_set_ref()).collect();
+    greedy_cover_views(target.as_set_ref(), &views)
 }
 
-/// [`greedy_cover`] over borrowed candidate sets. Selection semantics are
-/// identical — same feasibility filter, same max-gain steps, same
-/// index tie-breaks — so callers holding candidates scattered across other
-/// structures (the lazy planner's node pool) can cover without cloning
-/// them into a contiguous owned slice first.
-pub fn greedy_cover_refs(target: &BitSet, candidates: &[&BitSet]) -> Option<GreedyCover> {
-    let feasible: Vec<usize> = (0..candidates.len())
-        .filter(|&i| candidates[i].is_subset(target) && !candidates[i].is_empty())
-        .collect();
-
-    let mut uncovered = target.clone();
-    let mut chosen = Vec::new();
-    let mut marginal_gains = Vec::new();
-    while !uncovered.is_empty() {
-        let mut best: Option<(usize, usize)> = None; // (gain, index)
-        for &i in &feasible {
-            let gain = candidates[i].intersection_len(&uncovered);
-            if gain > 0 && best.is_none_or(|(bg, _)| gain > bg) {
-                best = Some((gain, i));
-            }
-        }
-        let (gain, idx) = best?;
-        chosen.push(idx);
-        marginal_gains.push(gain);
-        uncovered.difference_with(candidates[idx]);
-    }
-    Some(GreedyCover {
-        chosen,
-        marginal_gains,
-    })
-}
-
-/// Convenience: just the size of the greedy cover, or `None` if
-/// infeasible. This is the `|C_q|` quantity inside the planner's expected
-/// greedy coverage.
-pub fn greedy_cover_size(target: &BitSet, candidates: &[BitSet]) -> Option<usize> {
-    greedy_cover(target, candidates).map(|c| c.size())
-}
-
-/// [`greedy_cover_size`] over borrowed candidate sets.
-pub fn greedy_cover_size_refs(target: &BitSet, candidates: &[&BitSet]) -> Option<usize> {
-    greedy_cover_refs(target, candidates).map(|c| c.size())
-}
-
-/// [`greedy_cover_refs`] over [`VarSetRef`] views — the same algorithm,
-/// selection step for selection step (same feasibility filter, same
-/// max-gain loop with strict-greater comparisons keeping the lowest
-/// index on ties), over the adaptive representation. Callers holding
-/// node sets in a CSR pool cover without materializing dense words.
+/// [`greedy_cover`] over [`VarSetRef`] views of either representation:
+/// the feasibility filter, then max-gain steps with strict-greater
+/// comparisons keeping the lowest index on ties. Callers holding node
+/// sets in a CSR pool cover without materializing dense words.
 pub fn greedy_cover_views(
     target: VarSetRef<'_>,
     candidates: &[VarSetRef<'_>],
@@ -348,31 +303,6 @@ mod tests {
             prop_assert_eq!(
                 greedy_disjoint_cover(&target, &candidates),
                 greedy_disjoint_cover_views(target.as_set_ref(), &mixed)
-            );
-        }
-
-        /// The borrowed-candidate entry point is the same algorithm.
-        #[test]
-        fn refs_variant_matches_owned(
-            sets in proptest::collection::vec(
-                proptest::collection::btree_set(0usize..12, 1..6), 1..8),
-        ) {
-            let candidates: Vec<BitSet> = sets
-                .iter()
-                .map(|s| BitSet::from_elements(12, s.iter().copied()))
-                .collect();
-            let mut target = BitSet::new(12);
-            for c in &candidates {
-                target.union_with(c);
-            }
-            let refs: Vec<&BitSet> = candidates.iter().collect();
-            prop_assert_eq!(
-                greedy_cover(&target, &candidates),
-                greedy_cover_refs(&target, &refs)
-            );
-            prop_assert_eq!(
-                greedy_cover_size(&target, &candidates),
-                greedy_cover_size_refs(&target, &refs)
             );
         }
 

@@ -33,8 +33,8 @@ pub mod varset;
 pub use bitset::BitSet;
 pub use exact::exact_min_cover;
 pub use greedy::{
-    greedy_cover, greedy_cover_refs, greedy_cover_views, greedy_disjoint_cover,
-    greedy_disjoint_cover_views, GreedyCover,
+    greedy_cover, greedy_cover_views, greedy_disjoint_cover, greedy_disjoint_cover_views,
+    GreedyCover,
 };
 pub use instance::SetCoverInstance;
 pub use varset::{AsVarSetRef, VarSet, VarSetRef};

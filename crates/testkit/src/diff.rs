@@ -36,6 +36,7 @@ use ssa_workload::{Workload, WorkloadConfig};
 
 use crate::gen::{self, Profile};
 use crate::oracle;
+use crate::plan_oracle::{check_complete, reference_plan, REFERENCE_COST_SLACK};
 
 /// Rounds each dynamic (engine) check simulates per seed.
 const ROUNDS: usize = 4;
@@ -95,9 +96,9 @@ pub const WORKLOAD_CHECKS: &[(&str, Profile, WorkloadCheck)] = &[
     ),
     ("plan-paths", Profile::Separable, check_plan_paths_with),
     (
-        "plan-lazy-reference",
+        "plan-vs-reference",
         Profile::Separable,
-        check_plan_lazy_reference_with,
+        check_plan_vs_reference_with,
     ),
     ("shared-sort", Profile::NonSeparable, check_shared_sort_with),
     (
@@ -814,74 +815,40 @@ pub fn check_plan_paths(seed: u64) -> Result<(), Divergence> {
     check_plan_paths_with(&gen::workload_config(seed, Profile::Separable), seed)
 }
 
-/// Differential check of the lazy-greedy completion against the reference
-/// recompute-all-pairs implementation it replaced: on corpus-sized
-/// instances (always within `EXACT_COMPLETION_VAR_LIMIT`) the lazy planner
-/// must reproduce the reference plan *bit for bit* — same nodes in the
-/// same order, same children, same query bindings — and therefore the same
-/// expected cost and winner sets.
-pub fn check_plan_lazy_reference_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
-    const CHECK: &str = "plan-lazy-reference";
+/// Differential check of the production planner against the paper's
+/// literal Section II-D loop ([`reference_plan`]): the plan the engine
+/// compiles must be valid, complete (every query bound to a node with
+/// exactly its variable set), and its expected cost within
+/// [`REFERENCE_COST_SLACK`] of the literal loop's.
+pub fn check_plan_vs_reference_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
+    const CHECK: &str = "plan-vs-reference";
     let w = Workload::generate(cfg);
     let (problem, _kept) = gen::plan_problem_nonempty(&w);
     if problem.query_count() == 0 {
         return Ok(());
     }
-    let lazy = SharedPlanner::full().plan(&problem);
-    let reference = ssa_core::plan::reference_plan(&problem);
-    if lazy.node_count() != reference.node_count() {
+    let plan = SharedPlanner::full().plan(&problem);
+    if let Err(why) = check_complete(&plan, &problem) {
+        return Err(Divergence::new(CHECK, seed, why));
+    }
+    let cost = expected_cost(&plan, &problem.search_rates);
+    let ref_cost = expected_cost(&reference_plan(&problem), &problem.search_rates);
+    if cost > ref_cost * (1.0 + REFERENCE_COST_SLACK) + 1e-9 {
         return Err(Divergence::new(
             CHECK,
             seed,
             format!(
-                "lazy plan has {} nodes, reference has {}",
-                lazy.node_count(),
-                reference.node_count()
+                "expected cost {cost} is more than {REFERENCE_COST_SLACK} above the \
+                 literal Section II-D loop's {ref_cost}"
             ),
-        ));
-    }
-    for idx in 0..lazy.node_count() {
-        if lazy.vars(idx) != reference.vars(idx) || lazy.children(idx) != reference.children(idx) {
-            return Err(Divergence::new(
-                CHECK,
-                seed,
-                format!(
-                    "node {idx} diverges: lazy ({:?} vars, children {:?}) vs reference \
-                     ({:?} vars, children {:?})",
-                    lazy.vars(idx).len(),
-                    lazy.children(idx),
-                    reference.vars(idx).len(),
-                    reference.children(idx)
-                ),
-            ));
-        }
-    }
-    if lazy.query_nodes() != reference.query_nodes() {
-        return Err(Divergence::new(
-            CHECK,
-            seed,
-            format!(
-                "query bindings diverge: lazy {:?} vs reference {:?}",
-                lazy.query_nodes(),
-                reference.query_nodes()
-            ),
-        ));
-    }
-    let lazy_cost = expected_cost(&lazy, &problem.search_rates);
-    let ref_cost = expected_cost(&reference, &problem.search_rates);
-    if lazy_cost != ref_cost {
-        return Err(Divergence::new(
-            CHECK,
-            seed,
-            format!("expected cost diverges: lazy {lazy_cost} vs reference {ref_cost}"),
         ));
     }
     Ok(())
 }
 
-/// Seed-only wrapper for [`check_plan_lazy_reference_with`].
-pub fn check_plan_lazy_reference(seed: u64) -> Result<(), Divergence> {
-    check_plan_lazy_reference_with(&gen::workload_config(seed, Profile::Separable), seed)
+/// Seed-only wrapper for [`check_plan_vs_reference_with`].
+pub fn check_plan_vs_reference(seed: u64) -> Result<(), Divergence> {
+    check_plan_vs_reference_with(&gen::workload_config(seed, Profile::Separable), seed)
 }
 
 /// Static differential check of the shared-sort machinery: the quadratic

@@ -16,6 +16,7 @@ use ssa_core::budget::{BudgetContext, OutstandingAd};
 use ssa_core::plan::PlanProblem;
 use ssa_core::topk::{KList, ScoredAd};
 use ssa_setcover::BitSet;
+use ssa_workload::scenarios::fig4_coinflip_queries;
 use ssa_workload::{Workload, WorkloadConfig};
 
 /// A workload family the generators can draw from.
@@ -161,6 +162,17 @@ pub fn plan_problem(w: &Workload) -> PlanProblem {
         interest_sets(w),
         Some(w.search_rates()),
     )
+}
+
+/// The Figure 4 protocol instance: `queries` coin-flip queries over
+/// `advertisers` advertisers, all with search rate `sr`.
+pub fn fig4_problem(advertisers: usize, queries: usize, sr: f64, seed: u64) -> PlanProblem {
+    let sets: Vec<BitSet> = fig4_coinflip_queries(advertisers, queries, seed)
+        .iter()
+        .map(|q| BitSet::from_elements(advertisers, q.iter().map(|a| a.index())))
+        .collect();
+    let m = sets.len();
+    PlanProblem::new(advertisers, sets, Some(vec![sr; m]))
 }
 
 /// Like [`plan_problem`], but silently drops phrases nobody is interested

@@ -20,6 +20,8 @@
 //!   recomputed from first principles via the exact convolution in
 //!   `ssa-core::budget` / `ssa-stats`. The oracle shares *nothing* with
 //!   the engine's evaluation paths beyond the domain types.
+//! * [`plan_oracle`] — the paper-literal Section II-D completion loop
+//!   (`reference_plan`), the cost oracle for the production planner.
 //! * [`diff`] — differential runners and invariant checkers. Each check
 //!   takes a seed, derives a workload, executes it through an optimized
 //!   path and through the oracle, and returns a [`diff::Divergence`]
@@ -50,5 +52,6 @@
 pub mod diff;
 pub mod gen;
 pub mod oracle;
+pub mod plan_oracle;
 
 pub use diff::{run_all, Divergence};

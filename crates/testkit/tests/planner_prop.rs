@@ -4,13 +4,18 @@
 //! heuristic affordable, not to change what it buys: completing the
 //! fragment plan with gain-guided merges must not leave the plan
 //! meaningfully more expensive than finishing it with plain per-query
-//! cover chains (see [`REL_SLACK`] for the measured bound).
+//! cover chains (see [`REL_SLACK`] for the measured bound), and must land
+//! within a measured slack of what the paper's literal loop
+//! ([`reference_plan`]) reaches (see [`SMALL_INSTANCE_SLACK`] and the
+//! Figure 4 bounds).
 
 use proptest::prelude::*;
 
 use ssa_core::plan::cost::expected_cost;
-use ssa_core::plan::SharedPlanner;
+use ssa_core::plan::{PlanProblem, SharedPlanner};
+use ssa_setcover::BitSet;
 use ssa_testkit::gen::{self, Profile};
+use ssa_testkit::plan_oracle::{check_complete, reference_plan};
 use ssa_workload::Workload;
 
 /// Relative tolerance for the completion pass. Greedy completion
@@ -22,6 +27,66 @@ use ssa_workload::Workload;
 /// 19 seeds, with a worst relative gap of 3.3% (worst absolute gap 0.34
 /// materialized nodes); everywhere else it ties or wins outright.
 const REL_SLACK: f64 = 0.05;
+
+/// Relative tolerance against the literal loop on the tiny random
+/// instances of `production_cost_tracks_the_reference` (14 variables, up
+/// to 6 queries, expected cost ≈ 5.6). The production completion scores
+/// a pair by the dominant term of the paper's gain over a capped
+/// candidate set, so it can pick a different merge; at this size one
+/// extra materialized node is already ≈ 10 %. A 20 000-instance sweep of
+/// this generator found it above the reference on 172 instances (0.9 %)
+/// and below it on 208, mean gap +0.02 %, worst relative gap 11.9 %
+/// (worst absolute gap 1.0 materialized nodes).
+const SMALL_INSTANCE_SLACK: f64 = 0.15;
+
+/// Figure 4's dense coin-flip overlap (20 advertisers × 10 queries, every
+/// query reaching about half the advertisers) is the one family where the
+/// production completion measurably trails the literal loop. Over 200
+/// seeds × sr ∈ {0.25, 0.5, 0.75, 1} (800 instances) the mean gap was
+/// 0.25 / 0.62 / 1.02 / 1.44 %, the worst single instance +9.6 % (sr = 1,
+/// 5 materialized nodes), it was never above fragments-only, and it kept
+/// 97.5 % of the reference's saving over fragments-only — which itself
+/// sits 17–58 % above the reference here, so a completion that
+/// degenerates to cover chains fails both bounds.
+const FIG4_MEAN_SLACK: f64 = 0.03;
+/// Per-instance companion of [`FIG4_MEAN_SLACK`] (worst measured: +9.6 %).
+const FIG4_INSTANCE_SLACK: f64 = 0.12;
+
+/// Production never above fragments-only, and within the measured mean
+/// and per-instance bounds of the literal Section II-D loop, on the
+/// Figure 4 family.
+#[test]
+fn fig4_family_stays_within_measured_bounds_of_the_reference() {
+    const SEEDS: u64 = 10;
+    for sr in [0.25, 0.5, 0.75, 1.0] {
+        let (mut prod_sum, mut ref_sum) = (0.0, 0.0);
+        for seed in 0..SEEDS {
+            let problem = gen::fig4_problem(20, 10, sr, seed);
+            let prod = SharedPlanner::full().plan(&problem);
+            assert_eq!(check_complete(&prod, &problem), Ok(()));
+            let frag = SharedPlanner::fragments_only().plan(&problem);
+            let prod_cost = expected_cost(&prod, &problem.search_rates);
+            let frag_cost = expected_cost(&frag, &problem.search_rates);
+            let ref_cost = expected_cost(&reference_plan(&problem), &problem.search_rates);
+            assert!(
+                prod_cost <= frag_cost + 1e-9,
+                "sr={sr} seed {seed}: production {prod_cost} above fragments-only {frag_cost}"
+            );
+            assert!(
+                prod_cost <= ref_cost * (1.0 + FIG4_INSTANCE_SLACK) + 1e-9,
+                "sr={sr} seed {seed}: production {prod_cost} vs reference {ref_cost}"
+            );
+            prod_sum += prod_cost;
+            ref_sum += ref_cost;
+        }
+        assert!(
+            prod_sum <= ref_sum * (1.0 + FIG4_MEAN_SLACK),
+            "sr={sr}: mean production cost {} vs mean reference cost {}",
+            prod_sum / SEEDS as f64,
+            ref_sum / SEEDS as f64
+        );
+    }
+}
 
 fn check_seed(seed: u64, profile: Profile) -> Result<(), TestCaseError> {
     let cfg = gen::workload_config(seed, profile);
@@ -47,6 +112,31 @@ fn check_seed(seed: u64, profile: Profile) -> Result<(), TestCaseError> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The production planner's plan is valid and complete, and its
+    /// expected cost is within [`SMALL_INSTANCE_SLACK`] of the literal
+    /// Section II-D loop's.
+    #[test]
+    fn production_cost_tracks_the_reference(
+        sets in proptest::collection::vec(
+            proptest::collection::btree_set(0usize..14, 1..9), 1..7),
+        rates in proptest::collection::vec(0.05f64..=1.0, 7),
+    ) {
+        let queries: Vec<BitSet> = sets
+            .iter()
+            .map(|s| BitSet::from_elements(14, s.iter().copied()))
+            .collect();
+        let m = queries.len();
+        let problem = PlanProblem::new(14, queries, Some(rates[..m].to_vec()));
+        let prod = SharedPlanner::full().plan(&problem);
+        prop_assert_eq!(check_complete(&prod, &problem), Ok(()));
+        let prod_cost = expected_cost(&prod, &problem.search_rates);
+        let ref_cost = expected_cost(&reference_plan(&problem), &problem.search_rates);
+        prop_assert!(
+            prod_cost <= ref_cost * (1.0 + SMALL_INSTANCE_SLACK) + 1e-9,
+            "production cost {} vs reference cost {}", prod_cost, ref_cost
+        );
+    }
 
     /// Lazy-greedy completion is at least as cheap as fragments-only on
     /// separable corpus workloads.
