@@ -1803,8 +1803,8 @@ fn hybrid_routing(quick: bool) {
 /// * **`SharedSort`** — the persistent merge network, refreshed along
 ///   dirty cones and pulled by the Threshold Algorithm.
 /// * **`SharedAggregation`** — the plan-bearing path (adaptive-sparse
-///   `VarSet` queries, CSR node pool, sparse reach tracker), evaluated
-///   over the occurring phrases' cones only.
+///   `VarSet` queries, CSR node pool), evaluated over the occurring
+///   phrases' cones only.
 ///
 /// For every `(strategy, n)` the sweep asserts the engine is revenue-
 /// and impression-identical to an `Unshared` twin before trusting any
@@ -1816,7 +1816,7 @@ fn hybrid_routing(quick: bool) {
 ///    population).
 /// 2. **Bounded hot state** — [`Engine::hot_state_bytes`] (deterministic
 ///    capacity accounting: SoA ledgers, bid vectors, plan arena + CSR
-///    variable-set pool, reach tracker, merge caches) stays under a
+///    variable-set pool, merge caches) stays under a
 ///    per-strategy bytes-per-advertiser ceiling at every `n`.
 ///
 /// `--quick` caps the sweep at 100k (the CI `memory-smoke` budget); the
@@ -1846,7 +1846,7 @@ fn memory_scaling(quick: bool) {
         StrategyCase {
             name: "shared-aggregation",
             sharing: SharingStrategy::SharedAggregation,
-            bytes_ceiling: 1_200,
+            bytes_ceiling: 220,
         },
     ];
 
@@ -2051,8 +2051,7 @@ fn memory_scaling(quick: bool) {
                  point is asserted revenue-identical to an unshared twin \
                  before timing is trusted; hot_state_bytes is capacity \
                  accounting (SoA ledgers, bid vectors, plan/sort arenas, \
-                 CSR variable-set pool, sparse reach tracker, merge \
-                 caches), not RSS",
+                 CSR variable-set pool, merge caches), not RSS",
             ),
         ),
         ("strategies".into(), Value::Array(strategy_values)),

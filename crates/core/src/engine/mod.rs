@@ -475,7 +475,6 @@ impl Engine {
     pub fn force_hybrid_route(&mut self, phrase: PhraseId, to_plan: bool) -> bool {
         match &mut self.wd {
             WdExec::Single(Resolvers::Hybrid {
-                plan,
                 sort,
                 router,
                 stable_boundaries,
@@ -485,7 +484,6 @@ impl Engine {
                 if !router.force_route(phrase.index(), to_plan) {
                     return false;
                 }
-                plan.set_phrase_routed(phrase.index(), to_plan);
                 *stable_boundaries = 0;
                 if !to_plan && !sort.serves_phrase(phrase.index()) {
                     // The forced move re-enters a phrase the steady-state

@@ -166,6 +166,19 @@ pub(super) fn rebuild_sort(
     sort.defer_inactive_leaves(plan_route);
 }
 
+/// The sort path's group terms for the router under `plan_route`: the
+/// network's expected items per round over the sort-routed phrases, and
+/// the extra items full absorption of the plan-routed ones would add.
+fn sort_group_terms(sort: &SortResolver, rates: &[f64], plan_route: &[bool]) -> (f64, f64) {
+    let masked: Vec<f64> = rates
+        .iter()
+        .zip(plan_route)
+        .map(|(&sr, &to_plan)| if to_plan { 0.0 } else { sr })
+        .collect();
+    let fixed = sort.model_items(&masked);
+    (fixed, sort.model_items(rates) - fixed)
+}
+
 impl Resolvers {
     /// Builds the strategy's resolvers, compiling their offline plans
     /// over the phrase subsets they own: the whole workload when `subset`
@@ -189,8 +202,8 @@ impl Resolvers {
     /// over exactly its separability subset. Adaptive routing compiles
     /// the plan over the separable subset but the sort network over *all*
     /// phrases (with refresh deferred to sort-routed leaves), so a later
-    /// migration in either direction is a bookkeeping update — a
-    /// search-rate toggle plan-side, a leaf activation sort-side — never
+    /// migration in either direction is a bookkeeping update — the
+    /// router's route bit plan-side, a leaf activation sort-side — never
     /// a recompile.
     ///
     /// With `subset` set (sharded execution) every compiled set is
@@ -203,7 +216,7 @@ impl Resolvers {
         let separable: Vec<bool> = (0..m)
             .map(|q| in_subset(q) && workload.phrase_is_separable(q))
             .collect();
-        let mut plan = PlanResolver::new(workload, config.planner, Some(&separable));
+        let plan = PlanResolver::new(workload, config.planner, Some(&separable));
         match config.routing {
             RoutingMode::Static => {
                 let sort_route: Vec<bool> = separable
@@ -250,36 +263,24 @@ impl Resolvers {
                 // non-degenerate where the marginals vanish.
                 let sort_marginal: Vec<f64> = sort.phrase_marginals(&rates);
                 let eligible: Vec<bool> = (0..m).map(|q| plan.is_bound(q)).collect();
-                let sort_total = sort.model_items(&rates);
-                let masked_by = |on_plan: &[bool]| -> Vec<f64> {
-                    rates
-                        .iter()
-                        .zip(on_plan)
-                        .map(|(&sr, &to_plan)| if to_plan { 0.0 } else { sr })
-                        .collect()
-                };
-                let sort_fixed = sort.model_items(&masked_by(&eligible));
+                let (sort_fixed, sort_absorb_extra) = sort_group_terms(&sort, &rates, &eligible);
                 let ta_items = config.slot_factors.len().max(1) as f64;
                 let mut router = Router::adaptive(
                     eligible,
                     plan_marginal,
                     sort_marginal,
-                    rates.clone(),
+                    rates,
                     sort_fixed,
-                    sort_total - sort_fixed,
+                    sort_absorb_extra,
                     ta_items,
                     config.route_frozen,
                 );
                 // The seed may already have migrated phrases; refresh the
                 // group terms for the route it actually chose.
-                let sort_fixed = sort.model_items(&masked_by(router.route()));
-                router.set_sort_model(sort_fixed, sort_total - sort_fixed);
+                let (sort_fixed, sort_absorb_extra) =
+                    sort_group_terms(&sort, router.search_rates(), router.route());
+                router.set_sort_model(sort_fixed, sort_absorb_extra);
                 sort.defer_inactive_leaves(router.route());
-                for (q, &to_plan) in router.route().iter().enumerate() {
-                    if !to_plan {
-                        plan.set_phrase_routed(q, false);
-                    }
-                }
                 Resolvers::Hybrid {
                     plan,
                     sort,
@@ -419,15 +420,13 @@ impl Resolvers {
 
                 // Round boundary: migrate phrases whose calibrated cost
                 // on the other path clears the hysteresis margin. Each
-                // move is incremental — a search-rate toggle in the
-                // plan's cost tracker, an active-leaf count flip in the
-                // sort network (its stale cone repairs on the next
-                // refresh).
+                // move is incremental — the route bit plan-side, an
+                // active-leaf count flip in the sort network (its stale
+                // cone repairs on the next refresh).
                 if !occurring.is_empty() {
                     let mut migrated = false;
                     let mut outgrew_network = false;
                     for &(q, to_plan) in router.rebalance() {
-                        plan.set_phrase_routed(q, to_plan);
                         if !to_plan && !sort.serves_phrase(q) {
                             // The phrase enters a network that was
                             // compacted past it; there is no leaf to
@@ -450,15 +449,9 @@ impl Resolvers {
                             rebuild_sort(sort, ctx.workload, router.route(), subset.as_deref());
                             metrics.router_sort_rebuilds += 1;
                         }
-                        let masked: Vec<f64> = router
-                            .search_rates()
-                            .iter()
-                            .zip(router.route())
-                            .map(|(&sr, &to_plan)| if to_plan { 0.0 } else { sr })
-                            .collect();
-                        let sort_fixed = sort.model_items(&masked);
-                        let sort_total = sort.model_items(router.search_rates());
-                        router.set_sort_model(sort_fixed, sort_total - sort_fixed);
+                        let (sort_fixed, sort_absorb_extra) =
+                            sort_group_terms(sort, router.search_rates(), router.route());
+                        router.set_sort_model(sort_fixed, sort_absorb_extra);
                     } else if router.is_adaptive() {
                         // Steady route: once it has held still long
                         // enough, shed the full-set network's footprint

@@ -6,7 +6,7 @@ use ssa_auction::winner::assignment_from_ranking;
 use ssa_setcover::VarSet;
 use ssa_workload::Workload;
 
-use crate::plan::{PlanDag, PlanMaintainer, PlanProblem, PlannerMode, SharedPlanner, TopKCones};
+use crate::plan::{cost, PlanDag, PlanProblem, PlannerMode, SharedPlanner, TopKCones};
 
 use super::super::{AuctionOutcome, EngineMetrics};
 use super::{PhraseResolver, RoundContext};
@@ -18,31 +18,21 @@ use ssa_auction::money::Money;
 /// its *base* factor, which is only that phrase's `c_i^q` when the factor
 /// is phrase-independent there.
 ///
-/// The plan lives inside a [`PlanMaintainer`], whose [`IncrementalCost`]
-/// tracker doubles as the adaptive router's plan-side cost model: routing
-/// a phrase away from the plan sets its search rate to zero (the plan's
-/// structure is untouched — an unrouted phrase simply never occurs from
-/// the plan's point of view, so its private nodes never materialize), and
-/// routing it back restores the rate. Both directions are O(cone) rate
-/// repairs, not replans.
-///
-/// [`IncrementalCost`]: crate::plan::IncrementalCost
+/// The plan is found offline and never changes (Section II-B); its cost
+/// model is two pure functions of (plan, rates) in [`crate::plan::cost`],
+/// evaluated on call. Routing a phrase away from the plan is the router's
+/// route bit alone: evaluation is occurrence-driven, so a phrase the
+/// engine never hands this resolver never materializes its private nodes.
 pub struct PlanResolver {
-    /// Offline shared-aggregation plan plus its incremental cost tracker;
-    /// `None` when every bound phrase's interest set is empty.
-    maintainer: Option<PlanMaintainer>,
+    /// The offline shared-aggregation plan; `None` when every bound
+    /// phrase's interest set is empty.
+    dag: Option<PlanDag>,
     /// Per phrase, the plan query index it is bound to (`None` for
     /// phrases outside this resolver's subset and for empty-interest
     /// phrases, which resolve trivially).
     query_index: Vec<Option<usize>>,
-    /// Construction-time search rate per bound query, restored when a
-    /// routed-away phrase migrates back onto the plan.
+    /// Search rate per bound query.
     query_rates: Vec<f64>,
-    /// Per phrase, the marginal expected cost (in expected materialized
-    /// nodes per round, Section II-B units) of serving the phrase through
-    /// this plan: the tracker's total drop when the phrase's rate is
-    /// zeroed. Zero for unbound phrases.
-    marginals: Vec<f64>,
     /// Per-round evaluation scratch, sized by the largest set of
     /// occurring cones seen so far and kept across rounds.
     cones: TopKCones,
@@ -80,73 +70,41 @@ impl PlanResolver {
             queries.push(VarSet::from_elements(n, ids.iter().map(|a| a.index())));
             query_rates.push(rates[q]);
         }
-        let maintainer = if queries.is_empty() {
-            None
-        } else {
+        let dag = (!queries.is_empty()).then(|| {
             let problem = PlanProblem::from_varsets(n, queries, Some(query_rates.clone()));
-            Some(PlanMaintainer::new(
-                problem,
-                SharedPlanner { mode: planner },
-                2.0,
-            ))
-        };
-        let mut resolver = PlanResolver {
-            maintainer,
+            SharedPlanner { mode: planner }.plan(&problem)
+        });
+        PlanResolver {
+            dag,
             query_index,
             query_rates,
-            marginals: vec![0.0; m],
             cones: TopKCones::new(),
-        };
-        resolver.compute_marginals();
-        resolver
-    }
-
-    /// Fills `marginals` by toggling each bound query's rate to zero and
-    /// reading the incremental tracker's drop — the same delta-repair
-    /// path a live migration takes, so the seed signal and the online
-    /// bookkeeping can never disagree.
-    fn compute_marginals(&mut self) {
-        let Some(maintainer) = self.maintainer.as_mut() else {
-            return;
-        };
-        for (q, marginal) in self.marginals.iter_mut().enumerate() {
-            let Some(qi) = self.query_index[q] else {
-                continue;
-            };
-            let with = maintainer.expected_cost();
-            maintainer.update_search_rate(qi, 0.0);
-            *marginal = (with - maintainer.expected_cost()).max(0.0);
-            maintainer.update_search_rate(qi, self.query_rates[qi]);
         }
     }
 
     /// The compiled plan, if any phrase was bound (an observation seam
     /// for cost assertions in tests and benches).
     pub fn dag(&self) -> Option<&PlanDag> {
-        self.maintainer.as_ref().map(PlanMaintainer::plan)
+        self.dag.as_ref()
     }
 
     /// Heap footprint of the resolver's persistent state in bytes — the
-    /// full maintainer (plan DAG, maintained problem, incremental cost
-    /// tracker), the per-phrase tables and the evaluation scratch — for
+    /// plan DAG, the per-phrase tables and the evaluation scratch — for
     /// the memory-scaling gate.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.maintainer
-            .as_ref()
-            .map_or(0, PlanMaintainer::heap_bytes)
+        self.dag.as_ref().map_or(0, PlanDag::heap_bytes)
             + self.query_index.capacity() * size_of::<Option<usize>>()
             + self.query_rates.capacity() * size_of::<f64>()
-            + self.marginals.capacity() * size_of::<f64>()
             + self.cones.heap_bytes()
     }
 
-    /// The plan's expected per-round cost under the rates of the phrases
-    /// currently routed here (served from the incremental tracker).
+    /// The plan's expected per-round cost under the bound phrases' search
+    /// rates ([`cost::expected_cost`], one pass over the plan per call).
     pub fn expected_cost(&self) -> f64 {
-        self.maintainer
+        self.dag
             .as_ref()
-            .map_or(0.0, PlanMaintainer::expected_cost)
+            .map_or(0.0, |dag| cost::expected_cost(dag, &self.query_rates))
     }
 
     /// True iff phrase `q` is bound to a query node of this plan (i.e.
@@ -157,22 +115,16 @@ impl PlanResolver {
 
     /// Per phrase, the marginal expected plan cost (Section II-B units:
     /// expected materialized nodes per round); zero for unbound phrases.
-    pub(crate) fn phrase_marginals(&self) -> &[f64] {
-        &self.marginals
-    }
-
-    /// Routes phrase `q` onto (`true`) or off (`false`) this plan in the
-    /// cost model: a search-rate toggle through the maintainer, repairing
-    /// only the query's cone. No structural change — evaluation is
-    /// occurrence-driven, so a routed-away phrase's private nodes simply
-    /// never materialize. No-op for unbound phrases.
-    pub(crate) fn set_phrase_routed(&mut self, q: usize, routed: bool) {
-        let Some(qi) = self.query_index[q] else {
-            return;
+    /// One pass over the plan per call ([`cost::phrase_marginal_costs`]).
+    pub(crate) fn phrase_marginals(&self) -> Vec<f64> {
+        let Some(dag) = &self.dag else {
+            return vec![0.0; self.query_index.len()];
         };
-        let maintainer = self.maintainer.as_mut().expect("bound phrase has a plan");
-        let rate = if routed { self.query_rates[qi] } else { 0.0 };
-        maintainer.update_search_rate(qi, rate);
+        let per_query = cost::phrase_marginal_costs(dag, &self.query_rates);
+        self.query_index
+            .iter()
+            .map(|qi| qi.map_or(0.0, |qi| per_query[qi]))
+            .collect()
     }
 }
 
@@ -185,7 +137,7 @@ impl PhraseResolver for PlanResolver {
         metrics: &mut EngineMetrics,
     ) -> Vec<AuctionOutcome> {
         let k = ctx.k;
-        let Some(plan) = self.maintainer.as_ref().map(PlanMaintainer::plan) else {
+        let Some(plan) = self.dag.as_ref() else {
             // Every bound phrase had an empty interest set (or there are
             // no advertisers at all): every auction resolves empty.
             return phrases

@@ -23,9 +23,10 @@
 //!    the hysteresis margin, rate-limited per boundary and per phrase
 //!    (cooldown) so timing noise cannot thrash a phrase back and forth.
 //!
-//! Migration is incremental everywhere: the plan side is a search-rate
-//! toggle through `PlanMaintainer`'s `IncrementalCost` (cone repair), the
-//! sort side an active-leaf counter bump whose staleness the next
+//! Migration is incremental everywhere: the plan side is this router's
+//! route bit and nothing else (the plan's cost model is stateless, read
+//! once for the seed marginals, and plan evaluation is occurrence-driven),
+//! the sort side an active-leaf counter bump whose staleness the next
 //! dirty-cone `MergeNetwork::refresh` repairs. No structure is rebuilt.
 
 use ssa_auction::ids::PhraseId;

@@ -7,7 +7,6 @@
 //! `Σ_v (1 − Π_{q: v⇝q} (1 − sr_q))`."
 
 use super::{PlanDag, PlanProblem};
-use ssa_setcover::VarSet;
 
 /// The expected number of internal nodes materialized per round, under
 /// independent Bernoulli query occurrence with the given search rates.
@@ -32,6 +31,45 @@ pub fn expected_cost(plan: &PlanDag, search_rates: &[f64]) -> f64 {
     total
 }
 
+/// Per query, the marginal expected cost of serving it through this plan:
+/// the amount [`expected_cost`] drops by when `sr_q` is set to zero, i.e.
+/// `Σ_{v internal, v⇝q} sr_q · Π_{p≠q, v⇝p} (1 − sr_p)`. A node some
+/// *other* occurring query would materialize anyway is attributed to
+/// nobody, so the marginals sum to at most the total. The adaptive hybrid
+/// router compares them against `SortPlan::phrase_marginal_costs` to seed
+/// per-phrase routes.
+///
+/// # Panics
+/// Panics if `search_rates.len()` differs from the plan's query count.
+pub fn phrase_marginal_costs(plan: &PlanDag, search_rates: &[f64]) -> Vec<f64> {
+    assert_eq!(
+        search_rates.len(),
+        plan.query_count(),
+        "one search rate per bound query"
+    );
+    let reach = plan.reach_sets();
+    let mut marginals = vec![0.0; search_rates.len()];
+    let mut prefix: Vec<f64> = Vec::new();
+    for idx in plan.var_count()..plan.node_count() {
+        let qs = reach.queries_of(idx);
+        // prefix[i] = Π_{j<i} (1 − sr_{qs[j]}); suffix runs the mirror
+        // product so each query gets Π over the others.
+        prefix.clear();
+        let mut acc = 1.0;
+        for &q in qs {
+            prefix.push(acc);
+            acc *= 1.0 - search_rates[q as usize];
+        }
+        let mut suffix = 1.0;
+        for i in (0..qs.len()).rev() {
+            let q = qs[i] as usize;
+            marginals[q] += search_rates[q] * prefix[i] * suffix;
+            suffix *= 1.0 - search_rates[q];
+        }
+    }
+    marginals
+}
+
 /// The expected cost of resolving every query independently (no sharing):
 /// each occurring query `q` pays `|X_q| − 1` pairwise aggregations, so the
 /// expectation is `Σ_q sr_q (|X_q| − 1)`.
@@ -42,192 +80,6 @@ pub fn unshared_expected_cost(problem: &PlanProblem) -> f64 {
         .zip(&problem.search_rates)
         .map(|(set, &sr)| sr * (set.len().saturating_sub(1)) as f64)
         .sum()
-}
-
-/// Incrementally maintained expected cost.
-///
-/// [`expected_cost`] rescans the whole plan — `reach_sets()` alone walks
-/// every query's cone — which is fine for one-shot evaluation but wasteful
-/// under plan maintenance, where each update touches only the cone of a
-/// single query's bind node. This tracker keeps the per-node reach sets and
-/// materialization probabilities alive between updates and repairs exactly
-/// the nodes a change can affect:
-///
-/// * a **rebind** of query `q` from node `a` to node `b` changes reach only
-///   on the symmetric difference of the two cones (`cone(a) Δ cone(b)`),
-///   found by merge-diffing the sorted cone node lists,
-/// * a **rate change** for `q` changes probabilities only inside
-///   `cone(bind[q])`,
-/// * newly merged nodes are absorbed by [`IncrementalCost::extend`] with
-///   empty reach (they feed nothing until some query is rebound through
-///   them).
-///
-/// Invariant: `reach[idx]` contains `q` iff `idx ∈ cone(bind[q])` — the
-/// same relation [`PlanDag::reach_sets`] computes from scratch. Reach sets
-/// are adaptive-sparse ([`VarSet`]), so the tracker's footprint follows the
-/// actual sharing density instead of `nodes × queries / 8` bytes. Node
-/// probabilities are recomputed as fresh products over the repaired reach
-/// set (never divided out), and the total is re-summed over the stored
-/// probability vector, so repeated updates cannot accumulate
-/// floating-point drift relative to a full rescan.
-#[derive(Debug, Clone)]
-pub struct IncrementalCost {
-    rates: Vec<f64>,
-    reach: Vec<VarSet>,
-    prob: Vec<f64>,
-    var_count: usize,
-    total: f64,
-}
-
-impl IncrementalCost {
-    /// Builds the tracker with one full rescan of `plan`.
-    ///
-    /// # Panics
-    /// Panics if `search_rates.len()` differs from the plan's query count.
-    pub fn new(plan: &PlanDag, search_rates: &[f64]) -> Self {
-        assert_eq!(
-            search_rates.len(),
-            plan.query_count(),
-            "one search rate per bound query"
-        );
-        let m = search_rates.len();
-        let reach_csr = plan.reach_sets();
-        let reach: Vec<VarSet> = (0..plan.node_count())
-            .map(|idx| VarSet::from_sorted(m, reach_csr.queries_of(idx).to_vec()))
-            .collect();
-        let mut tracker = IncrementalCost {
-            rates: search_rates.to_vec(),
-            prob: vec![0.0; reach.len()],
-            reach,
-            var_count: plan.var_count(),
-            total: 0.0,
-        };
-        for idx in tracker.var_count..tracker.prob.len() {
-            tracker.prob[idx] = tracker.node_prob(idx);
-        }
-        tracker.resum();
-        tracker
-    }
-
-    /// The expected cost of the tracked plan.
-    #[inline]
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Heap footprint of the tracker's state (reach sets, probabilities,
-    /// rates).
-    pub fn heap_bytes(&self) -> usize {
-        let sets: usize = self
-            .reach
-            .iter()
-            .map(|s| s.heap_bytes() + std::mem::size_of::<VarSet>())
-            .sum();
-        sets + self.prob.capacity() * std::mem::size_of::<f64>()
-            + self.rates.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// Absorbs nodes appended to `plan` since the tracker last saw it. New
-    /// nodes start with empty reach (probability zero): they cost nothing
-    /// until a rebind routes a query through them.
-    pub fn extend(&mut self, plan: &PlanDag) {
-        assert!(
-            plan.node_count() >= self.reach.len(),
-            "plan shrank under the tracker"
-        );
-        let m = self.rates.len();
-        for _ in self.reach.len()..plan.node_count() {
-            self.reach.push(VarSet::new(m));
-            self.prob.push(0.0);
-        }
-    }
-
-    /// Repairs the tracker after query `q` was rebound from `old_node` to
-    /// its current bind node. Only nodes in the symmetric difference of the
-    /// two cones are touched. Call [`IncrementalCost::extend`] first if the
-    /// rebind also created nodes.
-    ///
-    /// # Panics
-    /// Panics if the tracker has not absorbed all of `plan`'s nodes.
-    pub fn rebind(&mut self, plan: &PlanDag, q: usize, old_node: usize) {
-        assert_eq!(
-            plan.node_count(),
-            self.reach.len(),
-            "extend the tracker before rebinding"
-        );
-        let new_node = plan.query_nodes()[q];
-        if new_node == old_node {
-            return;
-        }
-        // Merge-diff the sorted cone node lists: nodes only in the old
-        // cone lose `q`, nodes only in the new cone gain it; the shared
-        // intersection is untouched.
-        let old_cone = plan.cone_nodes(old_node);
-        let new_cone = plan.cone_nodes(new_node);
-        let (mut i, mut j) = (0, 0);
-        let touch = |tracker: &mut Self, idx: usize, inserted: bool| {
-            if inserted {
-                tracker.reach[idx].insert(q);
-            } else {
-                tracker.reach[idx].remove(q);
-            }
-            if idx >= tracker.var_count {
-                tracker.prob[idx] = tracker.node_prob(idx);
-            }
-        };
-        while i < old_cone.len() && j < new_cone.len() {
-            match old_cone[i].cmp(&new_cone[j]) {
-                std::cmp::Ordering::Less => {
-                    touch(self, old_cone[i] as usize, false);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    touch(self, new_cone[j] as usize, true);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for &idx in &old_cone[i..] {
-            touch(self, idx as usize, false);
-        }
-        for &idx in &new_cone[j..] {
-            touch(self, idx as usize, true);
-        }
-        self.resum();
-    }
-
-    /// Updates query `q`'s search rate, repairing probabilities only inside
-    /// the cone of its bind node.
-    pub fn set_rate(&mut self, plan: &PlanDag, q: usize, rate: f64) {
-        assert_eq!(
-            plan.node_count(),
-            self.reach.len(),
-            "extend the tracker before updating rates"
-        );
-        self.rates[q] = rate;
-        for &idx in &plan.cone_nodes(plan.query_nodes()[q]) {
-            if idx as usize >= self.var_count {
-                self.prob[idx as usize] = self.node_prob(idx as usize);
-            }
-        }
-        self.resum();
-    }
-
-    fn node_prob(&self, idx: usize) -> f64 {
-        let mut none_occur = 1.0;
-        for q in self.reach[idx].iter() {
-            none_occur *= 1.0 - self.rates[q];
-        }
-        1.0 - none_occur
-    }
-
-    fn resum(&mut self) {
-        self.total = self.prob[self.var_count..].iter().sum();
-    }
 }
 
 /// The number of internal nodes actually materialized for one concrete
@@ -334,72 +186,51 @@ mod tests {
     }
 
     #[test]
-    fn incremental_tracker_matches_rescan() {
-        let mut plan = shared_plan();
-        let mut rates = vec![0.3, 0.7];
-        let mut tracker = IncrementalCost::new(&plan, &rates);
-        assert!((tracker.total() - expected_cost(&plan, &rates)).abs() < 1e-12);
-        assert!(tracker.heap_bytes() > 0);
-
-        // Rate change repairs only the rebound query's cone.
-        tracker.set_rate(&plan, 0, 0.9);
-        rates[0] = 0.9;
-        assert!((tracker.total() - expected_cost(&plan, &rates)).abs() < 1e-12);
-
-        // Rebind query 1 from {0,1,3} to a fresh node {0,1,2,3}.
-        let abc = plan.query_nodes()[0];
-        let old = plan.query_nodes()[1];
-        let abcd = plan.merge(abc, old);
-        tracker.extend(&plan);
-        plan.rebind_query(1, abcd);
-        tracker.rebind(&plan, 1, old);
-        assert!((tracker.total() - expected_cost(&plan, &rates)).abs() < 1e-12);
-
-        // Rebinding back drains the abandoned node's reach to empty.
-        plan.rebind_query(1, old);
-        tracker.rebind(&plan, 1, abcd);
-        assert!((tracker.total() - expected_cost(&plan, &rates)).abs() < 1e-12);
+    fn hand_computed_marginals() {
+        let plan = shared_plan();
+        // sr = (0.5, 0.5): each query owns its bind node outright (0.5)
+        // and pays for the shared node only when the other is absent
+        // (0.5 · 0.5). The 0.25 of the shared node both would have paid
+        // for is nobody's, so the marginals sum to 1.5 < 1.75.
+        let got = phrase_marginal_costs(&plan, &[0.5, 0.5]);
+        assert!((got[0] - 0.75).abs() < 1e-12, "{got:?}");
+        assert!((got[1] - 0.75).abs() < 1e-12, "{got:?}");
     }
 
     proptest! {
-        /// A tracker driven through a random churn sequence of rate
-        /// updates and rebinds stays in lockstep with the full rescan.
+        /// On a DAG grown by random merges with queries bound to random
+        /// internal nodes, each marginal is the drop in expected cost when
+        /// that query's rate is zeroed; the marginals sum to at most the
+        /// total; a query that never occurs has none.
         #[test]
-        fn incremental_tracker_survives_churn(
+        fn marginals_match_rate_zeroing(
             seed in any::<u64>(),
             steps in 1usize..25,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut plan = shared_plan();
-            let mut rates = vec![0.3, 0.7];
-            let mut tracker = IncrementalCost::new(&plan, &rates);
             for _ in 0..steps {
-                let q = rng.random_range(0..rates.len());
-                if rng.random::<bool>() {
-                    let r = rng.random::<f64>();
-                    rates[q] = r;
-                    tracker.set_rate(&plan, q, r);
-                } else {
-                    // Rebind q to a random existing internal node or a
-                    // fresh merge of two random nodes.
-                    let old = plan.query_nodes()[q];
-                    let node = if rng.random::<bool>() {
-                        let n = plan.node_count();
-                        let a = rng.random_range(0..n);
-                        let b = rng.random_range(0..n);
-                        let merged = plan.merge(a, b);
-                        tracker.extend(&plan);
-                        merged
-                    } else {
-                        rng.random_range(plan.var_count()..plan.node_count())
-                    };
-                    plan.rebind_query(q, node);
-                    tracker.rebind(&plan, q, old);
+                let n = plan.node_count();
+                let merged = plan.merge(rng.random_range(0..n), rng.random_range(0..n));
+                if merged >= plan.var_count() && rng.random::<bool>() {
+                    plan.bind_query(&plan.vars_owned(merged));
                 }
-                let fresh = expected_cost(&plan, &rates);
+            }
+            let mut rates: Vec<f64> =
+                (0..plan.query_count()).map(|_| rng.random::<f64>()).collect();
+            let silent = rng.random_range(0..rates.len());
+            rates[silent] = 0.0;
+            let total = expected_cost(&plan, &rates);
+            let marginals = phrase_marginal_costs(&plan, &rates);
+            prop_assert_eq!(marginals[silent], 0.0);
+            prop_assert!(marginals.iter().sum::<f64>() <= total + 1e-9);
+            for q in 0..rates.len() {
+                let mut without = rates.clone();
+                without[q] = 0.0;
+                let drop = total - expected_cost(&plan, &without);
                 prop_assert!(
-                    (tracker.total() - fresh).abs() < 1e-9,
-                    "tracker {} vs rescan {}", tracker.total(), fresh
+                    (marginals[q] - drop).abs() < 1e-9,
+                    "query {}: marginal {} vs drop {}", q, marginals[q], drop
                 );
             }
         }

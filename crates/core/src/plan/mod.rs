@@ -53,14 +53,12 @@ pub mod cse;
 pub mod disjoint;
 pub mod fragments;
 pub mod greedy;
-pub mod maintenance;
 pub mod optimal;
 pub mod reduction;
 pub mod topk_cones;
 
 pub use disjoint::DisjointPlanner;
 pub use greedy::{PlannerMode, SharedPlanner};
-pub use maintenance::PlanMaintainer;
 pub use topk_cones::TopKCones;
 
 use std::collections::HashMap;
@@ -101,7 +99,7 @@ pub struct PlanDag {
     /// O(tail), not O(prefix + tail).
     hashes: Vec<u64>,
     /// Packed child pairs, one per *internal* node (index `idx -
-    /// var_count`). The per-round [`ConeWalker`] and the cone masks
+    /// var_count`). The per-round [`ConeWalker`] and `reach_sets`
     /// traverse this flat `u32` arena — 8 bytes per node.
     children_packed: Vec<[u32; 2]>,
     /// Content-hash interning: hash → first internal node with that set.
@@ -431,17 +429,6 @@ impl PlanDag {
         acc
     }
 
-    /// Rebinds an already-bound query to a different node (plan
-    /// maintenance after an interest-set change).
-    ///
-    /// # Panics
-    /// Panics on a bad query or node index.
-    pub fn rebind_query(&mut self, q: usize, node: usize) {
-        assert!(q < self.queries.len(), "query out of range");
-        assert!(node < self.node_count(), "node out of range");
-        self.queries[q] = node;
-    }
-
     /// Binds the next query (appending) to the node computing `vars`.
     ///
     /// # Panics
@@ -555,57 +542,6 @@ impl PlanDag {
             }
         }
         unreachable!()
-    }
-
-    /// Marks the cone of `root`: the node itself plus every descendant
-    /// reachable through `children` edges. The incremental cost tracker
-    /// diffs two cones to find exactly the nodes whose reach sets a query
-    /// rebind changes, instead of rescanning the whole plan.
-    ///
-    /// # Panics
-    /// Panics if `root` is out of range.
-    pub fn cone_mask(&self, root: usize) -> Vec<bool> {
-        assert!(root < self.node_count(), "node out of range");
-        let mut mask = vec![false; self.node_count()];
-        let mut stack = vec![root];
-        while let Some(idx) = stack.pop() {
-            if mask[idx] {
-                continue;
-            }
-            mask[idx] = true;
-            if let Some((a, b)) = self.children(idx) {
-                stack.push(a);
-                stack.push(b);
-            }
-        }
-        mask
-    }
-
-    /// The cone of `root` as an ascending node-index list — the sparse
-    /// counterpart of [`PlanDag::cone_mask`], sized by the cone rather
-    /// than the plan, which is what lets the incremental cost tracker
-    /// repair rebinds by merge-diffing two cones at 10⁶ nodes.
-    ///
-    /// # Panics
-    /// Panics if `root` is out of range.
-    pub fn cone_nodes(&self, root: usize) -> Vec<u32> {
-        assert!(root < self.node_count(), "node out of range");
-        let mut seen = vec![root as u32];
-        let mut stack = vec![root];
-        let mut mark = std::collections::HashSet::new();
-        mark.insert(root);
-        while let Some(idx) = stack.pop() {
-            if let Some((a, b)) = self.children(idx) {
-                for c in [a, b] {
-                    if mark.insert(c) {
-                        seen.push(c as u32);
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        seen.sort_unstable();
-        seen
     }
 
     /// Checks the [`PlanDag::evaluate`] preconditions.
@@ -909,16 +845,6 @@ impl PlanProblem {
     pub fn total_query_size(&self) -> usize {
         self.queries.iter().map(VarSet::len).sum()
     }
-
-    /// Heap footprint of the query sets and rates, in bytes — the
-    /// resolver charges the retained problem against the hot-state
-    /// budget.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.queries.capacity() * size_of::<VarSet>()
-            + self.queries.iter().map(VarSet::heap_bytes).sum::<usize>()
-            + self.search_rates.capacity() * size_of::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -1039,23 +965,6 @@ mod tests {
         assert_eq!(reach.queries_of(2), &[0]);
         assert_eq!(reach.queries_of(3), &[1]);
         assert_eq!(reach.queries_of(abc), &[0]);
-    }
-
-    #[test]
-    fn cone_nodes_matches_cone_mask() {
-        let mut plan = PlanDag::new(5);
-        let ab = plan.merge(0, 1);
-        let abc = plan.merge(ab, 2);
-        let de = plan.merge(3, 4);
-        let _all = plan.merge(abc, de);
-        for root in 0..plan.node_count() {
-            let mask = plan.cone_mask(root);
-            let from_mask: Vec<u32> = (0..plan.node_count())
-                .filter(|&i| mask[i])
-                .map(|i| i as u32)
-                .collect();
-            assert_eq!(plan.cone_nodes(root), from_mask);
-        }
     }
 
     #[test]

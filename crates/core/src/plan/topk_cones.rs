@@ -153,6 +153,7 @@ fn list<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::cost::materialized_cost;
     use crate::topk::{KList, ScoredAd, ScoredTopKOp};
     use proptest::prelude::*;
     use ssa_auction::ids::AdvertiserId;
@@ -199,11 +200,11 @@ mod tests {
         cones.walk(plan, roots());
         let ops = cones.fill(plan, k, score);
 
-        let mut cone: Vec<u32> = roots().flat_map(|r| plan.cone_nodes(r)).collect();
-        cone.sort_unstable();
-        cone.dedup();
-        cone.retain(|&node| node as usize >= plan.var_count());
-        assert_eq!(ops, cone.len(), "⊕ count is the occurring cones' size");
+        assert_eq!(
+            ops,
+            materialized_cost(plan, &occurring),
+            "⊕ count is the occurring cones' size"
+        );
 
         let leaves: Vec<KList<ScoredAd>> = (0..plan.var_count())
             .map(|v| KList::singleton(k, ScoredAd::new(AdvertiserId::from_index(v), score(v))))

@@ -132,6 +132,11 @@ pub fn threshold_top_k(
 /// repeated runs perform zero heap allocations.
 ///
 /// Returns `(stages, stopped_early)`.
+// Out of line on purpose: whether LLVM inlines this into
+// `SortResolver::resolve` flips with unrelated edits elsewhere in the
+// crate, and inlined the loop measured 8 % slower on a 1M-advertiser
+// round (`sparse1m_sort` p50 1.32–1.40 ms out of line, 1.42–1.58 inlined).
+#[inline(never)]
 #[allow(clippy::too_many_arguments)] // the TA signature plus two scratch outputs
 pub fn threshold_top_k_into(
     mut stream: impl FnMut(usize) -> Option<super::SortItem>,

@@ -33,16 +33,17 @@ fn bytes_per_advertiser_stay_under_ceiling() {
     // ceiling), both ceilings in bytes per advertiser. Measured 2026-10
     // at n=10k, 32 phrases: hot state Unshared 70 (stateless resolver:
     // just the engine's SoA ledgers/bid vectors), SharedSort 742 (merge
-    // arena + caches), SharedAggregation 311 and Hybrid 758 (plan nodes
-    // hold adaptive-sparse `VarSet`s in a CSR pool and the cost tracker's
-    // reach sets are sparse, so the plan's footprint follows interest
-    // density, not nodes x n/8 — down from 5360/5539 when every node
-    // owned a dense n-bit set; 18 and 13 of those bytes are the plan
-    // resolver's persistent cone scratch). The shared-aggregation-100k
-    // case re-pins the plan-bearing ceiling a decade up (measured 295
-    // hot / 542 peak) to catch anything population-quadratic hiding at
-    // 10k. Peaks add the planner's construction scratch, dropped before
-    // steady state.
+    // arena + caches), SharedAggregation 169 and Hybrid 649 (plan nodes
+    // hold adaptive-sparse `VarSet`s in a CSR pool, so the plan's
+    // footprint follows interest density, not nodes x n/8 — down from
+    // 5360/5539 when every node owned a dense n-bit set; 18 and 13 of
+    // those bytes are the plan resolver's persistent cone scratch; the
+    // plan's cost model is stateless, nothing of it is resident). The
+    // shared-aggregation-100k case re-pins the plan-bearing ceiling a
+    // decade up (measured 153 hot / 542 peak) to catch anything
+    // population-quadratic hiding at 10k. Peaks (720 at 10k, Hybrid 665)
+    // add the planner's construction scratch, dropped before steady
+    // state.
     // Ceilings leave ~50% headroom; one extra dense population-sized
     // vector (8+ bytes/advertiser) blows through them.
     let cases = [
@@ -52,7 +53,7 @@ fn bytes_per_advertiser_stay_under_ceiling() {
             SharingStrategy::SharedAggregation,
             10_000,
             0.0,
-            450,
+            250,
             1_100,
         ),
         (
@@ -63,13 +64,13 @@ fn bytes_per_advertiser_stay_under_ceiling() {
             1_200,
             1_600,
         ),
-        ("hybrid", SharingStrategy::Hybrid, 10_000, 0.4, 1_200, 1_400),
+        ("hybrid", SharingStrategy::Hybrid, 10_000, 0.4, 1_000, 1_000),
         (
             "shared-aggregation-100k",
             SharingStrategy::SharedAggregation,
             100_000,
             0.0,
-            450,
+            250,
             1_100,
         ),
     ];
