@@ -1,63 +1,35 @@
 //! The figure/table regeneration harness.
 //!
-//! One subcommand per experiment in DESIGN.md's index:
-//!
 //! ```text
-//! experiments fig4           # Figure 4: expected plan cost vs query probability
-//! experiments fig5           # Figure 5: complexity per axiom class (with evidence)
-//! experiments overlap        # E4: hiking-boots scan savings + overlap sweep
-//! experiments sharing-sweep  # E5: shared vs unshared winner determination
-//! experiments shared-sort    # E6: shared sort + TA work savings, plus the
-//!                            #     persistent-network benchmark (BENCH_shared_sort.json)
-//! experiments gaming         # E7: naive vs throttled budget policies
-//! experiments bounds         # E8: Hoeffding-bound refinement efficiency
-//! experiments ablation       # E9: fragments-only vs full vs optimal
-//! experiments latency        # E10: round latency vs batch size
-//! experiments batching       # E10b: round granularity vs sharing and added latency
-//! experiments clamps         # ablation: paper-literal vs sound Hoeffding clamps
-//! experiments sort-ablation  # ablation: exhaustive vs bucketed sort planner
-//! experiments shard-scaling  # sharded pipelined execution vs the classic
-//!                            #     executor (BENCH_shard_scaling.json)
+//! experiments figures         # every deterministic paper figure (ssa_bench::figures),
+//!                             #     written to crates/bench/golden/full/<id>.txt
+//! experiments figures --quick # the quick set the figures_golden test checks
+//!                             #     (crates/bench/golden/quick/<id>.txt)
+//! experiments shard-scaling   # sharded pipelined execution vs the classic
+//!                             #     executor (BENCH_shard_scaling.json)
 //! experiments planner-scaling # planner build-time curves (BENCH_planner_scaling.json)
-//! experiments hybrid-routing # hybrid vs pure strategies on mixed workloads
-//!                            #     (BENCH_hybrid_routing.json)
-//! experiments memory-scaling # A8: hot-state bytes + round latency at
-//!                            #     n in {10k, 100k, 1M} (BENCH_memory_scaling.json)
-//! experiments all            # everything above
+//! experiments memory-scaling  # A8: hot-state bytes + round latency at
+//!                             #     n in {10k, 100k, 1M} (BENCH_memory_scaling.json)
+//! experiments all             # everything above
 //! ```
 //!
-//! Pass `--quick` for a fast smoke-run. Results are printed and persisted
-//! to `results/<id>.{csv,json}`.
+//! Pass `--quick` for a fast smoke-run. The three sweeps print their
+//! tables and persist them to `results/<id>.{csv,json}`.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use ssa_auction::money::Money;
+use ssa_bench::figures::{golden_dir, FIGURES};
 use ssa_bench::host::{host_metadata, warn_if_serial_host};
 use ssa_bench::json::Value;
-use ssa_bench::setups::{
-    executor_workload, fig4_problem, interest_sets, sweep_workload, workload_problem,
-};
+use ssa_bench::setups::executor_workload;
 use ssa_bench::Table;
-use ssa_core::algebra::expr::Expr;
-use ssa_core::algebra::{fig5_complexity, AxiomSet, PlanComplexity};
-use ssa_core::budget::{compare_throttled, BudgetContext, OutstandingAd};
-use ssa_core::engine::gaming::run_gaming_comparison;
-use ssa_core::engine::{BudgetPolicy, Engine, EngineConfig, RoutingMode, SharingStrategy};
-use ssa_core::plan::cost::{expected_cost, unshared_expected_cost};
-use ssa_core::plan::cse::cse_plan;
-use ssa_core::plan::optimal::optimal_plan_with_budget;
-use ssa_core::plan::reduction::{closed_plan_problem_from_set_cover, min_plan_cover};
-use ssa_core::plan::{PlanProblem, PlannerMode, SharedPlanner};
-use ssa_core::sort::planner::{build_shared_sort_plan_bucketed, SortPlan};
-use ssa_core::sort::ta::threshold_top_k;
-use ssa_setcover::{BitSet, SetCoverInstance};
+use ssa_core::engine::{BudgetPolicy, Engine, EngineConfig, SharingStrategy};
+use ssa_core::plan::cost::expected_cost;
+use ssa_core::plan::SharedPlanner;
 use ssa_testkit::plan_oracle::{reference_plan, REFERENCE_COST_SLACK};
-use ssa_workload::scenarios::hiking_boots_high_heels;
 use ssa_workload::{Workload, WorkloadConfig};
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn out_dir() -> PathBuf {
     PathBuf::from("results")
@@ -72,42 +44,14 @@ fn main() {
         .unwrap_or("all");
     let quick = args.iter().any(|a| a == "--quick");
     match which {
-        "fig4" => fig4(quick),
-        "fig5" => fig5(quick),
-        "overlap" => overlap(),
-        "sharing-sweep" => sharing_sweep(quick),
-        "shared-sort" => {
-            shared_sort(quick);
-            shared_sort_persistent(quick);
-        }
-        "gaming" => gaming(quick),
-        "bounds" => bounds(quick),
-        "ablation" => ablation(quick),
-        "latency" => latency(quick),
-        "batching" => batching(),
-        "clamps" => clamps(quick),
-        "sort-ablation" => sort_ablation(quick),
+        "figures" => figures(quick),
         "shard-scaling" => shard_scaling(quick),
         "planner-scaling" => planner_scaling(quick),
-        "hybrid-routing" => hybrid_routing(quick),
         "memory-scaling" => memory_scaling(quick),
         "all" => {
-            fig4(quick);
-            fig5(quick);
-            overlap();
-            sharing_sweep(quick);
-            shared_sort(quick);
-            shared_sort_persistent(quick);
-            gaming(quick);
-            bounds(quick);
-            ablation(quick);
-            latency(quick);
-            batching();
-            clamps(quick);
-            sort_ablation(quick);
+            figures(quick);
             shard_scaling(quick);
             planner_scaling(quick);
-            hybrid_routing(quick);
             memory_scaling(quick);
         }
         other => {
@@ -117,1008 +61,15 @@ fn main() {
     }
 }
 
-/// Figure 4: "Expected cost of plan vs query probability" — 10 coin-flip
-/// top-k queries over 20 advertisers, duplicates discarded; we sweep the
-/// uniform search rate and average over seeds, reporting the production
-/// planner's expected cost alongside the fragments-only and unshared
-/// baselines and — at the four rows EXPERIMENTS.md tabulates — the
-/// paper's literal Section II-D loop (~0.2 s a plan at this size).
-/// Asserts the figure's shape: shared below unshared, savings monotone in
-/// `sr`.
-fn fig4(quick: bool) {
-    let seeds: u64 = if quick { 5 } else { 25 };
-    let mut table = Table::new(
-        "fig4",
-        "expected plan cost vs query probability (10 queries, 20 advertisers)",
-        &[
-            "sr",
-            "shared(full)",
-            "shared(II-D literal)",
-            "shared(fragments)",
-            "unshared",
-            "savings%",
-        ],
-    );
-    let mut last_savings = 0.0;
-    for step in 0..=20 {
-        let sr = step as f64 / 20.0;
-        let with_reference = step > 0 && step % 5 == 0;
-        let (mut full_acc, mut ref_acc, mut frag_acc, mut unshared_acc) = (0.0, 0.0, 0.0, 0.0);
-        for seed in 0..seeds {
-            let problem = fig4_problem(20, 10, sr, seed);
-            let full = SharedPlanner::full().plan(&problem);
-            let frag = SharedPlanner::fragments_only().plan(&problem);
-            full_acc += expected_cost(&full, &problem.search_rates);
-            frag_acc += expected_cost(&frag, &problem.search_rates);
-            unshared_acc += unshared_expected_cost(&problem);
-            if with_reference {
-                ref_acc += expected_cost(&reference_plan(&problem), &problem.search_rates);
-            }
-        }
-        let n = seeds as f64;
-        let (full, frag, unshared) = (full_acc / n, frag_acc / n, unshared_acc / n);
-        let savings = if unshared > 0.0 {
-            100.0 * (1.0 - full / unshared)
-        } else {
-            0.0
-        };
-        assert!(
-            full <= unshared + 1e-9,
-            "sr={sr}: shared {full} above unshared {unshared}"
-        );
-        assert!(
-            savings >= last_savings - 1e-9,
-            "sr={sr}: savings fell from {last_savings}% to {savings}%"
-        );
-        last_savings = savings;
-        table.push(vec![
-            format!("{sr:.2}"),
-            format!("{full:.2}"),
-            if with_reference {
-                format!("{:.2}", ref_acc / n)
-            } else {
-                "-".into()
-            },
-            format!("{frag:.2}"),
-            format!("{unshared:.2}"),
-            format!("{savings:.1}"),
-        ]);
+/// Prints every paper figure and writes it to its golden file.
+fn figures(quick: bool) {
+    let dir = golden_dir(quick);
+    std::fs::create_dir_all(&dir).expect("create the golden directory");
+    for (id, render) in FIGURES {
+        let text = render(quick);
+        println!("{text}");
+        std::fs::write(dir.join(format!("{id}.txt")), text).expect("write a golden file");
     }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// Figure 5: the complexity of optimal plan sharing per axiom class, with
-/// executable evidence per row:
-/// * PTIME rows — CSE planner timing at doubling sizes;
-/// * O(1) rows — degenerate algebra, zero-cost plans;
-/// * NP-complete rows — exact-search behaviour on set-cover reduction
-///   instances, where the Theorem 3 identity `total = |E| + (c* − 2)`
-///   holds.
-fn fig5(quick: bool) {
-    let rows: Vec<(&str, AxiomSet)> = vec![
-        ("N * * * N", AxiomSet::NONE),
-        ("N N N * Y", AxiomSet::A5),
-        ("N Y N * Y", AxiomSet::A2.with(AxiomSet::A5)),
-        ("N N Y * Y", AxiomSet::A3.with(AxiomSet::A5)),
-        (
-            "N Y Y * Y",
-            AxiomSet::A2.with(AxiomSet::A3).with(AxiomSet::A5),
-        ),
-        ("Y * N Y N", AxiomSet::A1.with(AxiomSet::A4)),
-        (
-            "Y * N Y Y",
-            AxiomSet::A1
-                .with(AxiomSet::A2)
-                .with(AxiomSet::A4)
-                .with(AxiomSet::A5),
-        ),
-        ("Y * Y Y N", AxiomSet::SEMILATTICE_WITH_IDENTITY),
-        (
-            "Y * Y * Y",
-            AxiomSet::A1.with(AxiomSet::A3).with(AxiomSet::A5),
-        ),
-    ];
-    let mut table = Table::new(
-        "fig5",
-        "complexity of optimal shared aggregation per axiom class",
-        &["axioms", "structure", "class", "evidence"],
-    );
-    for (pattern, axioms) in rows {
-        let class = fig5_complexity(axioms);
-        let evidence = match class {
-            PlanComplexity::Ptime => ptime_evidence(axioms, quick),
-            PlanComplexity::Constant => constant_evidence(axioms),
-            PlanComplexity::NpComplete => np_evidence(quick),
-            PlanComplexity::Open => "open in the paper".to_string(),
-        };
-        table.push(vec![
-            pattern.to_string(),
-            axioms.structure_name().to_string(),
-            format!("{class:?}"),
-            evidence,
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// Timing evidence that the CSE planner scales polynomially.
-fn ptime_evidence(axioms: AxiomSet, quick: bool) -> String {
-    let mut rng = StdRng::seed_from_u64(7);
-    let sizes: &[usize] = if quick { &[200, 400] } else { &[500, 2000] };
-    let mut times = Vec::new();
-    for &n in sizes {
-        // n random expressions over 32 variables, each a random chain.
-        let exprs: Vec<Expr> = (0..n)
-            .map(|_| {
-                let len = rng.random_range(2..10usize);
-                let vars: Vec<usize> = (0..len).map(|_| rng.random_range(0..32)).collect();
-                Expr::chain(&vars)
-            })
-            .collect();
-        let started = Instant::now();
-        let plan = cse_plan(&exprs, axioms);
-        let elapsed = started.elapsed().as_secs_f64();
-        times.push(elapsed.max(1e-9));
-        std::hint::black_box(plan.total_cost());
-    }
-    let ratio = times.last().unwrap() / times.first().unwrap();
-    let size_ratio = *sizes.last().unwrap() as f64 / sizes[0] as f64;
-    format!("CSE planner: {size_ratio}x input -> {ratio:.1}x time (poly)")
-}
-
-/// Degeneracy evidence: all expressions collapse, zero plan cost.
-fn constant_evidence(axioms: AxiomSet) -> String {
-    assert!(axioms.is_degenerate());
-    let exprs = vec![
-        Expr::chain(&[0, 1, 2, 3]),
-        Expr::chain(&[4, 5]),
-        Expr::chain(&[0, 5, 2]),
-    ];
-    let plan = cse_plan(&exprs, axioms);
-    format!(
-        "degenerate algebra: {} queries, {} plan nodes",
-        exprs.len(),
-        plan.total_cost()
-    )
-}
-
-/// Exact-search behaviour + Theorem 3 identity on reduction instances.
-fn np_evidence(quick: bool) -> String {
-    let mut rng = StdRng::seed_from_u64(13);
-    let sizes: &[usize] = if quick { &[4, 6] } else { &[4, 6, 8] };
-    let mut detail = Vec::new();
-    for &u in sizes {
-        // Random coverable set-cover instance over a universe of size u.
-        let mut sets = Vec::new();
-        let mut covered = BitSet::new(u);
-        for _ in 0..u {
-            let a = rng.random_range(0..u);
-            let b = rng.random_range(0..u);
-            let s = BitSet::from_elements(u, [a, b, (a + 1) % u]);
-            covered.union_with(&s);
-            sets.push(s);
-        }
-        if covered.len() < u {
-            for missing in BitSet::full(u).difference(&covered).iter() {
-                sets.push(BitSet::from_elements(u, [missing, (missing + 1) % u]));
-            }
-        }
-        let inst = SetCoverInstance::new(u, sets);
-        let problem = closed_plan_problem_from_set_cover(&inst);
-        let budget = 5_000_000u64;
-        match optimal_plan_with_budget(&problem, budget) {
-            Some(opt) => {
-                let c_star = min_plan_cover(&problem).expect("coverable");
-                let identity = opt.total_cost == problem.query_count() + c_star.max(2) - 2;
-                detail.push(format!("|U|={u}: cost={} id={identity}", opt.total_cost));
-            }
-            None => detail.push(format!("|U|={u}: >{budget} nodes")),
-        }
-    }
-    format!("set-cover reduction: {}", detail.join("; "))
-}
-
-/// E4: the hiking-boots example and an overlap sweep.
-fn overlap() {
-    let mut table = Table::new(
-        "overlap",
-        "advertisers scanned per round: shared fragments vs independent scans",
-        &[
-            "general", "sports", "fashion", "shared", "unshared", "savings%",
-        ],
-    );
-    // The paper's exact instance first, then a sweep over the shared
-    // block's size.
-    let mut rows = vec![(200usize, 40usize, 30usize)];
-    for general in [0usize, 50, 100, 150, 300] {
-        rows.push((general, 40, 30));
-    }
-    for (general, sports, fashion) in rows {
-        let n = general + sports + fashion;
-        if n == 0 {
-            continue;
-        }
-        // Fragment-level scan counts, exactly the paper's arithmetic:
-        // grouped scans general + sports + fashion; independent scans
-        // (general+sports) + (general+fashion).
-        let shared = general + sports + fashion;
-        let unshared = (general + sports) + (general + fashion);
-        let savings = 100.0 * (1.0 - shared as f64 / unshared as f64);
-        table.push(vec![
-            general.to_string(),
-            sports.to_string(),
-            fashion.to_string(),
-            shared.to_string(),
-            unshared.to_string(),
-            format!("{savings:.1}"),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-
-    // Cross-check via the real planner on the paper instance.
-    let (hiking, heels) = hiking_boots_high_heels();
-    let n = 270;
-    let queries = vec![
-        BitSet::from_elements(n, hiking.iter().map(|a| a.index())),
-        BitSet::from_elements(n, heels.iter().map(|a| a.index())),
-    ];
-    let problem = PlanProblem::new(n, queries, None);
-    let plan = SharedPlanner::full().plan(&problem);
-    println!(
-        "planner cross-check on the paper instance: {} aggregation nodes vs {} unshared\n",
-        plan.total_cost(),
-        468
-    );
-}
-
-/// E5: shared vs unshared winner determination across workload scales.
-fn sharing_sweep(quick: bool) {
-    let rounds = if quick { 20 } else { 60 };
-    let mut table = Table::new(
-        "sharing_sweep",
-        "winner-determination work per strategy (topic workload)",
-        &[
-            "n",
-            "phrases",
-            "topics",
-            "strategy",
-            "scans",
-            "agg ops",
-            "merge inv",
-            "ms",
-        ],
-    );
-    let shapes: &[(usize, usize, usize)] = if quick {
-        &[(500, 8, 4), (2000, 16, 4)]
-    } else {
-        &[(500, 8, 4), (2000, 16, 4), (10_000, 16, 4), (10_000, 32, 8)]
-    };
-    for &(n, m, t) in shapes {
-        for sharing in [
-            SharingStrategy::Unshared,
-            SharingStrategy::SharedAggregation,
-            SharingStrategy::SharedSort,
-        ] {
-            let mut engine = Engine::new(
-                sweep_workload(n, m, t, 11),
-                EngineConfig {
-                    sharing,
-                    budget_policy: BudgetPolicy::Ignore,
-                    seed: 23,
-                    // The sweep measures evaluation sharing, not plan
-                    // quality, and spans up to 10k advertisers: stage-1
-                    // fragments keep the per-size baselines comparable
-                    // (see `planner-scaling` for planner build curves).
-                    planner: PlannerMode::FragmentsOnly,
-                    ..EngineConfig::default()
-                },
-            );
-            let metrics = engine.run(rounds);
-            table.push(vec![
-                n.to_string(),
-                m.to_string(),
-                t.to_string(),
-                format!("{sharing:?}"),
-                metrics.advertisers_scanned.to_string(),
-                metrics.aggregation_ops.to_string(),
-                metrics.merge_invocations.to_string(),
-                format!("{:.1}", metrics.resolution_nanos() as f64 / 1e6),
-            ]);
-        }
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// E6: shared sort + TA work vs independent full sorts, sweeping k.
-fn shared_sort(quick: bool) {
-    let mut table = Table::new(
-        "shared_sort",
-        "shared merge network + TA vs independent sorts (jittered factors)",
-        &[
-            "k",
-            "ta stages",
-            "merge invocations",
-            "full-scan baseline",
-            "expected shared cost",
-            "expected unshared cost",
-        ],
-    );
-    let w = Workload::generate(&WorkloadConfig {
-        advertisers: if quick { 400 } else { 2000 },
-        phrases: 12,
-        topics: 4,
-        phrase_factor_jitter: 0.4,
-        seed: 3,
-        ..WorkloadConfig::default()
-    });
-    let n = w.advertiser_count();
-    let rates = w.search_rates();
-    let interest = interest_sets(&w);
-    let plan = build_shared_sort_plan_bucketed(n, &interest, &rates);
-    let shared_cost = plan.expected_cost(&rates);
-    let unshared_cost = SortPlan::unshared_expected_cost(&interest, &rates);
-    let bids: Vec<Money> = w.advertisers.iter().map(|a| a.bid).collect();
-    let baseline: usize = w.interest.iter().map(Vec::len).sum();
-
-    for k in [1usize, 2, 4, 8, 16, 20] {
-        let (mut net, roots) = plan.instantiate(&bids);
-        let mut stages = 0usize;
-        #[allow(clippy::needless_range_loop)] // q indexes interest, factors, and roots
-        for q in 0..w.phrase_count() {
-            let phrase = ssa_auction::ids::PhraseId::from_index(q);
-            let mut c_order: Vec<(ssa_auction::ids::AdvertiserId, f64)> = w.interest[q]
-                .iter()
-                .map(|&a| (a, w.phrase_factor(phrase, a).unwrap()))
-                .collect();
-            c_order.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-            let outcome = threshold_top_k(
-                &mut net,
-                roots[q],
-                &c_order,
-                |a| bids[a.index()],
-                |a| w.phrase_factor(phrase, a).unwrap_or(0.0),
-                k,
-            );
-            stages += outcome.stages;
-        }
-        table.push(vec![
-            k.to_string(),
-            stages.to_string(),
-            net.invocations().to_string(),
-            baseline.to_string(),
-            format!("{shared_cost:.0}"),
-            format!("{unshared_cost:.0}"),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// E7: the gaming demonstration across horizons.
-fn gaming(quick: bool) {
-    let mut table = Table::new(
-        "gaming",
-        "naive vs throttled budget policies (identical workload and clicks)",
-        &[
-            "rounds",
-            "policy",
-            "revenue",
-            "forgiven",
-            "over-budget clicks",
-            "clicks",
-            "leak %",
-        ],
-    );
-    let horizons: &[usize] = if quick {
-        &[50, 100]
-    } else {
-        &[50, 100, 200, 400]
-    };
-    for &rounds in horizons {
-        let report = run_gaming_comparison(2024, rounds);
-        let leak = 100.0 * report.naive_leak_fraction();
-        for p in [&report.naive, &report.throttled] {
-            table.push(vec![
-                rounds.to_string(),
-                format!("{:?}", p.policy),
-                p.revenue.to_string(),
-                p.forgiven.to_string(),
-                p.clicks_beyond_budget.to_string(),
-                p.clicks.to_string(),
-                if matches!(p.policy, BudgetPolicy::Ignore) {
-                    format!("{leak:.1}")
-                } else {
-                    "-".to_string()
-                },
-            ]);
-        }
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// E8: bound-refinement efficiency — comparisons resolved per depth and
-/// the work saved vs exact computation.
-fn bounds(quick: bool) {
-    let mut table = Table::new(
-        "bounds",
-        "throttled-bid comparisons via refined Hoeffding bounds",
-        &[
-            "outstanding ads",
-            "comparisons",
-            "resolved@0",
-            "resolved<=2",
-            "mean depth",
-            "mean bound leaves",
-            "mean exact support",
-        ],
-    );
-    let mut rng = StdRng::seed_from_u64(99);
-    let sizes: &[usize] = if quick {
-        &[4, 8, 12]
-    } else {
-        &[4, 8, 12, 16, 20]
-    };
-    let pool_size = if quick { 16 } else { 30 };
-    for &l in sizes {
-        // A realistic advertiser population: most budgets are healthy
-        // (the throttle is inactive and bounds are exact at depth 0),
-        // some are lightly loaded, a few are under real pressure. The
-        // interesting comparisons are the cross-group ones, which is
-        // where early termination pays.
-        let pool: Vec<BudgetContext> = (0..pool_size)
-            .map(|i| {
-                let outstanding: Vec<OutstandingAd> = (0..l)
-                    .map(|_| {
-                        OutstandingAd::new(
-                            Money::from_f64(rng.random_range(0.5..4.0)),
-                            rng.random_range(0.05..0.95),
-                        )
-                    })
-                    .collect();
-                let budget = match i % 4 {
-                    0 | 1 => rng.random_range(50.0..200.0), // healthy
-                    2 => rng.random_range(8.0..20.0),       // loaded
-                    _ => rng.random_range(1.0..6.0),        // tight
-                };
-                BudgetContext {
-                    bid: Money::from_f64(rng.random_range(1.0..4.0)),
-                    remaining_budget: Money::from_f64(budget),
-                    auctions_in_round: rng.random_range(1..4),
-                    outstanding,
-                }
-            })
-            .collect();
-        let mut comparisons = 0usize;
-        let mut resolved0 = 0usize;
-        let mut resolved2 = 0usize;
-        let mut depth_acc = 0usize;
-        let mut leaves_acc = 0u64;
-        let mut support_acc = 0usize;
-        for i in 0..pool.len() {
-            for j in (i + 1)..pool.len() {
-                let (a, b) = (&pool[i], &pool[j]);
-                let out = compare_throttled(&a.refiner(), &b.refiner());
-                comparisons += 1;
-                if out.depth_used == 0 {
-                    resolved0 += 1;
-                }
-                if out.depth_used <= 2 {
-                    resolved2 += 1;
-                }
-                depth_acc += out.depth_used;
-                leaves_acc += a.refiner().bounds_costed(out.depth_used).1
-                    + b.refiner().bounds_costed(out.depth_used).1;
-            }
-            support_acc += pool[i]
-                .debt_sum()
-                .distribution_capped(pool[i].remaining_budget.micros())
-                .support()
-                .len();
-        }
-        let c = comparisons as f64;
-        table.push(vec![
-            l.to_string(),
-            comparisons.to_string(),
-            format!("{:.0}%", 100.0 * resolved0 as f64 / c),
-            format!("{:.0}%", 100.0 * resolved2 as f64 / c),
-            format!("{:.2}", depth_acc as f64 / c),
-            format!("{:.0}", leaves_acc as f64 / c),
-            format!("{:.0}", support_acc as f64 / pool.len() as f64),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// E9: planner ablation against the exact optimum on small instances.
-fn ablation(quick: bool) {
-    let mut table = Table::new(
-        "ablation",
-        "planner stages vs exact optimum (small instances, sr = 1)",
-        &[
-            "seed",
-            "vars",
-            "queries",
-            "optimal",
-            "full",
-            "fragments",
-            "full/opt",
-        ],
-    );
-    let shapes: &[(usize, usize)] = if quick {
-        &[(6, 3), (7, 3)]
-    } else {
-        &[(6, 3), (7, 3), (8, 3), (8, 4)]
-    };
-    for &(n, m) in shapes {
-        for seed in 0..3u64 {
-            let w = sweep_workload(n, m, 2, seed);
-            let base = workload_problem(&w);
-            let problem = PlanProblem::from_varsets(base.var_count, base.queries.clone(), None);
-            let Some(opt) = optimal_plan_with_budget(&problem, 50_000_000) else {
-                continue;
-            };
-            let full = SharedPlanner::full().plan(&problem);
-            let frag = SharedPlanner::fragments_only().plan(&problem);
-            table.push(vec![
-                seed.to_string(),
-                problem.var_count.to_string(),
-                problem.query_count().to_string(),
-                opt.total_cost.to_string(),
-                full.total_cost().to_string(),
-                frag.total_cost().to_string(),
-                format!(
-                    "{:.2}",
-                    full.total_cost() as f64 / opt.total_cost.max(1) as f64
-                ),
-            ]);
-        }
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// E10: per-round resolution latency vs batch size (round granularity).
-fn latency(quick: bool) {
-    let mut table = Table::new(
-        "latency",
-        "per-stage winner-determination latency per round vs expected batch size",
-        &[
-            "max search rate",
-            "mean phrases/round",
-            "unshared wd ms/round",
-            "shared-plan wd ms/round",
-            "throttle ms/round",
-            "settle ms/round",
-            "max-round wd ms",
-        ],
-    );
-    let rounds = if quick { 15 } else { 40 };
-    for max_rate in [0.2, 0.4, 0.6, 0.8, 0.95] {
-        let make = || {
-            Workload::generate(&WorkloadConfig {
-                advertisers: if quick { 1000 } else { 5000 },
-                phrases: 24,
-                topics: 6,
-                max_search_rate: max_rate,
-                seed: 31,
-                ..WorkloadConfig::default()
-            })
-        };
-        let expected_batch: f64 = make().search_rates().iter().sum();
-        let mut per_strategy = Vec::new();
-        for sharing in [
-            SharingStrategy::Unshared,
-            SharingStrategy::SharedAggregation,
-        ] {
-            let mut engine = Engine::new(
-                make(),
-                EngineConfig {
-                    sharing,
-                    budget_policy: BudgetPolicy::Ignore,
-                    seed: 77,
-                    ..EngineConfig::default()
-                },
-            );
-            per_strategy.push(engine.run(rounds));
-        }
-        let per_round = |nanos: u128| nanos as f64 / 1e6 / rounds as f64;
-        table.push(vec![
-            format!("{max_rate:.2}"),
-            format!("{expected_batch:.1}"),
-            format!("{:.3}", per_round(per_strategy[0].wd_nanos)),
-            format!("{:.3}", per_round(per_strategy[1].wd_nanos)),
-            format!("{:.3}", per_round(per_strategy[0].throttle_nanos)),
-            format!("{:.3}", per_round(per_strategy[0].settle_nanos)),
-            format!("{:.3}", per_strategy[0].max_round_wd_nanos as f64 / 1e6),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// E10b: the round-granularity tradeoff from the paper's introduction —
-/// coarser rounds share more (queries per auction resolved) but add more
-/// latency; the paper cites 2.2 s as the tolerated median.
-fn batching() {
-    use ssa_workload::arrivals::{batch, batching_stats, poisson_stream};
-    let mut table = Table::new(
-        "batching",
-        "round granularity vs sharing and added latency (Poisson arrivals, 50 qps)",
-        &[
-            "window s",
-            "rounds",
-            "queries/auction",
-            "mean added latency s",
-            "max added latency s",
-            "within 2.2s tolerance",
-        ],
-    );
-    // A head-heavy phrase mix, as the workload generator produces.
-    let weights: Vec<f64> = (0..24).map(|q| 1.0 / (q + 1) as f64).collect();
-    let arrivals = poisson_stream(&weights, 50.0, 600.0, 17);
-    for window in [0.1, 0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0] {
-        let stats = batching_stats(&batch(&arrivals, window));
-        table.push(vec![
-            format!("{window:.2}"),
-            stats.rounds.to_string(),
-            format!("{:.2}", stats.mean_queries_per_auction),
-            format!("{:.3}", stats.mean_added_latency),
-            format!("{:.3}", stats.max_added_latency),
-            (stats.max_added_latency <= 2.2).to_string(),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// Ablation: the paper-literal Hoeffding clamps vs the sound ones.
-///
-/// The paper's printed bounds clamp mid-range cases at 0.5; DESIGN.md
-/// documents why that is unsound. This experiment quantifies the damage:
-/// over random comparison pairs, how often does each variant's depth-0
-/// verdict (when it claims separation) contradict the exact ordering?
-fn clamps(quick: bool) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use ssa_stats::hoeffding::Clamp;
-    use ssa_stats::refine::Refiner;
-
-    let mut table = Table::new(
-        "clamps",
-        "paper-literal vs sound Hoeffding clamps: depth-0 verdicts vs exact",
-        &[
-            "outstanding ads",
-            "pairs",
-            "sound: decided@0",
-            "sound: wrong",
-            "literal: decided@0",
-            "literal: wrong",
-        ],
-    );
-    let mut rng = StdRng::seed_from_u64(7);
-    let sizes: &[usize] = if quick { &[4, 8] } else { &[4, 8, 12] };
-    let pairs = if quick { 150 } else { 400 };
-    for &l in sizes {
-        let mut stats = [(0usize, 0usize), (0usize, 0usize)]; // (decided, wrong)
-        for _ in 0..pairs {
-            let mk = |rng: &mut StdRng| {
-                let terms: Vec<ssa_stats::bernoulli_sum::Term> = (0..l)
-                    .map(|_| {
-                        ssa_stats::bernoulli_sum::Term::new(
-                            rng.random_range(1..50u64),
-                            rng.random_range(0.05..0.95),
-                        )
-                    })
-                    .collect();
-                (
-                    ssa_stats::bernoulli_sum::BernoulliSum::new(terms),
-                    rng.random_range(10.0..80.0f64),
-                )
-            };
-            let (sum_a, x_a) = mk(&mut rng);
-            let (sum_b, x_b) = mk(&mut rng);
-            // Compare Pr(S_a < x_a) vs Pr(S_b < x_b) at depth 0.
-            let exact_a = sum_a.distribution().pr_less(x_a);
-            let exact_b = sum_b.distribution().pr_less(x_b);
-            let exact_ord = exact_a.total_cmp(&exact_b);
-            for (variant, clamp) in [(0usize, Clamp::Sound), (1, Clamp::PaperLiteral)] {
-                let ra = Refiner::new(sum_a.clone(), clamp);
-                let rb = Refiner::new(sum_b.clone(), clamp);
-                let ia = ra.pr_less(x_a, 0);
-                let ib = rb.pr_less(x_b, 0);
-                let verdict = if ia.strictly_below(ib) {
-                    Some(std::cmp::Ordering::Less)
-                } else if ib.strictly_below(ia) {
-                    Some(std::cmp::Ordering::Greater)
-                } else {
-                    None
-                };
-                if let Some(v) = verdict {
-                    stats[variant].0 += 1;
-                    if v != exact_ord {
-                        stats[variant].1 += 1;
-                    }
-                }
-            }
-        }
-        table.push(vec![
-            l.to_string(),
-            pairs.to_string(),
-            format!("{:.0}%", 100.0 * stats[0].0 as f64 / pairs as f64),
-            stats[0].1.to_string(),
-            format!("{:.0}%", 100.0 * stats[1].0 as f64 / pairs as f64),
-            stats[1].1.to_string(),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// Ablation: the exact Section III-C pair-search planner vs the bucketed
-/// variant — expected full-sort cost and planning time.
-fn sort_ablation(quick: bool) {
-    use ssa_core::sort::planner::build_shared_sort_plan;
-
-    let mut table = Table::new(
-        "sort_ablation",
-        "shared-sort planner: exhaustive pair search vs fragment bucketing",
-        &[
-            "advertisers",
-            "phrases",
-            "exhaustive cost",
-            "bucketed cost",
-            "exhaustive ms",
-            "bucketed ms",
-        ],
-    );
-    let shapes: &[(usize, usize)] = if quick {
-        &[(40, 4), (80, 6)]
-    } else {
-        &[(40, 4), (80, 6), (160, 8), (320, 8)]
-    };
-    for &(n, m) in shapes {
-        let w = sweep_workload(n, m, 3, 9);
-        let interest = interest_sets(&w);
-        let rates = w.search_rates();
-        let t0 = Instant::now();
-        let exhaustive = build_shared_sort_plan(n, &interest, &rates);
-        let t_ex = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let bucketed =
-            ssa_core::sort::planner::build_shared_sort_plan_bucketed(n, &interest, &rates);
-        let t_bu = t1.elapsed().as_secs_f64() * 1e3;
-        table.push(vec![
-            n.to_string(),
-            m.to_string(),
-            format!("{:.0}", exhaustive.expected_cost(&rates)),
-            format!("{:.0}", bucketed.expected_cost(&rates)),
-            format!("{t_ex:.1}"),
-            format!("{t_bu:.1}"),
-        ]);
-    }
-    table.emit(&out_dir()).expect("write results");
-}
-
-/// The persistent-network half of E6 and the headline behind the CI
-/// `sort-smoke` gate: per-round shared-sort winner determination on a
-/// *fresh* network (instantiate + TA, what every round paid before the
-/// persistent refactor) vs the *persistent* network (dirty-cone refresh +
-/// TA over retained caches), across advertiser counts × per-round bid
-/// churn rates. Every round asserts the two paths return identical
-/// rankings. Writes `BENCH_shared_sort.json` at the repo root.
-fn shared_sort_persistent(quick: bool) {
-    use ssa_auction::ids::{AdvertiserId, PhraseId};
-    use ssa_auction::score::Score;
-    use ssa_core::sort::ta::{threshold_top_k_into, TaScratch};
-    use ssa_core::sort::MergeNetwork;
-
-    let sizes: &[usize] = if quick {
-        &[1_000, 2_000]
-    } else {
-        &[1_000, 5_000, 10_000]
-    };
-    // 0.01% (one flipped bid — the pure cache-reuse ceiling) plus the
-    // realistic churn sweep.
-    let churns: &[f64] = &[0.0001, 0.01, 0.10, 0.50];
-    let rounds = if quick { 5usize } else { 30 };
-    // Engine parity: the default `EngineConfig` auctions 3 slots.
-    let k = 3usize;
-
-    let mut table = Table::new(
-        "shared_sort_persistent",
-        "persistent merge network (dirty-cone refresh) vs fresh-per-round instantiation",
-        &[
-            "advertisers",
-            "churn %",
-            "fresh wd ms/round",
-            "persistent wd ms/round",
-            "speedup",
-            "refresh µs/round",
-            "nodes invalidated/round",
-            "cache items reused/round",
-        ],
-    );
-    let mut config_values = Vec::new();
-
-    for &n in sizes {
-        let w = Workload::generate(&WorkloadConfig {
-            advertisers: n,
-            phrases: 16,
-            topics: 4,
-            phrase_factor_jitter: 0.4,
-            seed: 11,
-            ..WorkloadConfig::default()
-        });
-        let rates = w.search_rates();
-        let interest = interest_sets(&w);
-        let plan = build_shared_sort_plan_bucketed(n, &interest, &rates);
-        let cones = plan.leaf_cones();
-        let c_orders: Vec<Vec<(AdvertiserId, f64)>> = (0..w.phrase_count())
-            .map(|q| {
-                let phrase = PhraseId::from_index(q);
-                let mut order: Vec<(AdvertiserId, f64)> = w.interest[q]
-                    .iter()
-                    .map(|&a| (a, w.phrase_factor(phrase, a).unwrap()))
-                    .collect();
-                order.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-                order
-            })
-            .collect();
-        // Dense per-phrase factor tables for TA's random accesses
-        // (factors are round-invariant; a real deployment precomputes
-        // this once, and an O(log n) interest-list search per stage would
-        // otherwise dominate the very network cost being measured).
-        let factors_dense: Vec<Vec<f64>> = c_orders
-            .iter()
-            .map(|order| {
-                let mut dense = vec![0.0f64; n];
-                for &(a, c) in order {
-                    dense[a.index()] = c;
-                }
-                dense
-            })
-            .collect();
-
-        // One winner-determination pass: TA on every phrase. The fresh
-        // path allocates its seen-set/top-k scratch per phrase, exactly
-        // as a fresh-per-round engine did; the persistent path is handed
-        // a long-lived scratch, exactly as the engine's steady state
-        // does. Returns the rankings for the equality assertion.
-        let run_ta = |net: &mut MergeNetwork,
-                      roots: &[usize],
-                      bids: &[Money],
-                      scratch: Option<&mut TaScratch>|
-         -> Vec<Vec<(AdvertiserId, Score)>> {
-            let mut fresh_scratch = TaScratch::new();
-            let scratch = scratch.unwrap_or(&mut fresh_scratch);
-            (0..w.phrase_count())
-                .map(|q| {
-                    if roots[q] == usize::MAX {
-                        return Vec::new();
-                    }
-                    let mut out = Vec::new();
-                    threshold_top_k_into(
-                        |i| net.get(roots[q], i),
-                        &c_orders[q],
-                        |a| bids[a.index()],
-                        |a| factors_dense[q][a.index()],
-                        k,
-                        scratch,
-                        &mut out,
-                    );
-                    out
-                })
-                .collect()
-        };
-
-        for &churn in churns {
-            let mut bids: Vec<Money> = w.advertisers.iter().map(|a| a.bid).collect();
-            let flips = ((n as f64 * churn) as usize).max(1);
-            let mut rng = StdRng::seed_from_u64(0x5eed + n as u64);
-
-            // Round 0 builds the persistent network and warms its caches;
-            // it costs the same as a fresh round and is excluded from the
-            // steady-state averages below.
-            let (mut pnet, roots) = plan.instantiate(&bids);
-            let mut pscratch = TaScratch::new();
-            run_ta(&mut pnet, &roots, &bids, Some(&mut pscratch));
-
-            // Per-round wall-clock samples; the *median* round is
-            // reported, which a stray scheduler interrupt on a loaded
-            // host cannot move the way it moves a mean.
-            let mut fresh_samples: Vec<u128> = Vec::with_capacity(rounds);
-            let mut persistent_samples: Vec<u128> = Vec::with_capacity(rounds);
-            let mut refresh_nanos = 0u128;
-            let (mut invalidated, mut reused) = (0u64, 0u64);
-            let mut changed: Vec<(usize, Money)> = Vec::new();
-            for _ in 0..rounds {
-                changed.clear();
-                for _ in 0..flips {
-                    let i = rng.random_range(0..n);
-                    let bump = rng.random_range(1..5_000u64);
-                    bids[i] = Money::from_micros(bids[i].micros() + bump);
-                    changed.push((i, bids[i]));
-                }
-
-                let t = Instant::now();
-                let (mut fnet, froots) = plan.instantiate(&bids);
-                let fresh_out = run_ta(&mut fnet, &froots, &bids, None);
-                fresh_samples.push(t.elapsed().as_nanos());
-
-                let t = Instant::now();
-                let stats = pnet.refresh(&changed, &cones);
-                refresh_nanos += t.elapsed().as_nanos();
-                let persistent_out = run_ta(&mut pnet, &roots, &bids, Some(&mut pscratch));
-                persistent_samples.push(t.elapsed().as_nanos());
-
-                assert_eq!(
-                    persistent_out, fresh_out,
-                    "persistent network diverged from fresh at n={n} churn={churn}"
-                );
-                invalidated += stats.nodes_invalidated;
-                reused += stats.cache_items_reused;
-            }
-
-            let median = |samples: &mut Vec<u128>| -> u128 {
-                samples.sort_unstable();
-                samples[samples.len() / 2]
-            };
-            let fresh_med = median(&mut fresh_samples);
-            let persistent_med = median(&mut persistent_samples);
-            let fresh_ms = fresh_med as f64 / 1e6;
-            let persistent_ms = persistent_med as f64 / 1e6;
-            let speedup = fresh_med as f64 / persistent_med as f64;
-            let refresh_us = refresh_nanos as f64 / 1e3 / rounds as f64;
-            let inv_per_round = invalidated as f64 / rounds as f64;
-            let reused_per_round = reused as f64 / rounds as f64;
-            table.push(vec![
-                n.to_string(),
-                format!("{:.0}", churn * 100.0),
-                format!("{fresh_ms:.3}"),
-                format!("{persistent_ms:.3}"),
-                format!("{speedup:.2}"),
-                format!("{refresh_us:.1}"),
-                format!("{inv_per_round:.0}"),
-                format!("{reused_per_round:.0}"),
-            ]);
-            config_values.push(Value::Object(vec![
-                ("advertisers".into(), Value::from(n)),
-                ("churn_pct".into(), Value::from(churn * 100.0)),
-                ("rounds".into(), Value::from(rounds)),
-                ("plan_nodes".into(), Value::from(plan.node_count())),
-                ("fresh_wd_ms_per_round".into(), Value::from(fresh_ms)),
-                (
-                    "persistent_wd_ms_per_round".into(),
-                    Value::from(persistent_ms),
-                ),
-                ("speedup".into(), Value::from(speedup)),
-                ("refresh_us_per_round".into(), Value::from(refresh_us)),
-                (
-                    "nodes_invalidated_per_round".into(),
-                    Value::from(inv_per_round),
-                ),
-                (
-                    "cache_items_reused_per_round".into(),
-                    Value::from(reused_per_round),
-                ),
-            ]));
-        }
-    }
-    table.emit(&out_dir()).expect("write results");
-
-    let doc = Value::Object(vec![
-        ("benchmark".into(), Value::from("shared_sort_persistent")),
-        ("host".into(), host_metadata()),
-        ("phrases".into(), Value::from(16usize)),
-        ("k".into(), Value::from(k)),
-        (
-            "note".into(),
-            Value::from(
-                "per-round shared-sort winner determination (median round); fresh = \
-                 instantiate + TA, persistent = dirty-cone refresh + TA; round 0 (cold \
-                 build) excluded",
-            ),
-        ),
-        ("configs".into(), Value::Array(config_values)),
-    ]);
-    std::fs::write("BENCH_shared_sort.json", doc.to_string_pretty())
-        .expect("write BENCH_shared_sort.json");
-    println!("wrote BENCH_shared_sort.json");
 }
 
 /// Sharded pipelined round execution vs the classic executor: full-round
@@ -1427,369 +378,6 @@ fn planner_scaling(quick: bool) {
     std::fs::write("BENCH_planner_scaling.json", doc.to_string_pretty())
         .expect("write BENCH_planner_scaling.json");
     println!("wrote BENCH_planner_scaling.json");
-}
-
-/// Hybrid routing on mixed workloads: per-round winner-determination cost
-/// of adaptive `Hybrid` (cost-model-seeded routing with online phrase
-/// migration) vs static `Hybrid` (the fixed separability route) vs pure
-/// `SharedSort` vs `Unshared`, swept over the separable share of the
-/// phrase set. All four engines run the same rounds in lockstep under
-/// `throttle-exact` — bids churn every round, so the sort paths pay their
-/// refresh — and every round asserts the strategies resolve identically
-/// before any timing is trusted. In `--quick` mode this is also the CI
-/// perf gate: adaptive must reach at least 0.98x the best fixed strategy
-/// at every sweep point. Writes `results/hybrid_routing.*` plus the
-/// top-level `BENCH_hybrid_routing.json` the CI `hybrid-smoke` job
-/// uploads.
-fn hybrid_routing(quick: bool) {
-    let advertisers = if quick { 800 } else { 2_000 };
-    let rounds = if quick { 24usize } else { 32 };
-    // Rounds excluded from the timing comparison (identity is still
-    // asserted on every round): they cover cache warm-up, the engines'
-    // lazy first-round initialisation, and the adaptive router's
-    // calibration-and-migration window (calibration needs a couple of
-    // observed rounds per path, and post-seed migrations are spread over
-    // several boundaries by the per-boundary cap), whose one-off costs
-    // would otherwise drown the steady-state signal in a short sweep.
-    let warmup = 8usize;
-    // The adaptive route must stay within 2% of the best fixed strategy
-    // at every sweep point (the CI gate, quick mode); the recorded full
-    // sweep aims for parity or better. A below-threshold attempt is
-    // re-measured from scratch up to `max_attempts` times before the
-    // quick gate fails. Fresh engines per attempt matter more than the
-    // count suggests: the dominant variance at quick scale is not
-    // per-round jitter (the median absorbs that) but per-instance
-    // allocation placement — engines doing bit-identical work routinely
-    // measure 10% apart for the lifetime of the process — and only a
-    // reconstruction re-draws that. Both modes get the same attempt
-    // budget: the full sweep's larger rounds carry less per-round noise,
-    // but its recorded artifact claims parity-or-better, so it needs
-    // placement re-rolls at least as much as the CI gate does.
-    let gate = if quick { 0.98 } else { 1.0 };
-    let max_attempts = 6usize;
-    let phrases = 160usize;
-    let mixes: &[f64] = &[0.25, 0.50, 0.75];
-    let strategies: &[(&str, SharingStrategy, RoutingMode)] = &[
-        ("adaptive", SharingStrategy::Hybrid, RoutingMode::Adaptive),
-        ("hybrid", SharingStrategy::Hybrid, RoutingMode::Static),
-        (
-            "shared-sort",
-            SharingStrategy::SharedSort,
-            RoutingMode::Static,
-        ),
-        ("unshared", SharingStrategy::Unshared, RoutingMode::Static),
-    ];
-
-    let mut table = Table::new(
-        "hybrid_routing",
-        "adaptive + static hybrid vs pure strategies on mixed workloads \
-         (throttle-exact, lockstep-verified)",
-        &[
-            "separable %",
-            "strategy",
-            "wd ms/round",
-            "plan phrases",
-            "sort phrases",
-            "migrations",
-            "speedup vs shared-sort",
-        ],
-    );
-    let mut mix_values = Vec::new();
-
-    for &mix in mixes {
-        let w = Workload::generate(&WorkloadConfig {
-            advertisers,
-            phrases,
-            topics: 8,
-            generalist_fraction: 0.9,
-            search_rate_zipf_exponent: 0.0,
-            max_search_rate: 1.0,
-            budget_mu: 1.0,
-            phrase_factor_jitter: 0.4,
-            separable_fraction: mix,
-            seed: 11,
-            ..WorkloadConfig::default()
-        });
-        // Per-strategy winner-determination floors pooled across attempts.
-        // A single attempt compares one instance draw per engine, and the
-        // "best fixed" min over three draws is biased low against the
-        // adaptive engine's single draw; pooling gives every strategy the
-        // same number of draws, so both sides of the gate converge to
-        // their true floors as attempts accumulate.
-        let mut pooled = vec![f64::INFINITY; strategies.len()];
-        // Pooling only converges if attempts are independent draws, but a
-        // plain drop-and-reconstruct cycle replays the allocator's free
-        // lists and lands every attempt on the SAME heap placement — a
-        // failing ratio repeats bit-identically across attempts.
-        // Retaining an attempt-sized shim allocation shifts every block
-        // the next attempt carves out, so instance placement re-rolls.
-        let mut placement_shim: Vec<Vec<u8>> = Vec::new();
-        for attempt in 1..=max_attempts {
-            placement_shim.push(vec![1u8; 192 * 1024 * attempt]);
-            // Each fixed strategy is measured in a PAIR with its own fresh
-            // adaptive engine rather than all four engines sharing one
-            // round loop. Co-tenancy is the dominant protocol bias at this
-            // scale: four engines cycling through one process evict each
-            // other's working sets every fraction of a millisecond, which
-            // taxes the biggest resident set (the adaptive pair carries a
-            // plan AND a full sort network) hardest — an A/A test with
-            // four identical shared-sort engines showed persistent 3–8%
-            // instance gaps from nothing but process placement. Pairing
-            // halves the eviction pressure, gives the adaptive side one
-            // instance draw per fixed strategy (symmetric with the fixed
-            // side's), and still asserts identity per round: adaptive is
-            // the reference of every pair, so all four strategies remain
-            // transitively bit-identical.
-            let mut fixed_engines: Vec<Option<Engine>> =
-                (0..strategies.len()).map(|_| None).collect();
-            let mut adaptive_engine: Option<Engine> = None;
-            let mut warm_base = vec![(0u128, 0u128, 0u128); strategies.len()];
-            let block = 4usize;
-            debug_assert_eq!(warmup % block, 0);
-            debug_assert_eq!(rounds % block, 0);
-            for pair in 1..strategies.len() {
-                let make = |idx: usize| -> Engine {
-                    let (_, sharing, routing) = strategies[idx];
-                    Engine::new(
-                        w.clone(),
-                        EngineConfig {
-                            sharing,
-                            routing,
-                            budget_policy: BudgetPolicy::ThrottleExact,
-                            slot_factors: vec![0.3, 0.25, 0.2, 0.15, 0.1, 0.05],
-                            seed: 29,
-                            ..EngineConfig::default()
-                        },
-                    )
-                };
-                // Construction order alternates (the first-constructed
-                // engine of a process phase lands on measurably different
-                // heap placement).
-                let mut engines: Vec<Engine> = if (attempt + pair) % 2 == 0 {
-                    let a = make(0);
-                    let f = make(pair);
-                    vec![a, f]
-                } else {
-                    let f = make(pair);
-                    let a = make(0);
-                    vec![a, f]
-                };
-                // The two engines advance in lockstep *blocks* of four
-                // rounds, alternating which goes first. Per-round
-                // interleaving would run every round from a cold LLC; in a
-                // block the first round absorbs the eviction, the rest run
-                // warm, and the min-of-rounds below keeps the warm ones.
-                // Blocks are short (~5ms), so seconds-scale machine drift
-                // still hits both engines alike.
-                let mut round_wd: Vec<Vec<u128>> =
-                    (0..2).map(|_| Vec::with_capacity(rounds)).collect();
-                let mut outcomes: Vec<Vec<Vec<ssa_core::engine::AuctionOutcome>>> =
-                    vec![Vec::new(); 2];
-                let mut pair_warm_base = [(0u128, 0u128, 0u128); 2];
-                for block_start in (0..rounds).step_by(block) {
-                    for slot in 0..2 {
-                        let i = (block_start / block + slot + pair) % 2;
-                        outcomes[i].clear();
-                        for _ in 0..block {
-                            let wd_before = engines[i].metrics().wd_nanos;
-                            outcomes[i].push(engines[i].run_round());
-                            round_wd[i].push(engines[i].metrics().wd_nanos - wd_before);
-                        }
-                    }
-                    let name = strategies[pair].0;
-                    let (adaptive_out, fixed_out) = outcomes.split_first().expect("two engines");
-                    for (offset, (reference, out)) in
-                        adaptive_out.iter().zip(&fixed_out[0]).enumerate()
-                    {
-                        let round = block_start + offset;
-                        assert_eq!(
-                            reference.len(),
-                            out.len(),
-                            "round {round}: adaptive and {name} disagree on occurring phrases \
-                         (mix {mix})"
-                        );
-                        for (a, b) in reference.iter().zip(out) {
-                            assert_eq!(
-                                (a.phrase, &a.assignment),
-                                (b.phrase, &b.assignment),
-                                "round {round}: adaptive and {name} resolve phrase {} \
-                             differently (mix {mix})",
-                                a.phrase
-                            );
-                        }
-                    }
-                    if block_start + block == warmup {
-                        for (base, engine) in pair_warm_base.iter_mut().zip(&engines) {
-                            let m = engine.metrics();
-                            *base = (m.wd_nanos, m.wd_plan_nanos, m.wd_sort_nanos);
-                        }
-                    }
-                }
-
-                // The per-strategy cost is the MINIMUM per-round winner-
-                // determination wall-clock over the post-warm-up rounds.
-                // Timing noise on shared hardware is one-sided — a
-                // scheduler stall or frequency dip only ever adds time —
-                // so the fastest round each engine achieves is the
-                // tightest reproducible estimate of its true cost (the
-                // same reasoning as `timeit`'s min-of-repeats). A median
-                // looks more robust but is worse here: machine-wide slow
-                // regimes inflate the memory-bound shared engines far more
-                // than the compute-bound unshared scan, so medians skew
-                // the whole comparison toward unshared; the min compares
-                // every engine at its unimpeded speed.
-                let warm_wd = |i: usize| -> f64 {
-                    *round_wd[i][warmup..].iter().min().expect("warm rounds") as f64
-                };
-                pooled[0] = pooled[0].min(warm_wd(0));
-                pooled[pair] = pooled[pair].min(warm_wd(1));
-                let mut engines = engines.into_iter();
-                let adaptive = engines.next().expect("adaptive engine");
-                if pair == 1 {
-                    warm_base[0] = pair_warm_base[0];
-                    adaptive_engine = Some(adaptive);
-                }
-                warm_base[pair] = pair_warm_base[1];
-                fixed_engines[pair] = Some(engines.next().expect("fixed engine"));
-            }
-            let engines: Vec<Engine> =
-                std::iter::once(adaptive_engine.expect("adaptive engine measured"))
-                    .chain(
-                        fixed_engines
-                            .into_iter()
-                            .skip(1)
-                            .map(|e| e.expect("every fixed strategy measured")),
-                    )
-                    .collect();
-            let sort_wd = pooled[2.min(engines.len() - 1)];
-            let best_fixed_wd = pooled[1..].iter().copied().fold(f64::INFINITY, f64::min);
-            let speedup_vs_best_fixed = best_fixed_wd / pooled[0];
-            if speedup_vs_best_fixed < gate && attempt < max_attempts {
-                // Name every floor so a gate failure in CI says who was
-                // fast, not just by how much.
-                let floors: Vec<String> = strategies
-                    .iter()
-                    .zip(&pooled)
-                    .map(|(&(name, _, _), &ns)| format!("{name} {:.1}us", ns / 1e3))
-                    .collect();
-                eprintln!(
-                    "  mix {:.0}%: attempt {attempt} pooled {speedup_vs_best_fixed:.3}x \
-                 best fixed ({} migrations; floors: {}), re-measuring",
-                    mix * 100.0,
-                    engines[0].metrics().router_migrations,
-                    floors.join(", ")
-                );
-                continue;
-            }
-            let mut strategy_values = Vec::new();
-            for (i, (engine, &(name, _, _))) in engines.iter().zip(strategies).enumerate() {
-                let m = engine.metrics();
-                let wd_ms = pooled[i] / 1e6;
-                table.push(vec![
-                    format!("{:.0}", mix * 100.0),
-                    name.to_string(),
-                    format!("{wd_ms:.3}"),
-                    m.phrases_routed_plan.to_string(),
-                    m.phrases_routed_sort.to_string(),
-                    m.router_migrations.to_string(),
-                    format!("{:.2}", sort_wd / pooled[i]),
-                ]);
-                let mut fields = vec![
-                    ("strategy".into(), Value::from(name)),
-                    ("wd_ms_per_round".into(), Value::from(wd_ms)),
-                    (
-                        "wd_plan_ms".into(),
-                        Value::from((m.wd_plan_nanos - warm_base[i].1) as f64 / 1e6),
-                    ),
-                    (
-                        "wd_sort_ms".into(),
-                        Value::from((m.wd_sort_nanos - warm_base[i].2) as f64 / 1e6),
-                    ),
-                    (
-                        "sort_refresh_ms".into(),
-                        Value::from(m.sort_refresh_nanos as f64 / 1e6),
-                    ),
-                    (
-                        "phrases_routed_plan".into(),
-                        Value::from(m.phrases_routed_plan),
-                    ),
-                    (
-                        "phrases_routed_sort".into(),
-                        Value::from(m.phrases_routed_sort),
-                    ),
-                    ("router_migrations".into(), Value::from(m.router_migrations)),
-                    (
-                        "speedup_vs_shared_sort".into(),
-                        Value::from(sort_wd / pooled[i]),
-                    ),
-                ];
-                if name == "adaptive" {
-                    fields.push((
-                        "speedup_vs_best_fixed".into(),
-                        Value::from(speedup_vs_best_fixed),
-                    ));
-                }
-                strategy_values.push(Value::Object(fields));
-            }
-            mix_values.push(Value::Object(vec![
-                ("separable_fraction".into(), Value::from(mix)),
-                (
-                    "separable_phrases".into(),
-                    Value::from(w.separable_phrase_count()),
-                ),
-                ("strategies".into(), Value::Array(strategy_values)),
-            ]));
-            // CI perf gate (quick sweep): the adaptive router must never lose
-            // more than 2% to the best fixed strategy at any sweep point —
-            // the regression this router exists to close is Hybrid losing to
-            // all-SharedSort at 25% separable.
-            if quick {
-                assert!(
-                    speedup_vs_best_fixed >= gate,
-                    "adaptive routing fell to {speedup_vs_best_fixed:.3}x the best fixed \
-                 strategy at {:.0}% separable ({max_attempts} attempts)",
-                    mix * 100.0
-                );
-            }
-            println!(
-                "  mix {:.0}%: adaptive {:.2}x best fixed ({} migrations)",
-                mix * 100.0,
-                speedup_vs_best_fixed,
-                engines[0].metrics().router_migrations
-            );
-            break;
-        }
-    }
-    table.emit(&out_dir()).expect("write results");
-
-    let doc = Value::Object(vec![
-        ("benchmark".into(), Value::from("hybrid_routing")),
-        ("host".into(), host_metadata()),
-        ("advertisers".into(), Value::from(advertisers)),
-        ("phrases".into(), Value::from(phrases)),
-        ("rounds".into(), Value::from(rounds)),
-        ("warmup_rounds".into(), Value::from(warmup)),
-        ("budget_policy".into(), Value::from("throttle-exact")),
-        (
-            "note".into(),
-            Value::from(
-                "per-round winner-determination wall-clock on mixed workloads; every \
-                 round all strategies are asserted bit-identical, and each strategy's \
-                 cost is the fastest post-warm-up round (warm-up absorbs one-off \
-                 init, cache warming, and the adaptive router's calibration window; \
-                 noise on shared hardware is one-sided, so the min is the tightest \
-                 reproducible estimate); static \
-                 hybrid routes separable phrases to one shared-aggregation plan and \
-                 the rest to a subset sort network; adaptive hybrid seeds that route \
-                 from the paper's cost models and migrates phrases online from \
-                 measured per-path wall-clock",
-            ),
-        ),
-        ("mixes".into(), Value::Array(mix_values)),
-    ]);
-    std::fs::write("BENCH_hybrid_routing.json", doc.to_string_pretty())
-        .expect("write BENCH_hybrid_routing.json");
-    println!("wrote BENCH_hybrid_routing.json");
 }
 
 /// A8: memory-scale hot state. Sweeps the advertiser population at a

@@ -1,8 +1,8 @@
 //! The cost-model phrase router for `SharingStrategy::Hybrid`.
 //!
 //! The static hybrid routes every separable phrase to the aggregation
-//! plan unconditionally, whether or not the plan wins it — the
-//! 25%-separable regression in `BENCH_hybrid_routing.json`. This router
+//! plan unconditionally, whether or not the plan wins it — at a 25%
+//! separable share it lost to pure `SharedSort`. This router
 //! instead treats routing as a cost-model decision, in three layers:
 //!
 //! 1. **Seed** — each plan-eligible phrase starts on the path with the

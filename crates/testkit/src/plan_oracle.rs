@@ -6,8 +6,8 @@
 //! [`reference_plan`] is the rule as written — re-enumerate every node
 //! pair, re-run every greedy cover, every step — and is what that
 //! rewrite's plans are cost-checked against (`diff`'s `plan-vs-reference`
-//! corpus check, `tests/planner_prop.rs`) and what `experiments fig4`
-//! reports beside it. Quadratic per step: a 20-variable Figure 4 instance
+//! corpus check, `tests/planner_prop.rs`) and what the `fig4` paper
+//! figure (`ssa_bench::figures`) reports beside it. Quadratic per step: a 20-variable Figure 4 instance
 //! takes ~0.2 s, 100 advertisers seconds, 300 minutes.
 
 use ssa_core::plan::fragments::build_fragment_plan;
