@@ -416,7 +416,10 @@ fn memory_scaling(quick: bool) {
     } else {
         &[10_000, 100_000, 1_000_000]
     };
-    let rounds = if quick { 10usize } else { 16 };
+    // 64 full rounds: with a warm merge network a SharedSort round is
+    // cheap enough that over only 16 the 100k mean was dominated by the
+    // cold first occurrences of its larger phrase universe.
+    let rounds = if quick { 10usize } else { 64 };
     let warmup = 2usize;
     let latency_gate = 10.0; // max mean-latency growth per 10x advertisers
     struct StrategyCase {

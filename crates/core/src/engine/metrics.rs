@@ -116,9 +116,10 @@ pub struct EngineMetrics {
     /// Wall-clock nanoseconds in the unshared resolver (included in
     /// `wd_nanos`).
     pub wd_unshared_nanos: u128,
-    /// Wall-clock nanoseconds diffing bids and refreshing the persistent
-    /// merge network (`prepare`), disjoint from `wd_sort_nanos`; included
-    /// in `wd_nanos`.
+    /// Wall-clock nanoseconds bringing the occurring phrases' merge-network
+    /// leaves to their effective bids and refreshing the dirty cones (the
+    /// first step of the sort resolver's `resolve`), disjoint from
+    /// `wd_sort_nanos`; included in `wd_nanos`.
     pub sort_refresh_nanos: u128,
     /// Wall-clock nanoseconds pricing, displaying, and settling clicks.
     pub settle_nanos: u128,

@@ -495,8 +495,6 @@ impl Engine {
                         subset.as_deref(),
                     );
                     self.metrics.router_sort_rebuilds += 1;
-                } else {
-                    sort.set_phrase_active(phrase.index(), !to_plan);
                 }
                 self.metrics.router_migrations += 1;
                 true

@@ -62,16 +62,17 @@ pub struct RoundContext<'a> {
     pub budgets: &'a (dyn Fn(usize, u64) -> BudgetContext + Sync),
 }
 
-/// One winner-determination path. `prepare` runs once per round before
-/// any phrase is resolved (the sort resolver refreshes its persistent
-/// network there); `resolve` turns a batch of occurring phrases into
-/// auction outcomes, in the same phrase order.
+/// One winner-determination path: `resolve` turns a batch of occurring
+/// phrases into auction outcomes, in the same phrase order.
 ///
 /// `effective_bids` is mutable because the unshared bounds path computes
 /// exact throttled bids only for its ranked top `k + 1` and backfills
 /// them for pricing; the shared resolvers treat it as read-only.
 pub trait PhraseResolver {
-    /// Round preamble; default is a no-op.
+    /// Round preamble. No resolver implements it — the sort resolver
+    /// refreshes its network inside `resolve`, from the phrases it is
+    /// handed — and the engine never calls it; it stays only because the
+    /// frozen `benchmark/` replay still does.
     fn prepare(
         &mut self,
         _ctx: &RoundContext<'_>,
@@ -127,18 +128,18 @@ pub(crate) enum Resolvers {
 /// the sort resolver is recompiled over exactly the sort-routed subset.
 ///
 /// The adaptive engine compiles its sort network over *all* phrases so
-/// cold-start migration is a counter flip, but that generality has a
+/// cold-start migration is a route-bit flip, but that generality has a
 /// standing cost: under generalist-heavy interest sets every internal
-/// node serves at least one sort-routed phrase, so even with inactive
-/// leaves deferred the live cones span the full-set arena — measurably
-/// slower (~5% wall-clock) than a subset-compiled network doing
-/// bit-identical work, purely from cache footprint. Once the router has
+/// node serves at least one sort-routed phrase, so the live cones span
+/// the full-set arena — measurably slower (~5% wall-clock) than a
+/// subset-compiled network doing bit-identical work, purely from cache
+/// footprint. Once the router has
 /// converged, that insurance is no longer worth carrying: the network is
 /// rebuilt over the routed subset, making its shape — and its locality —
 /// identical to a statically compiled engine's. Migrations arriving
 /// after a compaction still work; one that targets a phrase the compact
 /// network dropped forces a rebuild over the widened subset instead of
-/// the usual counter flip.
+/// the usual route-bit flip.
 ///
 /// Strictly above `EVAC_STREAK` (4): group evacuation fires on its
 /// fourth consecutive favourable boundary, so a route heading for
@@ -146,11 +147,10 @@ pub(crate) enum Resolvers {
 /// freeze the pre-evacuation subset in.
 const COMPACT_AFTER_STABLE: u32 = 6;
 
-/// Recompiles `sort` over exactly the route's sort-routed subset and
-/// re-arms its deferral counters. The persistent network rebuilds from
-/// scratch on the next occupied sort round (an all-dirty refresh);
-/// outcomes are unaffected because merge order is bid-deterministic
-/// regardless of network shape.
+/// Recompiles `sort` over exactly the route's sort-routed subset. The
+/// persistent network rebuilds from scratch on the next occupied sort
+/// round (an all-dirty refresh); outcomes are unaffected because merge
+/// order is bid-deterministic regardless of network shape.
 pub(super) fn rebuild_sort(
     sort: &mut SortResolver,
     workload: &Workload,
@@ -163,7 +163,25 @@ pub(super) fn rebuild_sort(
         .map(|(q, &to_plan)| !to_plan && subset.is_none_or(|s| s[q]))
         .collect();
     *sort = SortResolver::new(workload, Some(&mask), 1);
-    sort.defer_inactive_leaves(plan_route);
+}
+
+/// Runs the sort resolver over `phrases`, accounting its wall-clock in
+/// `wd_sort_nanos` net of the network refresh `resolve` times into
+/// `sort_refresh_nanos` itself. Returns the outcomes and that net time,
+/// the adaptive router's sort-path signal.
+fn resolve_sort(
+    sort: &mut SortResolver,
+    ctx: &RoundContext<'_>,
+    phrases: &[PhraseId],
+    effective_bids: &mut [Money],
+    metrics: &mut EngineMetrics,
+) -> (Vec<AuctionOutcome>, u128) {
+    let refresh_before = metrics.sort_refresh_nanos;
+    let started = Instant::now();
+    let out = sort.resolve(ctx, phrases, effective_bids, metrics);
+    let nanos = started.elapsed().as_nanos() - (metrics.sort_refresh_nanos - refresh_before);
+    metrics.wd_sort_nanos += nanos;
+    (out, nanos)
 }
 
 /// The sort path's group terms for the router under `plan_route`: the
@@ -201,10 +219,9 @@ impl Resolvers {
     /// The Hybrid resolver pair. Static routing compiles each resolver
     /// over exactly its separability subset. Adaptive routing compiles
     /// the plan over the separable subset but the sort network over *all*
-    /// phrases (with refresh deferred to sort-routed leaves), so a later
-    /// migration in either direction is a bookkeeping update — the
-    /// router's route bit plan-side, a leaf activation sort-side — never
-    /// a recompile.
+    /// phrases, so a later migration in either direction is the router's
+    /// route bit, never a recompile: the sort network refreshes whatever
+    /// occurs on it.
     ///
     /// With `subset` set (sharded execution) every compiled set is
     /// intersected with the shard's phrases and the cost models see only
@@ -280,7 +297,7 @@ impl Resolvers {
                 let (sort_fixed, sort_absorb_extra) =
                     sort_group_terms(&sort, router.search_rates(), router.route());
                 router.set_sort_model(sort_fixed, sort_absorb_extra);
-                sort.defer_inactive_leaves(router.route());
+                sort.cluster_routed_phrases(router.route());
                 Resolvers::Hybrid {
                     plan,
                     sort,
@@ -341,13 +358,7 @@ impl Resolvers {
             }
             Resolvers::Sort(resolver) => {
                 metrics.phrases_routed_sort += occurring.len() as u64;
-                // `prepare` (network refresh) times itself into
-                // `sort_refresh_nanos`; `wd_sort_nanos` is resolve only.
-                resolver.prepare(ctx, effective_bids, metrics);
-                let started = Instant::now();
-                let out = resolver.resolve(ctx, occurring, effective_bids, metrics);
-                metrics.wd_sort_nanos += started.elapsed().as_nanos();
-                out
+                resolve_sort(resolver, ctx, occurring, effective_bids, metrics).0
             }
             Resolvers::Hybrid {
                 plan,
@@ -371,23 +382,13 @@ impl Resolvers {
                 metrics.phrases_routed_plan += plan_phrases.len() as u64;
                 metrics.phrases_routed_sort += sort_phrases.len() as u64;
 
-                // Static routing refreshes the sort network every round —
-                // even when no sort phrase occurs — so its dirty-cone
-                // state tracks the bid stream exactly as a pure
-                // `SharedSort` engine's does. Adaptive routing instead
-                // defers stale leaves to the next occupied round (the
-                // resolver skips inactive leaves when diffing), so an
-                // empty sort subset costs nothing.
-                if !router.is_adaptive() || !sort_phrases.is_empty() {
-                    sort.prepare(ctx, effective_bids, metrics);
-                }
+                // The sort network refreshes only under the phrases it is
+                // handed, so a round with none costs it nothing.
                 let sort_out = if sort_phrases.is_empty() {
                     Vec::new()
                 } else {
-                    let started = Instant::now();
-                    let out = sort.resolve(ctx, sort_phrases, effective_bids, metrics);
-                    let nanos = started.elapsed().as_nanos();
-                    metrics.wd_sort_nanos += nanos;
+                    let (out, nanos) =
+                        resolve_sort(sort, ctx, sort_phrases, effective_bids, metrics);
                     router.observe_sort(nanos, sort_phrases);
                     out
                 };
@@ -419,30 +420,24 @@ impl Resolvers {
                     .collect();
 
                 // Round boundary: migrate phrases whose calibrated cost
-                // on the other path clears the hysteresis margin. Each
-                // move is incremental — the route bit plan-side, an
-                // active-leaf count flip in the sort network (its stale
-                // cone repairs on the next refresh).
+                // on the other path clears the hysteresis margin. A move
+                // is the route bit alone: a phrase entering the sort
+                // network has its stale leaves refreshed when it next
+                // occurs there.
                 if !occurring.is_empty() {
                     let mut migrated = false;
                     let mut outgrew_network = false;
                     for &(q, to_plan) in router.rebalance() {
-                        if !to_plan && !sort.serves_phrase(q) {
-                            // The phrase enters a network that was
-                            // compacted past it; there is no leaf to
-                            // re-activate — rebuild below.
-                            outgrew_network = true;
-                        } else {
-                            sort.set_phrase_active(q, !to_plan);
-                        }
+                        // A network compacted past the phrase has no root
+                        // for it: rebuild below.
+                        outgrew_network |= !to_plan && !sort.serves_phrase(q);
                         metrics.router_migrations += 1;
                         migrated = true;
                     }
                     // The sort path's group cost depends on which phrases
-                    // the network actively serves, so a migration
-                    // invalidates it; re-derive both terms from the model
-                    // (O(network), only on boundaries that moved
-                    // something).
+                    // the network serves, so a migration invalidates it;
+                    // re-derive both terms from the model (O(network),
+                    // only on boundaries that moved something).
                     if migrated {
                         *stable_boundaries = 0;
                         if outgrew_network {

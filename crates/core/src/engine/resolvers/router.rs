@@ -23,11 +23,12 @@
 //!    the hysteresis margin, rate-limited per boundary and per phrase
 //!    (cooldown) so timing noise cannot thrash a phrase back and forth.
 //!
-//! Migration is incremental everywhere: the plan side is this router's
-//! route bit and nothing else (the plan's cost model is stateless, read
-//! once for the seed marginals, and plan evaluation is occurrence-driven),
-//! the sort side an active-leaf counter bump whose staleness the next
-//! dirty-cone `MergeNetwork::refresh` repairs. No structure is rebuilt.
+//! Migration is this router's route bit and nothing else, on both sides:
+//! the plan's cost model is stateless, read once for the seed marginals,
+//! and plan evaluation is occurrence-driven; the sort network refreshes
+//! the leaves under whatever phrases it is handed, so a phrase entering
+//! it has its stale leaves repaired when it first occurs there. No
+//! structure is rebuilt.
 
 use ssa_auction::ids::PhraseId;
 

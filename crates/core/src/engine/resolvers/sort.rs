@@ -12,25 +12,28 @@ use crate::sort::planner::{build_shared_sort_plan_sparse, SortPlan};
 use crate::sort::ta::{threshold_top_k_into, TaScratch};
 use crate::sort::{LeafCones, MergeNetwork, RefreshStats, SortItem};
 
-/// Every this-many rounds, merge caches untouched for at least this many
-/// refreshes are freed ([`MergeNetwork::evict_cold`]), bounding resident
-/// cache memory to *recently active* phrases' cones. 64 keeps steady-state
-/// hot caches warm (eviction never fires for a cone touched each round)
-/// while cold phrases' caches survive at most ~2 horizons.
-const CACHE_EVICT_HORIZON: u32 = 64;
-
 use super::super::{AuctionOutcome, EngineMetrics};
 use super::{PhraseResolver, RoundContext};
 
 /// Shared merge-sort + Threshold Algorithm over a (possibly strict)
 /// subset of the workload's phrases. The merge network lives for the
-/// lifetime of the [`SortPlan`]: each round `prepare` diffs the new
-/// effective bids against `prev_bids` and refreshes only the dirty cones,
-/// so untouched subtrees keep their cached merged prefixes. TA scratch
-/// (seen-sets, top-k working lists) also persists so steady-state rounds
-/// allocate nothing in those paths. Outcomes are bit-identical to
-/// fresh-per-round instantiation (pinned by the `sort-persistent`
-/// differential-corpus check in `ssa-testkit`).
+/// lifetime of the [`SortPlan`]. Each `resolve` first brings the leaves of
+/// the phrases it is handed to their effective bids, refreshing only the
+/// dirty cones above leaves whose bid moved, then runs TA; untouched
+/// subtrees keep their cached merged prefixes.
+///
+/// A leaf under no occurring root keeps the bid of its advertiser's last
+/// participation. Nothing can observe that: every node under an
+/// occurring phrase's root covers only that phrase's interest set, and
+/// all of them participate this round, so all of them were just
+/// refreshed. The refresh is therefore sized by the occurring interest
+/// sets, never by the population or the network, and an advertiser whose
+/// bid is the same at each participation never dirties anything.
+///
+/// TA scratch (seen-sets, top-k working lists) also persists so
+/// steady-state rounds allocate nothing in those paths. Outcomes are
+/// bit-identical to fresh-per-round instantiation (pinned by the
+/// `sort-persistent` differential-corpus check in `ssa-testkit`).
 pub struct SortResolver {
     /// Offline shared-sort plan over the bound phrase subset.
     plan: SortPlan,
@@ -40,26 +43,12 @@ pub struct SortResolver {
     /// Per leaf, the merge operators a bid change there invalidates
     /// (`SortPlan::leaf_cones`, computed once at plan-build time; CSR).
     cones: LeafCones,
-    /// The persistent network; `None` until the first round builds it
+    /// The persistent network; `None` until the first `resolve` builds it
     /// from that round's effective bids.
     net: Option<MergeNetwork>,
     /// Per-phrase roots in network node space (`usize::MAX` for empty or
     /// unbound phrases).
     roots: Vec<usize>,
-    /// The effective bids the network currently reflects.
-    prev_bids: Vec<Money>,
-    /// Adaptive-routing deferral: per leaf, how many *sort-routed*
-    /// phrases are interested in it. `None` (static routing) keeps every
-    /// leaf live. A leaf with count zero is skipped when diffing, so its
-    /// `prev_bids` entry — and the network above it — lags the bid
-    /// stream; no TA can observe the staleness because every node
-    /// reachable from a sort-routed phrase's root has only live leaves
-    /// beneath it. When a migration re-activates a leaf, the next
-    /// `prepare`'s diff sees the accumulated lag and repairs exactly that
-    /// leaf's dirty cone — migration costs a cone repair, not a rebuild.
-    active: Option<Vec<u32>>,
-    /// Reusable bid-delta buffer.
-    changed: Vec<(usize, Money)>,
     /// TA scratch + output buffer.
     ta_scratch: TaScratch,
     ta_out: Vec<(AdvertiserId, Score)>,
@@ -67,9 +56,6 @@ pub struct SortResolver {
     /// phrase outside the compiled set has no root and no `c_order`;
     /// routing it here requires rebuilding the resolver first.
     compiled: Vec<bool>,
-    /// Rounds prepared so far; drives the amortized cold-cache eviction
-    /// sweep (every [`CACHE_EVICT_HORIZON`] rounds).
-    rounds_prepared: u64,
 }
 
 impl SortResolver {
@@ -127,29 +113,25 @@ impl SortResolver {
             c_orders,
             net: None,
             roots: Vec::new(),
-            prev_bids: Vec::new(),
-            active: None,
-            changed: Vec::new(),
             ta_scratch: TaScratch::new(),
             ta_out: Vec::new(),
             compiled: (0..m).map(included).collect(),
-            rounds_prepared: 0,
         }
     }
 
     /// Heap footprint of the resolver's hot state in bytes: plan arena,
-    /// leaf cones, persistent network (node pools + caches), and the
-    /// per-round buffers. Powers the memory-scaling gate's deterministic
-    /// bytes-per-advertiser accounting.
+    /// leaf cones, persistent network (node pools + caches), TA seen-set,
+    /// and the per-phrase tables. Powers the memory-scaling gate's
+    /// deterministic bytes-per-advertiser accounting.
     pub fn heap_bytes(&mut self) -> usize {
         use std::mem::size_of;
         let net = self.net.as_mut().map_or(0, |n| n.heap_bytes());
         self.plan.heap_bytes()
             + self.cones.heap_bytes()
             + net
-            + self.prev_bids.capacity() * size_of::<Money>()
-            + self.changed.capacity() * size_of::<(usize, Money)>()
+            + self.ta_scratch.heap_bytes()
             + self.roots.capacity() * size_of::<usize>()
+            + self.compiled.capacity()
             + self
                 .c_orders
                 .iter()
@@ -174,55 +156,23 @@ impl SortResolver {
             .any(|(&compiled, &to_plan)| compiled && to_plan)
     }
 
-    /// Switches the resolver (typically one compiled over *all* phrases)
-    /// into deferred-leaf mode: only leaves some sort-routed phrase
-    /// (`plan_route[q] == false`) is interested in are diffed each round.
-    /// Used by the adaptive hybrid router, whose migrations need every
-    /// phrase to already have a root and `c_order` in the network —
-    /// activating a phrase is then a counter bump plus one deferred cone
-    /// repair. Must be called before the first round builds the network.
-    ///
-    /// Also repacks the plan's arena around the initially active phrases
-    /// ([`SortPlan::cluster_hot_phrases`]): the all-phrase network is up
-    /// to twice the size of the active subset's, and leaving the active
-    /// cones scattered through it measurably degrades refresh and TA
-    /// locality (~5% wall-clock against a subset-compiled network doing
+    /// Repacks the plan's arena around the sort-routed phrases
+    /// (`plan_route[q] == false`, [`SortPlan::cluster_hot_phrases`]). The
+    /// adaptive hybrid router compiles its network over *all* phrases, so
+    /// that migrating a phrase onto the sort path is a route bit: every
+    /// phrase already has a root and `c_order`. That network is up to
+    /// twice the size of the routed subset's, and leaving the routed cones
+    /// scattered through it measurably degrades refresh and TA locality
+    /// (~5% wall-clock against a subset-compiled network doing
     /// bit-identical work). Clustering restores the subset network's
     /// layout; phrases migrating in later land in the cold suffix, which
-    /// is correct just not prefix-packed.
-    pub fn defer_inactive_leaves(&mut self, plan_route: &[bool]) {
-        assert!(self.net.is_none(), "defer before the first round");
+    /// is correct just not prefix-packed. Must be called before the first
+    /// round builds the network.
+    pub(crate) fn cluster_routed_phrases(&mut self, plan_route: &[bool]) {
+        assert!(self.net.is_none(), "cluster before the first round");
         let hot: Vec<bool> = plan_route.iter().map(|&to_plan| !to_plan).collect();
         self.plan.cluster_hot_phrases(&hot);
         self.cones = self.plan.leaf_cones();
-        let mut counts = vec![0u32; self.plan.advertiser_count()];
-        for (q, &to_plan) in plan_route.iter().enumerate() {
-            if !to_plan {
-                for &(a, _) in &self.c_orders[q] {
-                    counts[a.index()] += 1;
-                }
-            }
-        }
-        self.active = Some(counts);
-    }
-
-    /// Adjusts the active-leaf counts when phrase `q` migrates onto
-    /// (`active == true`) or off the sort path. Only meaningful after
-    /// [`SortResolver::defer_inactive_leaves`].
-    pub(crate) fn set_phrase_active(&mut self, q: usize, active: bool) {
-        let counts = self
-            .active
-            .as_mut()
-            .expect("deferred-leaf mode required for migration");
-        for &(a, _) in &self.c_orders[q] {
-            let count = &mut counts[a.index()];
-            if active {
-                *count += 1;
-            } else {
-                debug_assert!(*count > 0, "deactivating an inactive leaf");
-                *count -= 1;
-            }
-        }
     }
 
     /// Per phrase, the marginal expected merge cost (Section III-B units:
@@ -257,65 +207,8 @@ impl SortResolver {
 }
 
 impl PhraseResolver for SortResolver {
-    /// Refreshes (first round: builds) the persistent network from the
-    /// round's effective bids.
-    fn prepare(
-        &mut self,
-        _ctx: &RoundContext<'_>,
-        effective_bids: &[Money],
-        metrics: &mut EngineMetrics,
-    ) {
-        let started = Instant::now();
-        self.rounds_prepared += 1;
-        let stats = match self.net.as_mut() {
-            None => {
-                let (net, roots) = self.plan.instantiate(effective_bids);
-                self.net = Some(net);
-                self.roots = roots;
-                self.prev_bids.clear();
-                self.prev_bids.extend_from_slice(effective_bids);
-                // The whole network is built dirty; nothing was cached.
-                RefreshStats {
-                    nodes_invalidated: self.plan.node_count() as u64,
-                    cache_items_reused: 0,
-                }
-            }
-            Some(net) => {
-                self.changed.clear();
-                let active = self.active.as_deref();
-                for (i, (&new, old)) in effective_bids
-                    .iter()
-                    .zip(self.prev_bids.iter_mut())
-                    .enumerate()
-                {
-                    // Deferred leaves keep their stale `prev_bids` entry:
-                    // the diff that matters runs when they re-activate.
-                    if active.is_some_and(|counts| counts[i] == 0) {
-                        continue;
-                    }
-                    if new != *old {
-                        self.changed.push((i, new));
-                        *old = new;
-                    }
-                }
-                let stats = net.refresh(&self.changed, &self.cones);
-                // Amortized cold-cache sweep: streams stay bit-identical
-                // (evicted nodes regenerate the same items on demand), so
-                // this only bounds memory, never changes outcomes.
-                if self
-                    .rounds_prepared
-                    .is_multiple_of(u64::from(CACHE_EVICT_HORIZON))
-                {
-                    net.evict_cold(CACHE_EVICT_HORIZON);
-                }
-                stats
-            }
-        };
-        metrics.sort_refresh_nanos += started.elapsed().as_nanos();
-        metrics.sort_nodes_invalidated += stats.nodes_invalidated;
-        metrics.sort_cache_items_reused += stats.cache_items_reused;
-    }
-
+    /// Refreshes (first call: builds) the network under `phrases` from
+    /// this round's effective bids, then runs TA per phrase.
     fn resolve(
         &mut self,
         ctx: &RoundContext<'_>,
@@ -323,8 +216,33 @@ impl PhraseResolver for SortResolver {
         effective_bids: &mut [Money],
         metrics: &mut EngineMetrics,
     ) -> Vec<AuctionOutcome> {
+        let started = Instant::now();
+        let stats = match self.net.as_mut() {
+            None => {
+                let (net, roots) = self.plan.instantiate(effective_bids);
+                self.net = Some(net);
+                self.roots = roots;
+                // The whole network is built dirty; nothing was cached.
+                RefreshStats {
+                    nodes_invalidated: self.plan.node_count() as u64,
+                    cache_items_reused: 0,
+                }
+            }
+            Some(net) => {
+                let (c_orders, bids) = (&self.c_orders, &*effective_bids);
+                let leaves = phrases
+                    .iter()
+                    .flat_map(|p| &c_orders[p.index()])
+                    .map(|&(a, _)| (a.index(), bids[a.index()]));
+                net.refresh(leaves, &self.cones)
+            }
+        };
+        metrics.sort_refresh_nanos += started.elapsed().as_nanos();
+        metrics.sort_nodes_invalidated += stats.nodes_invalidated;
+        metrics.sort_cache_items_reused += stats.cache_items_reused;
+
         let k = ctx.k;
-        let net = self.net.as_mut().expect("prepare builds the network");
+        let net = self.net.as_mut().expect("built above");
         let invocations_before = net.invocations();
         let mut out = Vec::with_capacity(phrases.len());
         for &phrase in phrases {

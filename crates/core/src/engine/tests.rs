@@ -230,8 +230,9 @@ fn adaptive_hybrid_matches_unshared_and_shared_sort_round_by_round() {
 
 /// A migrated phrase's first post-migration round must match a
 /// from-scratch engine that carried the post-migration route from round
-/// zero — the deferred-leaf cone repair reconstructs exactly the state an
-/// always-active network would hold.
+/// zero — refreshing the phrase's stale leaves when it first occurs on
+/// the sort path reconstructs exactly the state that engine's network
+/// holds.
 #[test]
 fn migrated_phrase_first_round_matches_a_from_scratch_engine_with_that_route() {
     let policy = BudgetPolicy::ThrottleExact;

@@ -20,13 +20,9 @@
 //! The network is stored struct-of-arrays: parallel `Vec`s of `u32`
 //! child pairs, cursors, leaf items, and per-node caches, instead of a
 //! `Vec` of enum nodes. Node metadata for a 2n-node network is then a
-//! handful of contiguous arrays (~29 bytes/node) that the pull loop
-//! strides through, and the only per-node heap blocks are the caches
-//! that actually hold items. Caches of nodes that no recent round
-//! touched can be *evicted* ([`MergeNetwork::evict_cold`]): cache memory
-//! is then proportional to recently-active cones, not to every phrase
-//! ever searched, and bit-identity survives because an evicted node
-//! regenerates exactly the same stream on demand.
+//! handful of contiguous arrays (~61 bytes/node, 24 of them an empty
+//! cache's header) that the pull loop strides through, and the only
+//! per-node heap blocks are the caches that actually hold items.
 
 pub mod planner;
 pub mod ta;
@@ -138,7 +134,8 @@ pub struct RefreshStats {
 /// bids change, [`MergeNetwork::refresh`] invalidates just the dirty
 /// cones above the changed leaves and keeps every other operator's cached
 /// merged prefix, so the next round's pulls are O(dirty) instead of a
-/// full rebuild.
+/// full rebuild. Every cache is consistent with the bids the leaves below
+/// it currently hold.
 #[derive(Debug, Clone, Default)]
 pub struct MergeNetwork {
     /// Per node, the two children (`[NO_CHILD; 2]` for leaves).
@@ -155,11 +152,6 @@ pub struct MergeNetwork {
     emitted: Vec<Vec<SortItem>>,
     /// No more items below.
     exhausted: Vec<bool>,
-    /// Per node, the refresh epoch of its most recent pull — drives
-    /// [`MergeNetwork::evict_cold`].
-    last_touch: Vec<u32>,
-    /// Refresh counter (the eviction clock).
-    rounds: u32,
     /// Total operator invocations (one per item sent upstream by a merge
     /// operator) — the cost the Section III-B model bounds by `|I_v|`.
     invocations: u64,
@@ -212,7 +204,6 @@ impl MergeNetwork {
         self.cursors.push([0, 0]);
         self.emitted.push(Vec::new());
         self.exhausted.push(false);
-        self.last_touch.push(self.rounds);
         self.dirty_stamps.push(0);
     }
 
@@ -257,39 +248,48 @@ impl MergeNetwork {
                 .map(|e| e.capacity() * size_of::<SortItem>())
                 .sum::<usize>()
             + self.exhausted.capacity()
-            + self.last_touch.capacity() * 4
             + self.dirty_stamps.capacity() * 4
     }
 
-    /// Cross-round invalidation: applies the changed leaf bids and resets
-    /// only the *dirty cones* — each changed leaf plus every operator with
-    /// that leaf somewhere below it. Everything outside the cones keeps
-    /// its cached merged prefix, cursors, and exhausted flag, so the next
-    /// round's pulls re-consume those prefixes for free.
+    /// Cross-round invalidation: brings the given leaves to their new bids
+    /// and resets only the *dirty cones* — each leaf whose bid differs
+    /// from the one it holds, plus every operator with that leaf somewhere
+    /// below it. A leaf handed its current bid costs one compare. Leaves
+    /// not handed in keep their bids, and everything outside the cones
+    /// keeps its cached merged prefix, cursors, and exhausted flag, so the
+    /// next round's pulls re-consume those prefixes for free.
     ///
-    /// `changed` lists `(leaf node id, new bid)` pairs; `cones.cone(leaf)`
-    /// must hold the ids of every merge operator whose advertiser set
-    /// contains `leaf` (see `SortPlan::leaf_cones` — plan node ids equal
-    /// network node ids under `SortPlan::instantiate`). Whole-cone
-    /// invalidation is required for correctness: a clean parent's cursors
-    /// index into its children's caches, which a dirty child is about to
-    /// rewrite.
+    /// `leaves` yields `(leaf node id, bid)` pairs (repeats are fine);
+    /// `cones.cone(leaf)` must hold the ids of every merge operator whose
+    /// advertiser set contains `leaf` (see `SortPlan::leaf_cones` — plan
+    /// node ids equal network node ids under `SortPlan::instantiate`).
+    /// Whole-cone invalidation is required for correctness: a clean
+    /// parent's cursors index into its children's caches, which a dirty
+    /// child is about to rewrite.
     ///
-    /// Streams observed after a refresh are bit-identical to a fresh
-    /// instantiation with the updated bids.
-    pub fn refresh(&mut self, changed: &[(usize, Money)], cones: &LeafCones) -> RefreshStats {
-        self.rounds = self.rounds.wrapping_add(1);
+    /// The stream under any node whose leaves all hold their current bids
+    /// is bit-identical to a fresh instantiation with those bids.
+    pub fn refresh(
+        &mut self,
+        leaves: impl IntoIterator<Item = (usize, Money)>,
+        cones: &LeafCones,
+    ) -> RefreshStats {
         self.dirty_epoch = self.dirty_epoch.wrapping_add(1);
         if self.dirty_epoch == 0 {
             self.dirty_stamps.fill(0);
             self.dirty_epoch = 1;
         }
         let mut invalidated = 0u64;
-        for &(leaf, bid) in changed {
-            assert!(
+        for (leaf, bid) in leaves {
+            // Debug-only: every leaf under an occurring phrase is handed
+            // in each round, and this would be one more cache miss each.
+            debug_assert!(
                 self.children[leaf][0] == NO_CHILD,
                 "refresh target {leaf} is not a leaf"
             );
+            if self.items[leaf].bid == bid {
+                continue;
+            }
             self.items[leaf].bid = bid;
             if self.mark_dirty(leaf) {
                 invalidated += 1;
@@ -307,33 +307,6 @@ impl MergeNetwork {
             nodes_invalidated: invalidated,
             cache_items_reused: self.cached_items,
         }
-    }
-
-    /// Evicts the cache of every node whose last pull is more than
-    /// `horizon` refreshes old, *freeing* the backing storage (unlike the
-    /// refresh-path reset, which keeps capacity for steady-state reuse).
-    /// Returns the number of items dropped.
-    ///
-    /// Safe at any time: caches only ever hold data consistent with the
-    /// *current* leaf bids (refresh resets dirty cones before anything is
-    /// re-read), so an evicted node regenerates a bit-identical stream on
-    /// the next pull — even when a parent outside the evicted set still
-    /// holds cursors into it. Cache memory after periodic eviction is
-    /// proportional to the cones recent rounds actually pulled (the
-    /// *active* phrases), not to every phrase ever searched.
-    pub fn evict_cold(&mut self, horizon: u32) -> u64 {
-        let mut dropped = 0u64;
-        for v in 0..self.children.len() {
-            if self.rounds.wrapping_sub(self.last_touch[v]) > horizon && !self.emitted[v].is_empty()
-            {
-                dropped += self.emitted[v].len() as u64;
-                self.cached_items -= self.emitted[v].len() as u64;
-                self.emitted[v] = Vec::new();
-                self.exhausted[v] = false;
-                self.cursors[v] = [0, 0];
-            }
-        }
-        dropped
     }
 
     /// Marks `node` visited for the current refresh; true on first visit.
@@ -358,7 +331,6 @@ impl MergeNetwork {
     /// `None` if the stream has fewer items. Cached results are returned
     /// without recomputation.
     pub fn get(&mut self, node: usize, index: usize) -> Option<SortItem> {
-        self.last_touch[node] = self.rounds;
         while self.emitted[node].len() <= index && !self.exhausted[node] {
             self.pull_next(node);
         }
@@ -568,7 +540,7 @@ mod tests {
             (2usize, Money::from_micros(10)),
             (5usize, Money::from_micros(0)),
         ];
-        net.refresh(&changed, &cones);
+        net.refresh(changed, &cones);
         let inv_before = net.invocations();
         let refreshed = net.drain(root);
         let refresh_cost = net.invocations() - inv_before;
@@ -592,7 +564,7 @@ mod tests {
         let cones = brute_force_cones(&net, bids.len());
         net.drain(root);
         let cached_before = net.cached_items();
-        let stats = net.refresh(&[(0, Money::from_micros(100))], &cones);
+        let stats = net.refresh([(0, Money::from_micros(100))], &cones);
         assert_eq!(stats.nodes_invalidated, 4, "leaf + 3 ancestors");
         // The leaf and each ancestor had fully drained caches of sizes
         // 1, 2, 4, 8 → 15 items dropped, the rest reused.
@@ -606,7 +578,7 @@ mod tests {
         let cones = brute_force_cones(&net, 4);
         let items = net.drain(root);
         let inv = net.invocations();
-        let stats = net.refresh(&[], &cones);
+        let stats = net.refresh([], &cones);
         assert_eq!(stats.nodes_invalidated, 0);
         assert_eq!(stats.cache_items_reused, net.cached_items());
         assert_eq!(net.drain(root), items);
@@ -625,7 +597,7 @@ mod tests {
         for round in 0..10u64 {
             let leaf = (round % bids.len() as u64) as usize;
             bids[leaf] = round * 3 % 11;
-            net.refresh(&[(leaf, Money::from_micros(bids[leaf]))], &cones);
+            net.refresh([(leaf, Money::from_micros(bids[leaf]))], &cones);
             let got = net.drain(root);
             let (mut fresh, fresh_root) = net_over(&bids);
             assert_eq!(got, fresh.drain(fresh_root), "round {round}");
@@ -633,53 +605,21 @@ mod tests {
     }
 
     #[test]
-    fn eviction_frees_cold_caches_and_streams_stay_identical() {
-        let bids = [5u64, 9, 1, 7, 3, 8, 2, 6];
+    fn refresh_skips_leaves_already_at_their_bid() {
+        let bids = [4u64, 2, 6, 8];
         let (mut net, root) = net_over(&bids);
         let cones = brute_force_cones(&net, bids.len());
         let items = net.drain(root);
-        let cached_before = net.cached_items();
-        assert!(cached_before > 0);
-        // Nothing is pulled for several refreshes: the whole network
-        // goes cold and eviction reclaims every cache.
-        for _ in 0..5 {
-            net.refresh(&[], &cones);
-        }
-        let dropped = net.evict_cold(3);
-        assert_eq!(dropped, cached_before, "every cache was cold");
-        assert_eq!(net.cached_items(), 0);
-        // Regeneration is bit-identical.
+        let inv = net.invocations();
+        let stats = net.refresh(
+            bids.iter()
+                .enumerate()
+                .map(|(leaf, &b)| (leaf, Money::from_micros(b))),
+            &cones,
+        );
+        assert_eq!(stats.nodes_invalidated, 0, "no bid differs");
         assert_eq!(net.drain(root), items);
-    }
-
-    #[test]
-    fn eviction_under_live_parent_cursors_is_safe() {
-        // Keep the root warm (cache hits only — its children go cold),
-        // evict, then pull *past* the cached prefix: the root's cursors
-        // point deep into children that must regenerate their streams.
-        let bids = [5u64, 9, 1, 7, 3, 8, 2, 6];
-        let (mut net, root) = net_over(&bids);
-        let cones = brute_force_cones(&net, bids.len());
-        let full = net.drain(root);
-        for _ in 0..5 {
-            net.refresh(&[], &cones);
-            // Cache hit: touches the root only, children stay cold.
-            assert_eq!(net.get(root, 0), Some(full[0]));
-        }
-        let dropped = net.evict_cold(3);
-        assert!(dropped > 0, "children below the warm root must evict");
-        assert!(!net.cached(root).is_empty(), "warm root kept its cache");
-        assert_eq!(net.drain(root), full, "regenerated streams identical");
-    }
-
-    #[test]
-    fn eviction_respects_recent_touches() {
-        let (mut net, root) = net_over(&[4, 2, 6, 8]);
-        let cones = brute_force_cones(&net, 4);
-        net.drain(root);
-        net.refresh(&[], &cones);
-        assert_eq!(net.evict_cold(3), 0, "nothing is older than the horizon");
-        assert!(net.cached_items() > 0);
+        assert_eq!(net.invocations(), inv);
     }
 
     proptest! {
@@ -704,33 +644,33 @@ mod tests {
                 new_bids[leaf] = bid;
                 changed.push((leaf, Money::from_micros(bid)));
             }
-            net.refresh(&changed, &cones);
+            net.refresh(changed, &cones);
             let (mut fresh, fresh_root) = net_over(&new_bids);
             prop_assert_eq!(net.drain(root), fresh.drain(fresh_root));
         }
 
-        /// Eviction at arbitrary points of a refresh/pull schedule never
-        /// changes any stream.
+        /// The stale-leaf rule: refreshing only the leaves under one node
+        /// makes that node's stream exact, whatever the other leaves still
+        /// hold and however deep the caches were filled before.
         #[test]
-        fn eviction_is_bit_identical_to_fresh(
-            bids in proptest::collection::vec(0u64..1000, 2..16),
-            updates in proptest::collection::vec((0usize..16, 0u64..1000), 1..6),
-            horizon in 0u32..4,
+        fn refreshing_a_subtree_makes_it_exact(
+            bids in proptest::collection::vec(0u64..1000, 2..24),
+            new_bids in proptest::collection::vec(0u64..1000, 24),
+            partial_drain in 0usize..24,
+            pick in any::<u8>(),
         ) {
+            let n = bids.len();
             let (mut net, root) = net_over(&bids);
-            let cones = brute_force_cones(&net, bids.len());
-            net.drain(root);
-            let mut new_bids = bids.clone();
-            for (round, (leaf, bid)) in updates.into_iter().enumerate() {
-                let leaf = leaf % bids.len();
-                new_bids[leaf] = bid;
-                net.refresh(&[(leaf, Money::from_micros(bid))], &cones);
-                if round % 2 == 0 {
-                    net.evict_cold(horizon);
-                }
-                let (mut fresh, fresh_root) = net_over(&new_bids);
-                prop_assert_eq!(net.drain(root), fresh.drain(fresh_root));
+            let cones = brute_force_cones(&net, n);
+            for i in 0..partial_drain.min(n) {
+                net.get(root, i);
             }
+            let new_bids = &new_bids[..n];
+            let v = n + pick as usize % (net.len() - n);
+            let under = (0..n).filter(|&leaf| cones.cone(leaf).contains(&(v as u32)));
+            net.refresh(under.map(|leaf| (leaf, Money::from_micros(new_bids[leaf]))), &cones);
+            let (mut fresh, _) = net_over(new_bids);
+            prop_assert_eq!(net.drain(v), fresh.drain(v));
         }
 
         /// The network agrees with a plain sort for any bids and any

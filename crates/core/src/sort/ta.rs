@@ -56,6 +56,12 @@ impl TaScratch {
         TaScratch::default()
     }
 
+    /// Heap footprint of the seen-set in bytes: 4 per advertiser index up
+    /// to the largest one seen.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.stamps.capacity() * 4
+    }
+
     /// Starts a new run: bumps the epoch (implicitly clearing the
     /// seen-set in O(1)) and resets the top-k list to bound `k`.
     fn begin(&mut self, k: usize) {

@@ -14,6 +14,9 @@
 //!    heap bytes across engine construction plus warm rounds, catching
 //!    transient population-sized spikes (e.g. a builder cloning dense
 //!    per-advertiser tables) that capacity accounting cannot see.
+//! 3. **Long run** — one SharedSort engine over 5 000 rounds: merge
+//!    caches are never evicted, so their footprint must settle rather
+//!    than grow with the rounds.
 //!
 //! This file deliberately holds a single `#[test]`: the allocation
 //! counter is process-global, and a concurrently running test in the same
@@ -27,13 +30,18 @@ mod common;
 #[global_allocator]
 static COUNTER: common::CountingAlloc = common::CountingAlloc;
 
+/// SharedSort's hot-state ceiling, shared by the 5-round and the
+/// 5 000-round checks.
+const SHARED_SORT_HOT_CEILING: usize = 1_070;
+
 #[test]
 fn bytes_per_advertiser_stay_under_ceiling() {
     // (name, sharing, n, jitter, hot-state ceiling, allocator-peak
     // ceiling), both ceilings in bytes per advertiser. Measured 2026-10
     // at n=10k, 32 phrases: hot state Unshared 70 (stateless resolver:
-    // just the engine's SoA ledgers/bid vectors), SharedSort 742 (merge
-    // arena + caches), SharedAggregation 169 and Hybrid 649 (plan nodes
+    // just the engine's SoA ledgers/bid vectors), SharedSort 713 (merge
+    // arena + caches + TA seen-set; 778 after 500 rounds, 821 after
+    // 5 000), SharedAggregation 169 and Hybrid 620 (plan nodes
     // hold adaptive-sparse `VarSet`s in a CSR pool, so the plan's
     // footprint follows interest density, not nodes x n/8 — down from
     // 5360/5539 when every node owned a dense n-bit set; 18 and 13 of
@@ -41,9 +49,9 @@ fn bytes_per_advertiser_stay_under_ceiling() {
     // plan's cost model is stateless, nothing of it is resident). The
     // shared-aggregation-100k case re-pins the plan-bearing ceiling a
     // decade up (measured 153 hot / 542 peak) to catch anything
-    // population-quadratic hiding at 10k. Peaks (720 at 10k, Hybrid 665)
-    // add the planner's construction scratch, dropped before steady
-    // state.
+    // population-quadratic hiding at 10k. Peaks (SharedAggregation 720,
+    // SharedSort 713, Hybrid 648) add the planners' construction scratch,
+    // dropped before steady state.
     // Ceilings leave ~50% headroom; one extra dense population-sized
     // vector (8+ bytes/advertiser) blows through them.
     let cases = [
@@ -61,10 +69,10 @@ fn bytes_per_advertiser_stay_under_ceiling() {
             SharingStrategy::SharedSort,
             10_000,
             0.4,
-            1_200,
-            1_600,
+            SHARED_SORT_HOT_CEILING,
+            1_100,
         ),
-        ("hybrid", SharingStrategy::Hybrid, 10_000, 0.4, 1_000, 1_000),
+        ("hybrid", SharingStrategy::Hybrid, 10_000, 0.4, 930, 1_000),
         (
             "shared-aggregation-100k",
             SharingStrategy::SharedAggregation,
@@ -75,16 +83,7 @@ fn bytes_per_advertiser_stay_under_ceiling() {
         ),
     ];
     for (name, sharing, n, jitter, hot_ceiling, peak_ceiling) in cases {
-        let workload = Workload::generate(&WorkloadConfig {
-            advertisers: n,
-            phrases: 32,
-            topics: 8,
-            phrase_factor_jitter: jitter,
-            separable_fraction: if jitter > 0.0 { 0.5 } else { 1.0 },
-            max_search_rate: 0.3,
-            seed: 7,
-            ..WorkloadConfig::default()
-        });
+        let workload = workload(n, jitter);
 
         // Baseline after the workload exists: everything the engine adds
         // on top — construction spikes included — counts against the
@@ -119,4 +118,66 @@ fn bytes_per_advertiser_stay_under_ceiling() {
              transient dense copy in construction or the round path"
         );
     }
+
+    // Long run: nothing evicts merge caches, and nothing needs to. A
+    // node's cache never outgrows its subtree and a refresh keeps the
+    // capacity it clears, so the network's bytes settle once the searched
+    // cones have been pulled to their usual depths. The engine's own
+    // share (pending-ad lists, whose capacity follows each advertiser's
+    // longest outstanding history) keeps creeping up meanwhile; an
+    // Unshared twin runs the same auctions with bit-identical outcomes,
+    // so its hot state is exactly that share and the difference is the
+    // sort resolver's.
+    let n = 10_000;
+    let engine = |sharing| {
+        Engine::new(
+            workload(n, 0.4),
+            EngineConfig {
+                sharing,
+                ..EngineConfig::default()
+            },
+        )
+    };
+    let mut sort = engine(SharingStrategy::SharedSort);
+    let mut twin = engine(SharingStrategy::Unshared);
+    let mut per_adv = |rounds: usize| {
+        sort.run(rounds);
+        twin.run(rounds);
+        let (total, engine_side) = (sort.hot_state_bytes(), twin.hot_state_bytes());
+        (
+            total as f64 / n as f64,
+            (total - engine_side) as f64 / n as f64,
+        )
+    };
+    let (early_total, early_sort) = per_adv(500);
+    let (late_total, late_sort) = per_adv(4_500);
+    eprintln!(
+        "MEASURE shared-sort long run: round 500 {early_total:.1} B/adv \
+         ({early_sort:.1} resolver), round 5000 {late_total:.1} ({late_sort:.1} resolver)"
+    );
+    assert!(
+        late_sort <= 1.05 * early_sort,
+        "the sort resolver's hot state grew from {early_sort:.1} B/advertiser after 500 \
+         rounds to {late_sort:.1} after 5000 (limit 1.05x)"
+    );
+    assert!(
+        late_total <= SHARED_SORT_HOT_CEILING as f64,
+        "shared-sort hot state reached {late_total:.1} B/advertiser after 5000 rounds \
+         (ceiling {SHARED_SORT_HOT_CEILING})"
+    );
+}
+
+/// The ceiling workload: 32 phrases over 8 topics at `n` advertisers;
+/// nonzero `jitter` makes half the phrases non-separable.
+fn workload(n: usize, jitter: f64) -> Workload {
+    Workload::generate(&WorkloadConfig {
+        advertisers: n,
+        phrases: 32,
+        topics: 8,
+        phrase_factor_jitter: jitter,
+        separable_fraction: if jitter > 0.0 { 0.5 } else { 1.0 },
+        max_search_rate: 0.3,
+        seed: 7,
+        ..WorkloadConfig::default()
+    })
 }

@@ -970,9 +970,13 @@ pub fn check_shared_sort(seed: u64) -> Result<(), Divergence> {
 /// network. Per round: same slot assignments, same total TA sorted-access
 /// stages, and every fresh node cache a prefix of the persistent node
 /// cache (the persistent network may retain *deeper* merged prefixes
-/// from earlier rounds, but never different ones). Exercised under both
-/// throttling policies (tight budgets make effective bids actually churn
-/// between rounds).
+/// from earlier rounds, but never different ones). The persistent
+/// network refreshes only the leaves under the round's occurring
+/// phrases, so elsewhere its leaves may hold bids from earlier rounds;
+/// the prefix property still holds at every node because a fresh
+/// network fills only occurring cones, where both networks hold this
+/// round's bids. Exercised under both throttling policies (tight budgets
+/// make effective bids actually churn between rounds).
 pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "sort-persistent";
     let w = Workload::generate(cfg);
