@@ -432,7 +432,7 @@ fn memory_scaling(quick: bool) {
         StrategyCase {
             name: "shared-sort",
             sharing: SharingStrategy::SharedSort,
-            bytes_ceiling: 600,
+            bytes_ceiling: 220,
         },
         StrategyCase {
             name: "shared-aggregation",

@@ -81,19 +81,19 @@ impl BudgetContext {
         )
     }
 
-    /// The certain-worst-case debt `ω_l = Σ π_j`.
-    pub fn worst_case_debt(&self) -> Money {
-        self.outstanding.iter().map(|ad| ad.price).sum()
-    }
-
-    /// Fast path: when even the worst case leaves room for full bids
-    /// (`ω ≤ β − m·b`), the throttled bid is the stated bid.
+    /// Fast path: when even the certain-worst-case debt `ω = Σ π_j` leaves
+    /// room for full bids (`ω + m·b ≤ β`), the throttled bid is the
+    /// stated bid. Evaluated in
+    /// `u128` micros, where neither `m·b` nor `ω` can overflow.
     pub fn is_unconstrained(&self) -> bool {
-        let m = self.auctions_in_round.max(1);
-        let need = Money::from_micros(self.bid.micros().saturating_mul(m));
-        self.worst_case_debt()
-            .checked_add(need)
-            .is_some_and(|total| total <= self.remaining_budget)
+        let m = u128::from(self.auctions_in_round.max(1));
+        let debt: u128 = self
+            .outstanding
+            .iter()
+            .map(|ad| u128::from(ad.price.micros()))
+            .sum();
+        let need = m * u128::from(self.bid.micros());
+        need.saturating_add(debt) <= u128::from(self.remaining_budget.micros())
     }
 
     /// The exact throttled bid `E(min(m·b, β − min(β, S)))/m`, via the
@@ -276,6 +276,28 @@ mod tests {
     }
 
     #[test]
+    fn unconstrained_check_survives_u64_overflow() {
+        // m·b past 2⁶⁴ against the largest budget: constrained, not a
+        // saturated "fits".
+        let c = BudgetContext {
+            bid: Money::from_micros(1 << 40),
+            remaining_budget: Money::from_micros(u64::MAX),
+            auctions_in_round: 1 << 30,
+            outstanding: Vec::new(),
+        };
+        assert!(!c.is_unconstrained());
+        // Two outstanding prices summing past `Money::MAX`: an answer,
+        // not an addition-overflow panic.
+        let c = BudgetContext {
+            outstanding: vec![OutstandingAd::new(Money::from_micros(u64::MAX - 1), 0.5); 2],
+            auctions_in_round: 1,
+            bid: Money::from_micros(1),
+            ..c
+        };
+        assert!(!c.is_unconstrained());
+    }
+
+    #[test]
     fn no_outstanding_ads_matches_closed_form() {
         // The paper's warm-up: b̂ = min(b, β/m).
         let c = ctx(2.0, 3.0, 4, &[]);
@@ -362,6 +384,35 @@ mod tests {
     }
 
     proptest! {
+        /// `is_unconstrained` is `ω + m·b ≤ β` in exact arithmetic over the
+        /// full `u64` range of every input (m = 0 counts as one auction).
+        #[test]
+        fn unconstrained_matches_wide_reference(
+            bid in any::<u64>(),
+            budget in any::<u64>(),
+            m in any::<u64>(),
+            small in any::<bool>(),
+            prices in proptest::collection::vec(any::<u64>(), 0..4),
+        ) {
+            // Small inputs too, or the reference is almost never true.
+            let shrink = |x: u64| if small { x % 1_000 } else { x };
+            let c = BudgetContext {
+                bid: Money::from_micros(shrink(bid)),
+                remaining_budget: Money::from_micros(budget),
+                auctions_in_round: shrink(m),
+                outstanding: prices
+                    .iter()
+                    .map(|&p| OutstandingAd::new(Money::from_micros(shrink(p)), 0.5))
+                    .collect(),
+            };
+            let debt: u128 = prices.iter().map(|&p| u128::from(shrink(p))).sum();
+            let need = u128::from(shrink(m).max(1)) * u128::from(shrink(bid));
+            let fits = debt
+                .checked_add(need)
+                .is_some_and(|total| total <= u128::from(budget));
+            prop_assert_eq!(c.is_unconstrained(), fits);
+        }
+
         /// Bounds contain the exact throttled bid at every depth, and the
         /// refiner's exact value agrees with the convolution (±1 micro
         /// rounding).

@@ -44,7 +44,7 @@ pub struct EngineMetrics {
     /// whether the network is fresh or persistent.
     pub ta_stages: u64,
     /// Persistent-network nodes invalidated by cross-round refresh
-    /// (shared-sort strategy): changed leaves plus every merge operator
+    /// (shared-sort strategy): rebuilt runs plus every merge operator
     /// in their dirty cones, summed over rounds. The first round counts
     /// the whole network (everything is built dirty). Deterministic.
     pub sort_nodes_invalidated: u64,
@@ -117,7 +117,7 @@ pub struct EngineMetrics {
     /// `wd_nanos`).
     pub wd_unshared_nanos: u128,
     /// Wall-clock nanoseconds bringing the occurring phrases' merge-network
-    /// leaves to their effective bids and refreshing the dirty cones (the
+    /// runs to their effective bids and refreshing the dirty cones (the
     /// first step of the sort resolver's `resolve`), disjoint from
     /// `wd_sort_nanos`; included in `wd_nanos`.
     pub sort_refresh_nanos: u128,

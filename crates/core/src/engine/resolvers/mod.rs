@@ -258,7 +258,7 @@ impl Resolvers {
                     .enumerate()
                     .map(|(q, &sr)| if in_subset(q) { sr } else { 0.0 })
                     .collect();
-                let mut sort = SortResolver::new(workload, subset, 1);
+                let sort = SortResolver::new(workload, subset, 1);
                 // Marginals in common item units: one plan node is a
                 // pairwise top-k aggregation (~2k item ops), one sort
                 // unit an item sent upstream.
@@ -297,7 +297,6 @@ impl Resolvers {
                 let (sort_fixed, sort_absorb_extra) =
                     sort_group_terms(&sort, router.search_rates(), router.route());
                 router.set_sort_model(sort_fixed, sort_absorb_extra);
-                sort.cluster_routed_phrases(router.route());
                 Resolvers::Hybrid {
                     plan,
                     sort,
@@ -422,7 +421,7 @@ impl Resolvers {
                 // Round boundary: migrate phrases whose calibrated cost
                 // on the other path clears the hysteresis margin. A move
                 // is the route bit alone: a phrase entering the sort
-                // network has its stale leaves refreshed when it next
+                // network has its stale runs refreshed when it next
                 // occurs there.
                 if !occurring.is_empty() {
                     let mut migrated = false;

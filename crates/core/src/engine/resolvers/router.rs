@@ -26,8 +26,8 @@
 //! Migration is this router's route bit and nothing else, on both sides:
 //! the plan's cost model is stateless, read once for the seed marginals,
 //! and plan evaluation is occurrence-driven; the sort network refreshes
-//! the leaves under whatever phrases it is handed, so a phrase entering
-//! it has its stale leaves repaired when it first occurs there. No
+//! the runs under whatever phrases it is handed, so a phrase entering
+//! it has its stale runs repaired when it first occurs there. No
 //! structure is rebuilt.
 
 use ssa_auction::ids::PhraseId;

@@ -17,18 +17,20 @@ use super::{PhraseResolver, RoundContext};
 
 /// Shared merge-sort + Threshold Algorithm over a (possibly strict)
 /// subset of the workload's phrases. The merge network lives for the
-/// lifetime of the [`SortPlan`]. Each `resolve` first brings the leaves of
-/// the phrases it is handed to their effective bids, refreshing only the
-/// dirty cones above leaves whose bid moved, then runs TA; untouched
-/// subtrees keep their cached merged prefixes.
+/// lifetime of the [`SortPlan`]; its leaves are the plan's runs, one per
+/// Section II-D fragment. Each `resolve` first diffs the runs under the
+/// phrases it is handed against their effective bids, rebuilding only
+/// runs holding a bid that moved and resetting the dirty cones above
+/// them, then runs TA; untouched subtrees keep their cached prefixes.
 ///
-/// A leaf under no occurring root keeps the bid of its advertiser's last
-/// participation. Nothing can observe that: every node under an
-/// occurring phrase's root covers only that phrase's interest set, and
-/// all of them participate this round, so all of them were just
-/// refreshed. The refresh is therefore sized by the occurring interest
-/// sets, never by the population or the network, and an advertiser whose
-/// bid is the same at each participation never dirties anything.
+/// A run under no occurring root keeps the bids of its members' last
+/// participation. Nothing can observe that (the stale-run invariant):
+/// every node under an occurring phrase's root covers only that phrase's
+/// interest set, and all of them participate this round, so every run
+/// below was just diffed. The refresh is therefore sized by the
+/// occurring interest sets, never by the population or the network, and
+/// an advertiser whose bid is the same at each participation never
+/// dirties anything.
 ///
 /// TA scratch (seen-sets, top-k working lists) also persists so
 /// steady-state rounds allocate nothing in those paths. Outcomes are
@@ -40,7 +42,10 @@ pub struct SortResolver {
     /// Per phrase, advertisers by descending `c_i^q` (TA's second list);
     /// empty for phrases outside this resolver's subset.
     c_orders: Vec<Vec<(AdvertiserId, f64)>>,
-    /// Per leaf, the merge operators a bid change there invalidates
+    /// Per phrase, the runs serving it: what `resolve` diffs when the
+    /// phrase occurs.
+    phrase_runs: Vec<Vec<u32>>,
+    /// Per run, the merge operators a rebuild there invalidates
     /// (`SortPlan::leaf_cones`, computed once at plan-build time; CSR).
     cones: LeafCones,
     /// The persistent network; `None` until the first `resolve` builds it
@@ -107,7 +112,14 @@ impl SortResolver {
                 order
             })
             .collect();
+        let mut phrase_runs = vec![Vec::new(); m];
+        for r in 0..plan.run_count() {
+            for &q in plan.node_serves(r) {
+                phrase_runs[q as usize].push(r as u32);
+            }
+        }
         SortResolver {
+            phrase_runs,
             cones: plan.leaf_cones(),
             plan,
             c_orders,
@@ -120,8 +132,8 @@ impl SortResolver {
     }
 
     /// Heap footprint of the resolver's hot state in bytes: plan arena,
-    /// leaf cones, persistent network (node pools + caches), TA seen-set,
-    /// and the per-phrase tables. Powers the memory-scaling gate's
+    /// run cones, persistent network (node pools, run items + caches), TA
+    /// seen-set, and the per-phrase tables. Powers the memory-scaling gate's
     /// deterministic bytes-per-advertiser accounting.
     pub fn heap_bytes(&mut self) -> usize {
         use std::mem::size_of;
@@ -136,6 +148,11 @@ impl SortResolver {
                 .c_orders
                 .iter()
                 .map(|o| o.capacity() * size_of::<(AdvertiserId, f64)>())
+                .sum::<usize>()
+            + self
+                .phrase_runs
+                .iter()
+                .map(|runs| size_of::<Vec<u32>>() + runs.capacity() * 4)
                 .sum::<usize>()
     }
 
@@ -154,25 +171,6 @@ impl SortResolver {
             .iter()
             .zip(plan_route)
             .any(|(&compiled, &to_plan)| compiled && to_plan)
-    }
-
-    /// Repacks the plan's arena around the sort-routed phrases
-    /// (`plan_route[q] == false`, [`SortPlan::cluster_hot_phrases`]). The
-    /// adaptive hybrid router compiles its network over *all* phrases, so
-    /// that migrating a phrase onto the sort path is a route bit: every
-    /// phrase already has a root and `c_order`. That network is up to
-    /// twice the size of the routed subset's, and leaving the routed cones
-    /// scattered through it measurably degrades refresh and TA locality
-    /// (~5% wall-clock against a subset-compiled network doing
-    /// bit-identical work). Clustering restores the subset network's
-    /// layout; phrases migrating in later land in the cold suffix, which
-    /// is correct just not prefix-packed. Must be called before the first
-    /// round builds the network.
-    pub(crate) fn cluster_routed_phrases(&mut self, plan_route: &[bool]) {
-        assert!(self.net.is_none(), "cluster before the first round");
-        let hot: Vec<bool> = plan_route.iter().map(|&to_plan| !to_plan).collect();
-        self.plan.cluster_hot_phrases(&hot);
-        self.cones = self.plan.leaf_cones();
     }
 
     /// Per phrase, the marginal expected merge cost (Section III-B units:
@@ -229,12 +227,11 @@ impl PhraseResolver for SortResolver {
                 }
             }
             Some(net) => {
-                let (c_orders, bids) = (&self.c_orders, &*effective_bids);
-                let leaves = phrases
+                let runs = phrases
                     .iter()
-                    .flat_map(|p| &c_orders[p.index()])
-                    .map(|&(a, _)| (a.index(), bids[a.index()]));
-                net.refresh(leaves, &self.cones)
+                    .flat_map(|p| &self.phrase_runs[p.index()])
+                    .map(|&r| r as usize);
+                net.refresh(runs, effective_bids, &self.cones)
             }
         };
         metrics.sort_refresh_nanos += started.elapsed().as_nanos();

@@ -230,7 +230,7 @@ fn adaptive_hybrid_matches_unshared_and_shared_sort_round_by_round() {
 
 /// A migrated phrase's first post-migration round must match a
 /// from-scratch engine that carried the post-migration route from round
-/// zero — refreshing the phrase's stale leaves when it first occurs on
+/// zero — refreshing the phrase's stale runs when it first occurs on
 /// the sort path reconstructs exactly the state that engine's network
 /// holds.
 #[test]

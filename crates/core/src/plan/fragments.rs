@@ -15,12 +15,71 @@
 //! the old dense probe was O(n·m) regardless of interest density; the
 //! inverted build is linear in the input size, which is the paper's own
 //! running-time parameter.
+//!
+//! [`group_by_signature`] is the one stage 1 of the crate: the aggregation
+//! planner reaches it through [`identify_fragments`], and the shared-sort
+//! planner (`sort::planner`) calls it directly, turning every fragment
+//! into one leaf run of its merge network.
 
 use std::collections::HashMap;
 
 use ssa_setcover::VarSet;
 
 use super::{PlanDag, PlanProblem};
+
+/// Stage 1's grouping, in deterministic order (by smallest member).
+#[derive(Debug, Clone, Default)]
+pub struct SignatureGroups {
+    /// Per fragment, its variables in ascending order.
+    pub members: Vec<Vec<u32>>,
+    /// Per fragment, the ascending ids of the queries its variables occur
+    /// in.
+    pub signatures: Vec<Vec<u32>>,
+}
+
+/// Groups the variables `0..var_count` by the set of queries they occur
+/// in, given each query's ascending member list. Variables that occur in
+/// no query are dropped. `O(Σ_q |X_q|)` expected time.
+pub fn group_by_signature(var_count: usize, queries: &[Vec<u32>]) -> SignatureGroups {
+    let n = var_count;
+    // Invert: CSR of ascending query lists per variable. Queries are
+    // visited in index order, so each variable's list is ascending.
+    let mut offsets = vec![0u32; n + 1];
+    for set in queries {
+        for &v in set {
+            offsets[v as usize + 1] += 1;
+        }
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut fill = offsets[..n].to_vec();
+    let mut sig_qs = vec![0u32; offsets[n] as usize];
+    for (q, set) in queries.iter().enumerate() {
+        for &v in set {
+            sig_qs[fill[v as usize] as usize] = q as u32;
+            fill[v as usize] += 1;
+        }
+    }
+    // Group variables by signature slice. Scanning variables in ascending
+    // order makes first-encounter order equal to order-by-smallest-member,
+    // the documented deterministic fragment order.
+    let mut by_sig: HashMap<&[u32], usize> = HashMap::new();
+    let mut groups = SignatureGroups::default();
+    for v in 0..n {
+        let sig = &sig_qs[offsets[v] as usize..offsets[v + 1] as usize];
+        if sig.is_empty() {
+            continue;
+        }
+        let idx = *by_sig.entry(sig).or_insert_with(|| {
+            groups.members.push(Vec::new());
+            groups.signatures.push(sig.to_vec());
+            groups.members.len() - 1
+        });
+        groups.members[idx].push(v as u32);
+    }
+    groups
+}
 
 /// One fragment: a maximal group of variables sharing a query signature.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,70 +107,41 @@ pub struct Fragments {
     pub frag_of: Vec<u32>,
 }
 
-/// Groups variables into fragments in `O(Σ_q |X_q|)` expected time via an
-/// inverted signature build plus hashed grouping.
+/// Groups the problem's variables into fragments ([`group_by_signature`]
+/// over its query sets).
 ///
 /// Variables that occur in no query are dropped: they can never
 /// contribute to any aggregate.
 pub fn identify_fragments(problem: &PlanProblem) -> Fragments {
     let n = problem.var_count;
     let m = problem.query_count();
-    // Invert: CSR of ascending query lists per variable. Queries are
-    // visited in index order, so each variable's list is ascending.
-    let mut counts = vec![0u32; n];
-    for set in &problem.queries {
-        for v in set.iter() {
-            counts[v] += 1;
-        }
-    }
-    let mut offsets = vec![0u32; n + 1];
-    for v in 0..n {
-        offsets[v + 1] = offsets[v] + counts[v];
-    }
-    let mut fill = offsets[..n].to_vec();
-    let mut sig_qs = vec![0u32; offsets[n] as usize];
-    for (q, set) in problem.queries.iter().enumerate() {
-        for v in set.iter() {
-            sig_qs[fill[v] as usize] = q as u32;
-            fill[v] += 1;
-        }
-    }
-    // Group variables by signature slice. Scanning variables in ascending
-    // order makes first-encounter order equal to order-by-smallest-member,
-    // the documented deterministic fragment order.
-    let mut by_sig: HashMap<&[u32], usize> = HashMap::new();
-    let mut members: Vec<Vec<u32>> = Vec::new();
-    let mut sigs: Vec<&[u32]> = Vec::new();
-    let mut frag_of = vec![u32::MAX; n];
-    for v in 0..n {
-        let sig = &sig_qs[offsets[v] as usize..offsets[v + 1] as usize];
-        if sig.is_empty() {
-            continue;
-        }
-        let idx = *by_sig.entry(sig).or_insert_with(|| {
-            members.push(Vec::new());
-            sigs.push(sig);
-            members.len() - 1
-        });
-        members[idx].push(v as u32);
-        frag_of[v] = idx as u32;
-    }
-    let fragments: Vec<Fragment> = members
+    let queries: Vec<Vec<u32>> = problem
+        .queries
         .iter()
-        .zip(&sigs)
-        .map(|(vars, sig)| Fragment {
-            vars: VarSet::from_sorted(n, vars.clone()),
-            signature: VarSet::from_sorted(m, sig.to_vec()),
-        })
+        .map(|set| set.iter().map(|v| v as u32).collect())
         .collect();
+    let groups = group_by_signature(n, &queries);
+    let mut frag_of = vec![u32::MAX; n];
     // Fragments are ordered ascending by first member, so each query's
     // fragment list comes out ascending too.
     let mut per_query: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (i, sig) in sigs.iter().enumerate() {
-        for &q in *sig {
+    for (i, (vars, sig)) in groups.members.iter().zip(&groups.signatures).enumerate() {
+        for &v in vars {
+            frag_of[v as usize] = i as u32;
+        }
+        for &q in sig {
             per_query[q as usize].push(i);
         }
     }
+    let fragments: Vec<Fragment> = groups
+        .members
+        .into_iter()
+        .zip(groups.signatures)
+        .map(|(vars, sig)| Fragment {
+            vars: VarSet::from_sorted(n, vars),
+            signature: VarSet::from_sorted(m, sig),
+        })
+        .collect();
     Fragments {
         fragments,
         per_query,

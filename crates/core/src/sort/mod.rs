@@ -8,7 +8,8 @@
 //! across phrases ("we can re-use the cached results of any operators
 //! below which all leaves correspond to advertisers in `I_q ∩ I_q'`").
 //!
-//! * [`MergeNetwork`] — the runtime: pull-based merge operators with a
+//! * [`MergeNetwork`] — the runtime: leaf *runs* (one per §II-D fragment,
+//!   kept as lazy heaps) under pull-based merge operators with a
 //!   left/right register each and a cache of everything sent upstream;
 //! * [`planner`] — the bottom-up greedy network builder (Section III-C)
 //!   with the expected-savings objective;
@@ -18,11 +19,13 @@
 //! # Memory layout
 //!
 //! The network is stored struct-of-arrays: parallel `Vec`s of `u32`
-//! child pairs, cursors, leaf items, and per-node caches, instead of a
-//! `Vec` of enum nodes. Node metadata for a 2n-node network is then a
-//! handful of contiguous arrays (~61 bytes/node, 24 of them an empty
-//! cache's header) that the pull loop strides through, and the only
-//! per-node heap blocks are the caches that actually hold items.
+//! child pairs, cursors and per-node caches, plus one pool holding every
+//! run's items back to back (16 bytes per advertiser). Inside a fragment
+//! nothing is shared — every operator there would serve the fragment's
+//! whole signature — so a fragment is one run, not a tree of `f − 1`
+//! operators: a 1M-advertiser network over 800 fragments is 800 runs and
+//! the few merge nodes above them, and the only per-node heap blocks are
+//! the merge caches that actually hold items.
 
 pub mod planner;
 pub mod ta;
@@ -32,7 +35,7 @@ use std::cmp::Ordering;
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
 
-/// Sentinel child index marking a leaf node.
+/// Sentinel child index marking a run leaf.
 const NO_CHILD: u32 = u32::MAX;
 
 /// One element of a bid-sorted stream.
@@ -59,12 +62,11 @@ impl Ord for SortItem {
     }
 }
 
-/// Per-leaf dirty cones in CSR form: one offsets array plus one shared
-/// pool of internal-node ids, replacing a `Vec<Vec<u32>>` whose per-leaf
-/// headers and allocations dominated footprint at large n. `cone(leaf)`
-/// is the ascending list of every merge operator whose advertiser set
-/// contains `leaf` — exactly the nodes a bid change at that leaf
-/// invalidates.
+/// Per-run dirty cones in CSR form: one offsets array plus one shared
+/// pool of merge-node ids. `cone(run)` is the ascending list of every
+/// merge operator with that run somewhere below it — exactly the nodes a
+/// rebuild of the run invalidates. Runs are the network's first nodes,
+/// so a run's node id is its index here.
 #[derive(Debug, Clone, Default)]
 pub struct LeafCones {
     offsets: Vec<u32>,
@@ -72,15 +74,7 @@ pub struct LeafCones {
 }
 
 impl LeafCones {
-    /// Builds from raw CSR arrays (`offsets.len() == leaves + 1`,
-    /// `offsets[leaves] == pool.len()`).
-    pub fn from_csr(offsets: Vec<u32>, pool: Vec<u32>) -> Self {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(*offsets.last().unwrap() as usize, pool.len());
-        LeafCones { offsets, pool }
-    }
-
-    /// Builds from per-leaf lists (tests and ad-hoc callers).
+    /// Packs per-run lists.
     pub fn from_lists(lists: &[Vec<u32>]) -> Self {
         let mut offsets = Vec::with_capacity(lists.len() + 1);
         offsets.push(0u32);
@@ -92,16 +86,11 @@ impl LeafCones {
         LeafCones { offsets, pool }
     }
 
-    /// Number of leaves covered.
-    pub fn leaf_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The ascending internal-node ids above `leaf`.
+    /// The ascending merge-node ids above `run`.
     #[inline]
-    pub fn cone(&self, leaf: usize) -> &[u32] {
-        let lo = self.offsets[leaf] as usize;
-        let hi = self.offsets[leaf + 1] as usize;
+    pub fn cone(&self, run: usize) -> &[u32] {
+        let lo = self.offsets[run] as usize;
+        let hi = self.offsets[run + 1] as usize;
         &self.pool[lo..hi]
     }
 
@@ -114,52 +103,72 @@ impl LeafCones {
 /// What one [`MergeNetwork::refresh`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefreshStats {
-    /// Nodes whose cache/cursors were reset: the changed leaves plus
-    /// every operator in their dirty cones (deduplicated).
+    /// Nodes whose cache was reset: the rebuilt runs plus every operator
+    /// in their dirty cones (deduplicated).
     pub nodes_invalidated: u64,
     /// Items still cached across the whole network *after* invalidation —
-    /// merged prefixes the next round's TA re-consumes for free.
+    /// sorted prefixes the next round's TA re-consumes for free.
     pub cache_items_reused: u64,
+}
+
+/// One run's span of [`MergeNetwork`]'s item pool: `start..start + popped`
+/// is its cache, `start + popped..end` its heap.
+#[derive(Debug, Clone, Copy)]
+struct RunSpan {
+    start: u32,
+    popped: u32,
+    end: u32,
 }
 
 /// A shared, pull-based merge-sort network.
 ///
-/// Nodes are created bottom-up ([`MergeNetwork::leaf`],
+/// Nodes are created bottom-up ([`MergeNetwork::run`],
 /// [`MergeNetwork::merge`]); [`MergeNetwork::get`] pulls the `index`-th
 /// largest item under a node, doing no more comparisons than needed and
 /// caching everything for other consumers ("we don't do any extra work
 /// beyond the stage where the threshold condition is met").
 ///
-/// The network is also *persistent across rounds*: when only some leaf
-/// bids change, [`MergeNetwork::refresh`] invalidates just the dirty
-/// cones above the changed leaves and keeps every other operator's cached
-/// merged prefix, so the next round's pulls are O(dirty) instead of a
-/// full rebuild. Every cache is consistent with the bids the leaves below
-/// it currently hold.
+/// A leaf is a *run*: a contiguous span of items kept lazily in stream
+/// order. The unsent items form an in-place max-heap stored back to front
+/// at the span's end; each pull pops the maximum onto the end of the
+/// sent prefix at the span's start, so that prefix *is* the run's cache,
+/// read like any merge operator's. A run costs one O(f) heapify to
+/// (re)build and O(log f) per item actually pulled.
+///
+/// The network is also *persistent across rounds*: when only some bids
+/// change, [`MergeNetwork::refresh`] rebuilds just the runs holding a
+/// changed bid and resets the dirty cones above them, keeping every other
+/// node's cached prefix, so the next round's pulls are O(dirty) instead
+/// of a full rebuild. Every cache is consistent with the bids the runs
+/// below it currently hold.
 #[derive(Debug, Clone, Default)]
 pub struct MergeNetwork {
-    /// Per node, the two children (`[NO_CHILD; 2]` for leaves).
+    /// Per node, the two children; a run leaf holds `[NO_CHILD, r]`, `r`
+    /// indexing `runs`.
     children: Vec<[u32; 2]>,
-    /// Per node, the leaf item (meaningful only where `children` says
-    /// leaf; merges carry a placeholder so the array stays parallel).
-    items: Vec<SortItem>,
-    /// Per node, how many items have been consumed from each child (the
-    /// paper's left/right registers, generalized to cursors because
+    /// Per merge node, how many items have been consumed from each child
+    /// (the paper's left/right registers, generalized to cursors because
     /// consumed prefixes are cached by the children anyway).
     cursors: Vec<[u32; 2]>,
     /// "Each operator stores the sequence of values it has sent
-    /// upstream."
+    /// upstream." (Empty at runs, whose cache lives in `items`.)
     emitted: Vec<Vec<SortItem>>,
-    /// No more items below.
+    /// Per merge node: no more items below.
     exhausted: Vec<bool>,
-    /// Total operator invocations (one per item sent upstream by a merge
-    /// operator) — the cost the Section III-B model bounds by `|I_v|`.
+    /// Per run, its span of `items`.
+    runs: Vec<RunSpan>,
+    /// Every run's items, run after run.
+    items: Vec<SortItem>,
+    /// Total invocations: one per item any node sends upstream (a merge
+    /// operator's output or a run's pop) — the cost the Section III-B
+    /// model bounds by `|I_v|` per merge node.
     invocations: u64,
-    /// Total items currently cached across all nodes (Σ emitted.len()),
-    /// maintained incrementally so `refresh` can report reuse in O(dirty).
+    /// Total items currently cached across all nodes, maintained
+    /// incrementally so `refresh` can report reuse in O(dirty).
     cached_items: u64,
     /// Refresh-scoped visited stamps (one per node, epoch-compared) so
-    /// overlapping dirty cones are deduplicated without clearing a bitmap.
+    /// runs under several phrases are diffed once and overlapping dirty
+    /// cones are deduplicated, without clearing a bitmap.
     dirty_stamps: Vec<u32>,
     dirty_epoch: u32,
 }
@@ -170,11 +179,19 @@ impl MergeNetwork {
         MergeNetwork::default()
     }
 
-    /// Adds a leaf for one advertiser's bid; returns its node id.
-    pub fn leaf(&mut self, advertiser: AdvertiserId, bid: Money) -> usize {
+    /// Adds a run leaf over `items` (any order); returns its node id.
+    pub fn run(&mut self, items: impl IntoIterator<Item = SortItem>) -> usize {
+        let start = self.items.len();
+        self.items.extend(items);
+        let end = self.items.len();
+        heapify(&mut self.items[start..end]);
         let idx = self.children.len();
-        self.children.push([NO_CHILD; 2]);
-        self.items.push(SortItem { bid, advertiser });
+        self.children.push([NO_CHILD, self.runs.len() as u32]);
+        self.runs.push(RunSpan {
+            start: start as u32,
+            popped: 0,
+            end: end as u32,
+        });
         self.push_node_tail();
         idx
     }
@@ -191,10 +208,6 @@ impl MergeNetwork {
         );
         let idx = self.children.len();
         self.children.push([left as u32, right as u32]);
-        self.items.push(SortItem {
-            bid: Money::ZERO,
-            advertiser: AdvertiserId(0),
-        });
         self.push_node_tail();
         idx
     }
@@ -217,16 +230,22 @@ impl MergeNetwork {
         self.children.is_empty()
     }
 
-    /// Total merge-operator invocations so far.
+    /// Total invocations so far.
     pub fn invocations(&self) -> u64 {
         self.invocations
     }
 
-    /// The cached (already merged) prefix of `node`'s stream, without
+    /// The cached (already sent) prefix of `node`'s stream, without
     /// pulling anything new. Exposed so differential harnesses can assert
     /// a persistent network's caches against a fresh instantiation.
     pub fn cached(&self, node: usize) -> &[SortItem] {
-        &self.emitted[node]
+        match self.children[node] {
+            [NO_CHILD, r] => {
+                let span = self.runs[r as usize];
+                &self.items[span.start as usize..(span.start + span.popped) as usize]
+            }
+            _ => &self.emitted[node],
+        }
     }
 
     /// Total items currently cached across all nodes.
@@ -239,7 +258,6 @@ impl MergeNetwork {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.children.capacity() * size_of::<[u32; 2]>()
-            + self.items.capacity() * size_of::<SortItem>()
             + self.cursors.capacity() * size_of::<[u32; 2]>()
             + self.emitted.capacity() * size_of::<Vec<SortItem>>()
             + self
@@ -248,30 +266,34 @@ impl MergeNetwork {
                 .map(|e| e.capacity() * size_of::<SortItem>())
                 .sum::<usize>()
             + self.exhausted.capacity()
+            + self.runs.capacity() * size_of::<RunSpan>()
+            + self.items.capacity() * size_of::<SortItem>()
             + self.dirty_stamps.capacity() * 4
     }
 
-    /// Cross-round invalidation: brings the given leaves to their new bids
-    /// and resets only the *dirty cones* — each leaf whose bid differs
-    /// from the one it holds, plus every operator with that leaf somewhere
-    /// below it. A leaf handed its current bid costs one compare. Leaves
-    /// not handed in keep their bids, and everything outside the cones
-    /// keeps its cached merged prefix, cursors, and exhausted flag, so the
-    /// next round's pulls re-consume those prefixes for free.
+    /// Cross-round invalidation: brings the given runs to `bids` (indexed
+    /// by advertiser) and resets only the *dirty cones* — each run holding
+    /// a bid that differs from its advertiser's entry in `bids`, plus
+    /// every operator with that run somewhere below it. A dirty run takes
+    /// all its members' new bids and is rebuilt by one heapify; a clean
+    /// run costs one compare per member. Runs not handed in keep their
+    /// bids, and everything outside the cones keeps its cached prefix,
+    /// cursors, and exhausted flag, so the next round's pulls re-consume
+    /// those prefixes for free.
     ///
-    /// `leaves` yields `(leaf node id, bid)` pairs (repeats are fine);
-    /// `cones.cone(leaf)` must hold the ids of every merge operator whose
-    /// advertiser set contains `leaf` (see `SortPlan::leaf_cones` — plan
-    /// node ids equal network node ids under `SortPlan::instantiate`).
-    /// Whole-cone invalidation is required for correctness: a clean
-    /// parent's cursors index into its children's caches, which a dirty
-    /// child is about to rewrite.
+    /// `runs` yields run node ids (repeats are fine); `cones.cone(run)`
+    /// must hold the ids of every merge operator above `run` (see
+    /// `SortPlan::leaf_cones` — plan node ids equal network node ids under
+    /// `SortPlan::instantiate`). Whole-cone invalidation is required for
+    /// correctness: a clean parent's cursors index into its children's
+    /// caches, which a dirty child is about to rewrite.
     ///
-    /// The stream under any node whose leaves all hold their current bids
+    /// The stream under any node whose runs all hold their current bids
     /// is bit-identical to a fresh instantiation with those bids.
     pub fn refresh(
         &mut self,
-        leaves: impl IntoIterator<Item = (usize, Money)>,
+        runs: impl IntoIterator<Item = usize>,
+        bids: &[Money],
         cones: &LeafCones,
     ) -> RefreshStats {
         self.dirty_epoch = self.dirty_epoch.wrapping_add(1);
@@ -280,24 +302,30 @@ impl MergeNetwork {
             self.dirty_epoch = 1;
         }
         let mut invalidated = 0u64;
-        for (leaf, bid) in leaves {
-            // Debug-only: every leaf under an occurring phrase is handed
-            // in each round, and this would be one more cache miss each.
-            debug_assert!(
-                self.children[leaf][0] == NO_CHILD,
-                "refresh target {leaf} is not a leaf"
-            );
-            if self.items[leaf].bid == bid {
+        for node in runs {
+            if !self.first_visit(node) {
                 continue;
             }
-            self.items[leaf].bid = bid;
-            if self.mark_dirty(leaf) {
-                invalidated += 1;
-                self.reset_node(leaf);
+            let [left, r] = self.children[node];
+            debug_assert!(left == NO_CHILD, "refresh target {node} is not a run");
+            let span = self.runs[r as usize];
+            let items = &mut self.items[span.start as usize..span.end as usize];
+            if items
+                .iter()
+                .all(|item| item.bid == bids[item.advertiser.index()])
+            {
+                continue;
             }
-            for &cone_node in cones.cone(leaf) {
+            for item in items.iter_mut() {
+                item.bid = bids[item.advertiser.index()];
+            }
+            heapify(items);
+            self.runs[r as usize].popped = 0;
+            self.cached_items -= u64::from(span.popped);
+            invalidated += 1;
+            for &cone_node in cones.cone(node) {
                 let node = cone_node as usize;
-                if self.mark_dirty(node) {
+                if self.first_visit(node) {
                     invalidated += 1;
                     self.reset_node(node);
                 }
@@ -310,7 +338,7 @@ impl MergeNetwork {
     }
 
     /// Marks `node` visited for the current refresh; true on first visit.
-    fn mark_dirty(&mut self, node: usize) -> bool {
+    fn first_visit(&mut self, node: usize) -> bool {
         if self.dirty_stamps[node] == self.dirty_epoch {
             false
         } else {
@@ -319,7 +347,8 @@ impl MergeNetwork {
         }
     }
 
-    /// Drops `node`'s cache and rewinds its cursors to the initial state.
+    /// Drops merge node `node`'s cache and rewinds its cursors to the
+    /// initial state.
     fn reset_node(&mut self, node: usize) {
         self.cached_items -= self.emitted[node].len() as u64;
         self.emitted[node].clear();
@@ -331,25 +360,39 @@ impl MergeNetwork {
     /// `None` if the stream has fewer items. Cached results are returned
     /// without recomputation.
     pub fn get(&mut self, node: usize, index: usize) -> Option<SortItem> {
+        if let [NO_CHILD, r] = self.children[node] {
+            return self.run_get(r as usize, index);
+        }
         while self.emitted[node].len() <= index && !self.exhausted[node] {
             self.pull_next(node);
         }
         self.emitted[node].get(index).copied()
     }
 
-    /// Produces one more item at `node` (or marks it exhausted).
+    /// [`MergeNetwork::get`] at run `r`: pops its heap up to `index`.
+    fn run_get(&mut self, r: usize, index: usize) -> Option<SortItem> {
+        let RunSpan { start, popped, end } = self.runs[r];
+        let (start, end) = (start as usize, end as usize);
+        let mut sent = start + popped as usize;
+        while sent <= start + index && sent < end {
+            // The heap's root sits at the span's end and its last element
+            // right after the cache: swapping them appends the maximum to
+            // the cache, and the heap loses its last slot.
+            self.items.swap(sent, end - 1);
+            sent += 1;
+            sift_down(&mut self.items[sent..end], 0);
+        }
+        let pops = (sent - start) as u32 - popped;
+        self.runs[r].popped += pops;
+        self.invocations += u64::from(pops);
+        self.cached_items += u64::from(pops);
+        (start + index < sent).then(|| self.items[start + index])
+    }
+
+    /// Produces one more item at merge node `node` (or marks it
+    /// exhausted).
     fn pull_next(&mut self, node: usize) {
         let [left, right] = self.children[node];
-        if left == NO_CHILD {
-            if self.emitted[node].is_empty() {
-                let item = self.items[node];
-                self.emitted[node].push(item);
-                self.cached_items += 1;
-            } else {
-                self.exhausted[node] = true;
-            }
-            return;
-        }
         // Fill the registers from downstream (cached if already pulled
         // by another consumer).
         let [left_pos, right_pos] = self.cursors[node];
@@ -383,20 +426,67 @@ impl MergeNetwork {
     }
 }
 
+/// Sifts heap index `i` down a max-heap stored back to front: heap index
+/// `j` lives at `heap[heap.len() - 1 - j]`, so the root is the last slot.
+fn sift_down(heap: &mut [SortItem], mut i: usize) {
+    let n = heap.len();
+    let at = |j: usize| n - 1 - j;
+    loop {
+        let mut child = 2 * i + 1;
+        if child >= n {
+            return;
+        }
+        if child + 1 < n && heap[at(child + 1)] > heap[at(child)] {
+            child += 1;
+        }
+        if heap[at(child)] <= heap[at(i)] {
+            return;
+        }
+        heap.swap(at(child), at(i));
+        i = child;
+    }
+}
+
+/// Arranges `heap` into a back-to-front max-heap (see [`sift_down`]).
+fn heapify(heap: &mut [SortItem]) {
+    for i in (0..heap.len() / 2).rev() {
+        sift_down(heap, i);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn net_over(bids: &[u64]) -> (MergeNetwork, usize) {
+    fn item(i: usize, bid: u64) -> SortItem {
+        SortItem {
+            bid: Money::from_micros(bid),
+            advertiser: AdvertiserId::from_index(i),
+        }
+    }
+
+    fn money(bids: &[u64]) -> Vec<Money> {
+        bids.iter().map(|&b| Money::from_micros(b)).collect()
+    }
+
+    /// A network over `bids`: advertisers cut into consecutive runs whose
+    /// sizes cycle through `sizes`, the runs created first (run `r` is
+    /// node `r`), then a balanced tree of merges over them. Returns the
+    /// network, its root and the run count.
+    fn net_over(bids: &[u64], sizes: &[usize]) -> (MergeNetwork, usize, usize) {
         let mut net = MergeNetwork::new();
-        let leaves: Vec<usize> = bids
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| net.leaf(AdvertiserId::from_index(i), Money::from_micros(b)))
-            .collect();
-        // Balanced tree.
-        let mut level = leaves;
+        let mut level = Vec::new();
+        let mut start = 0;
+        for &size in sizes.iter().cycle() {
+            if start == bids.len() {
+                break;
+            }
+            let end = (start + size.max(1)).min(bids.len());
+            level.push(net.run((start..end).map(|i| item(i, bids[i]))));
+            start = end;
+        }
+        let runs = level.len();
         while level.len() > 1 {
             let mut next = Vec::new();
             for pair in level.chunks(2) {
@@ -408,42 +498,42 @@ mod tests {
             }
             level = next;
         }
-        let root = level[0];
-        (net, root)
+        (net, level[0], runs)
     }
 
     #[test]
     fn drains_in_descending_order() {
-        let (mut net, root) = net_over(&[5, 9, 1, 7, 3]);
-        let bids: Vec<u64> = net.drain(root).iter().map(|i| i.bid.micros()).collect();
-        assert_eq!(bids, vec![9, 7, 5, 3, 1]);
+        for sizes in [[1], [2], [5]] {
+            let (mut net, root, _) = net_over(&[5, 9, 1, 7, 3], &sizes);
+            let bids: Vec<u64> = net.drain(root).iter().map(|i| i.bid.micros()).collect();
+            assert_eq!(bids, vec![9, 7, 5, 3, 1], "run sizes {sizes:?}");
+        }
     }
 
     #[test]
     fn ties_break_by_advertiser_id() {
-        let (mut net, root) = net_over(&[5, 5, 5]);
-        let ids: Vec<u32> = net.drain(root).iter().map(|i| i.advertiser.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        for sizes in [[1], [3]] {
+            let (mut net, root, _) = net_over(&[5, 5, 5], &sizes);
+            let ids: Vec<u32> = net.drain(root).iter().map(|i| i.advertiser.0).collect();
+            assert_eq!(ids, vec![0, 1, 2], "run sizes {sizes:?}");
+        }
     }
 
     #[test]
     fn pull_is_lazy() {
-        let (mut net, root) = net_over(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        // Two runs of 4 under one merge: the max costs one pop per run
+        // (the registers) plus one merge, not a sort.
+        let (mut net, root, _) = net_over(&[1, 2, 3, 4, 5, 6, 7, 8], &[4]);
         let first = net.get(root, 0).unwrap();
         assert_eq!(first.bid.micros(), 8);
-        // Getting the max of 8 leaves via a balanced tree costs at most
-        // one invocation per merge node on the max's path plus register
-        // fills: strictly fewer than a full sort's ~17.
-        assert!(
-            net.invocations() <= 8,
-            "lazy top-1 used {} invocations",
-            net.invocations()
-        );
+        assert_eq!(net.invocations(), 3, "lazy top-1");
+        net.drain(root);
+        assert_eq!(net.invocations(), 16, "a full sort: 8 pops + 8 merges");
     }
 
     #[test]
     fn caching_shares_across_consumers() {
-        let (mut net, root) = net_over(&[4, 2, 6, 8]);
+        let (mut net, root, _) = net_over(&[4, 2, 6, 8], &[1]);
         let _ = net.get(root, 0);
         let _ = net.get(root, 1);
         let before = net.invocations();
@@ -458,11 +548,11 @@ mod tests {
         // Two roots share a subtree: draining both should invoke the
         // shared part once.
         let mut net = MergeNetwork::new();
-        let a = net.leaf(AdvertiserId(0), Money::from_micros(3));
-        let b = net.leaf(AdvertiserId(1), Money::from_micros(7));
+        let a = net.run([item(0, 3)]);
+        let b = net.run([item(1, 7)]);
         let shared = net.merge(a, b);
-        let c = net.leaf(AdvertiserId(2), Money::from_micros(5));
-        let d = net.leaf(AdvertiserId(3), Money::from_micros(1));
+        let c = net.run([item(2, 5)]);
+        let d = net.run([item(3, 1)]);
         let root1 = net.merge(shared, c);
         let root2 = net.merge(shared, d);
         let s1 = net.drain(root1);
@@ -477,33 +567,38 @@ mod tests {
             s2.iter().map(|i| i.bid.micros()).collect::<Vec<_>>(),
             vec![7, 3, 1]
         );
-        // Draining root2 pays only its own merges (3 items), not the
-        // shared node's (already cached).
-        assert!(extra <= 3, "second drain cost {extra}");
+        // Draining root2 pays only its own merges (3 items) and d's pop,
+        // not the shared node's (already cached).
+        assert_eq!(extra, 4, "second drain cost {extra}");
     }
 
     #[test]
     fn exhausted_streams_return_none() {
-        let (mut net, root) = net_over(&[1, 2]);
-        assert!(net.get(root, 2).is_none());
-        assert!(net.get(root, 99).is_none());
-        // Still fine to re-read earlier items.
-        assert_eq!(net.get(root, 0).unwrap().bid.micros(), 2);
+        for sizes in [[1], [2]] {
+            let (mut net, root, _) = net_over(&[1, 2], &sizes);
+            assert!(net.get(root, 2).is_none());
+            assert!(net.get(root, 99).is_none());
+            // Still fine to re-read earlier items.
+            assert_eq!(net.get(root, 0).unwrap().bid.micros(), 2);
+        }
     }
 
     #[test]
     fn worst_case_invocations_bounded_by_iv() {
-        // Full sort of a node with |I_v| leaves invokes each operator at
-        // most |I_v| times: total ≤ Σ_v |I_v| over merge nodes.
-        let (mut net, root) = net_over(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        net.drain(root);
-        // Balanced over 8: levels contribute 8 + 8 + 8 = 24 at most.
-        assert!(net.invocations() <= 24);
+        // A full sort sends each node's whole stream upstream once: every
+        // merge operator is invoked |I_v| times and every run pops each
+        // member once, Σ_v |I_v| over all nodes.
+        let bids = [3, 1, 4, 1, 5, 9, 2, 6];
+        for (sizes, total) in [([1], 8 + 24), ([2], 8 + 16), ([8], 8)] {
+            let (mut net, root, _) = net_over(&bids, &sizes);
+            net.drain(root);
+            assert_eq!(net.invocations(), total, "run sizes {sizes:?}");
+        }
     }
 
-    /// Ancestor cones computed by brute force from the network structure
-    /// (the planner derives the same thing from plan advertiser sets).
-    fn brute_force_cones(net: &MergeNetwork, leaves: usize) -> LeafCones {
+    /// Run cones computed by brute force from the network structure (the
+    /// planner derives the same thing from plan advertiser sets).
+    fn brute_force_cones(net: &MergeNetwork, runs: usize) -> LeafCones {
         let mut below: Vec<Vec<usize>> = Vec::with_capacity(net.len());
         for idx in 0..net.len() {
             let [l, r] = net.children[idx];
@@ -515,10 +610,10 @@ mod tests {
                 below.push(b);
             }
         }
-        let lists: Vec<Vec<u32>> = (0..leaves)
-            .map(|leaf| {
+        let lists: Vec<Vec<u32>> = (0..runs)
+            .map(|run| {
                 (0..net.len())
-                    .filter(|&idx| net.children[idx][0] != NO_CHILD && below[idx].contains(&leaf))
+                    .filter(|&idx| net.children[idx][0] != NO_CHILD && below[idx].contains(&run))
                     .map(|idx| idx as u32)
                     .collect()
             })
@@ -529,23 +624,19 @@ mod tests {
     #[test]
     fn refresh_matches_fresh_rebuild() {
         let bids = [5u64, 9, 1, 7, 3, 8, 2, 6];
-        let (mut net, root) = net_over(&bids);
-        let cones = brute_force_cones(&net, bids.len());
+        let (mut net, root, runs) = net_over(&bids, &[1]);
+        let cones = brute_force_cones(&net, runs);
         net.drain(root);
 
         let mut new_bids = bids;
         new_bids[2] = 10;
         new_bids[5] = 0;
-        let changed = vec![
-            (2usize, Money::from_micros(10)),
-            (5usize, Money::from_micros(0)),
-        ];
-        net.refresh(changed, &cones);
+        net.refresh(0..runs, &money(&new_bids), &cones);
         let inv_before = net.invocations();
         let refreshed = net.drain(root);
         let refresh_cost = net.invocations() - inv_before;
 
-        let (mut fresh, fresh_root) = net_over(&new_bids);
+        let (mut fresh, fresh_root, _) = net_over(&new_bids, &[1]);
         let fresh_items = fresh.drain(fresh_root);
         let fresh_cost = fresh.invocations();
         assert_eq!(refreshed, fresh_items);
@@ -557,28 +648,36 @@ mod tests {
 
     #[test]
     fn refresh_invalidates_exactly_the_cone() {
-        // Balanced tree over 8 leaves: one changed leaf dirties itself
-        // plus its 3 ancestors (log₂ 8 levels).
-        let bids = [3u64, 1, 4, 1, 5, 9, 2, 6];
-        let (mut net, root) = net_over(&bids);
-        let cones = brute_force_cones(&net, bids.len());
+        // Eight runs of two under a balanced tree: one changed bid
+        // dirties its run plus the run's 3 ancestors (log₂ 8 levels); the
+        // seven other runs handed in hold their bids and stay clean.
+        let bids: Vec<u64> = (0..16).map(|i| i * 7 % 11).collect();
+        let (mut net, root, runs) = net_over(&bids, &[2]);
+        let cones = brute_force_cones(&net, runs);
         net.drain(root);
         let cached_before = net.cached_items();
-        let stats = net.refresh([(0, Money::from_micros(100))], &cones);
-        assert_eq!(stats.nodes_invalidated, 4, "leaf + 3 ancestors");
-        // The leaf and each ancestor had fully drained caches of sizes
-        // 1, 2, 4, 8 → 15 items dropped, the rest reused.
-        assert_eq!(stats.cache_items_reused, cached_before - 15);
+        let mut new_bids = bids.clone();
+        new_bids[1] = 100;
+        let stats = net.refresh(0..runs, &money(&new_bids), &cones);
+        assert_eq!(stats.nodes_invalidated, 4, "run + 3 ancestors");
+        // The run and each ancestor had fully drained caches of sizes
+        // 2, 4, 8, 16 → 30 items dropped, the rest reused.
+        assert_eq!(stats.cache_items_reused, cached_before - 30);
         assert_eq!(net.cached_items(), stats.cache_items_reused);
+        assert_eq!(net.cached(0), &[] as &[SortItem], "the rebuilt run");
+        assert_eq!(net.cached(1).len(), 2, "a clean sibling run");
+        let (mut fresh, fresh_root, _) = net_over(&new_bids, &[2]);
+        assert_eq!(net.drain(root), fresh.drain(fresh_root));
     }
 
     #[test]
     fn refresh_with_no_changes_reuses_everything() {
-        let (mut net, root) = net_over(&[4, 2, 6, 8]);
-        let cones = brute_force_cones(&net, 4);
+        let bids = [4, 2, 6, 8];
+        let (mut net, root, runs) = net_over(&bids, &[1]);
+        let cones = brute_force_cones(&net, runs);
         let items = net.drain(root);
         let inv = net.invocations();
-        let stats = net.refresh([], &cones);
+        let stats = net.refresh([], &money(&bids), &cones);
         assert_eq!(stats.nodes_invalidated, 0);
         assert_eq!(stats.cache_items_reused, net.cached_items());
         assert_eq!(net.drain(root), items);
@@ -592,100 +691,118 @@ mod tests {
     #[test]
     fn repeated_refreshes_stay_consistent() {
         let mut bids = [7u64, 7, 7, 7, 7];
-        let (mut net, root) = net_over(&bids);
-        let cones = brute_force_cones(&net, bids.len());
+        let (mut net, root, runs) = net_over(&bids, &[2]);
+        let cones = brute_force_cones(&net, runs);
         for round in 0..10u64 {
             let leaf = (round % bids.len() as u64) as usize;
             bids[leaf] = round * 3 % 11;
-            net.refresh([(leaf, Money::from_micros(bids[leaf]))], &cones);
+            net.refresh(0..runs, &money(&bids), &cones);
             let got = net.drain(root);
-            let (mut fresh, fresh_root) = net_over(&bids);
+            let (mut fresh, fresh_root, _) = net_over(&bids, &[2]);
             assert_eq!(got, fresh.drain(fresh_root), "round {round}");
         }
     }
 
     #[test]
     fn refresh_skips_leaves_already_at_their_bid() {
-        let bids = [4u64, 2, 6, 8];
-        let (mut net, root) = net_over(&bids);
-        let cones = brute_force_cones(&net, bids.len());
+        let bids = [4u64, 2, 6, 8, 5];
+        let (mut net, root, runs) = net_over(&bids, &[3]);
+        let cones = brute_force_cones(&net, runs);
         let items = net.drain(root);
         let inv = net.invocations();
-        let stats = net.refresh(
-            bids.iter()
-                .enumerate()
-                .map(|(leaf, &b)| (leaf, Money::from_micros(b))),
-            &cones,
-        );
+        let stats = net.refresh(0..runs, &money(&bids), &cones);
         assert_eq!(stats.nodes_invalidated, 0, "no bid differs");
         assert_eq!(net.drain(root), items);
         assert_eq!(net.invocations(), inv);
     }
 
+    /// Bids for the proptests: `spread` 1 makes every bid equal (the id
+    /// tie-break decides the whole order), 3 makes ties common.
+    fn spread_bids(raw: &[u64], spread: usize) -> Vec<u64> {
+        let spread = [1, 3, 1000][spread % 3];
+        raw.iter().map(|&b| b % spread).collect()
+    }
+
     proptest! {
-        /// Refreshing any leaf subset yields the same streams as a fresh
-        /// network over the updated bids, for random tree shapes.
+        /// Refreshing any bid subset yields the same streams as a fresh
+        /// network over the updated bids, for random run sizes and
+        /// however deep the caches were pulled before.
         #[test]
         fn refresh_is_bit_identical_to_fresh(
-            bids in proptest::collection::vec(0u64..1000, 2..24),
+            raw in proptest::collection::vec(0u64..1000, 2..24),
+            sizes in proptest::collection::vec(1usize..=8, 1..6),
+            spread in 0usize..3,
             updates in proptest::collection::vec((0usize..24, 0u64..1000), 0..8),
             partial_drain in 0usize..24,
+            pick in any::<u8>(),
+            pick_depth in 0usize..8,
         ) {
-            let (mut net, root) = net_over(&bids);
-            let cones = brute_force_cones(&net, bids.len());
-            // Pull only part of the stream so caches are at mixed depths.
+            let bids = spread_bids(&raw, spread);
+            let (mut net, root, runs) = net_over(&bids, &sizes);
+            let cones = brute_force_cones(&net, runs);
+            // Pull part of the root's stream and of one run's, so caches
+            // are at mixed depths.
             for i in 0..partial_drain.min(bids.len()) {
                 net.get(root, i);
             }
+            net.get(pick as usize % runs, pick_depth);
             let mut new_bids = bids.clone();
-            let mut changed = Vec::new();
             for (leaf, bid) in updates {
-                let leaf = leaf % bids.len();
-                new_bids[leaf] = bid;
-                changed.push((leaf, Money::from_micros(bid)));
+                new_bids[leaf % bids.len()] = spread_bids(&[bid], spread)[0];
             }
-            net.refresh(changed, &cones);
-            let (mut fresh, fresh_root) = net_over(&new_bids);
+            net.refresh(0..runs, &money(&new_bids), &cones);
+            let (mut fresh, fresh_root, _) = net_over(&new_bids, &sizes);
             prop_assert_eq!(net.drain(root), fresh.drain(fresh_root));
         }
 
-        /// The stale-leaf rule: refreshing only the leaves under one node
-        /// makes that node's stream exact, whatever the other leaves still
+        /// The stale-run rule: refreshing only the runs under one node
+        /// makes that node's stream exact, whatever the other runs still
         /// hold and however deep the caches were filled before.
         #[test]
         fn refreshing_a_subtree_makes_it_exact(
-            bids in proptest::collection::vec(0u64..1000, 2..24),
-            new_bids in proptest::collection::vec(0u64..1000, 24),
+            raw in proptest::collection::vec(0u64..1000, 2..24),
+            raw_new in proptest::collection::vec(0u64..1000, 24),
+            sizes in proptest::collection::vec(1usize..=8, 1..6),
+            spread in 0usize..3,
             partial_drain in 0usize..24,
             pick in any::<u8>(),
         ) {
+            let bids = spread_bids(&raw, spread);
             let n = bids.len();
-            let (mut net, root) = net_over(&bids);
-            let cones = brute_force_cones(&net, n);
+            let (mut net, root, runs) = net_over(&bids, &sizes);
+            let cones = brute_force_cones(&net, runs);
             for i in 0..partial_drain.min(n) {
                 net.get(root, i);
             }
-            let new_bids = &new_bids[..n];
-            let v = n + pick as usize % (net.len() - n);
-            let under = (0..n).filter(|&leaf| cones.cone(leaf).contains(&(v as u32)));
-            net.refresh(under.map(|leaf| (leaf, Money::from_micros(new_bids[leaf]))), &cones);
-            let (mut fresh, _) = net_over(new_bids);
+            let new_bids = spread_bids(&raw_new[..n], spread);
+            let v = pick as usize % net.len();
+            let under = (0..runs).filter(|&run| run == v || cones.cone(run).contains(&(v as u32)));
+            net.refresh(under, &money(&new_bids), &cones);
+            let (mut fresh, _, _) = net_over(&new_bids, &sizes);
             prop_assert_eq!(net.drain(v), fresh.drain(v));
         }
 
-        /// The network agrees with a plain sort for any bids and any
-        /// random (not necessarily balanced) tree shape.
+        /// The network agrees with a plain sort for any bids, any run
+        /// sizes and any random (not necessarily balanced) tree shape.
         #[test]
         fn network_sorts_correctly(
-            bids in proptest::collection::vec(0u64..1000, 1..40),
+            raw in proptest::collection::vec(0u64..1000, 1..40),
+            sizes in proptest::collection::vec(1usize..=8, 1..6),
+            spread in 0usize..3,
             shape in proptest::collection::vec(any::<u8>(), 40),
         ) {
+            let bids = spread_bids(&raw, spread);
             let mut net = MergeNetwork::new();
-            let mut pool: Vec<usize> = bids
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| net.leaf(AdvertiserId::from_index(i), Money::from_micros(b)))
-                .collect();
+            let mut pool = Vec::new();
+            let mut start = 0;
+            for &size in sizes.iter().cycle() {
+                if start == bids.len() {
+                    break;
+                }
+                let end = (start + size).min(bids.len());
+                pool.push(net.run((start..end).map(|i| item(i, bids[i]))));
+                start = end;
+            }
             let mut s = 0usize;
             while pool.len() > 1 {
                 let a = shape[s % shape.len()] as usize % pool.len();

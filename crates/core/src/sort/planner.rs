@@ -21,59 +21,87 @@
 //! says the discussion "generalizes to arbitrary cardinalities in a
 //! straightforward way").
 //!
+//! # Leaves are fragments
+//!
+//! A plan's leaves are *runs*: advertiser sets the network keeps as one
+//! lazy heap each (`MergeNetwork::run`). The scalable builder
+//! [`build_shared_sort_plan_sparse`] takes its runs from Section II-D's
+//! stage 1 — the aggregation planner's own grouping,
+//! [`group_by_signature`] — because "we can safely aggregate elements
+//! within a fragment since no sharing occurs across fragments": every
+//! operator inside a fragment would serve the fragment's whole
+//! signature, so the savings search starts at the fragments. The
+//! exhaustive [`build_shared_sort_plan`] keeps the paper's
+//! one-advertiser leaves. Advertisers in no phrase get no run.
+//!
+//! The Section III-B model charges a merge node `|I_v|`. A run of `f`
+//! advertisers is charged `pairwise_tree_cost(f)`, the `Σ |I_v|` of
+//! the pairwise merge tree that would sort it, at the probability that
+//! its signature occurs — so a plan's expected cost is the one it would
+//! have with that tree built inside every fragment.
+//!
 //! # Memory layout
 //!
 //! The finished [`SortPlan`] is an index-based arena: per-node `u32`
-//! child pairs, subtree sizes, and one shared CSR pool of served phrase
-//! ids — no per-node heap allocations and nothing whose footprint grows
-//! with the advertiser *universe* rather than with actual interest: the
-//! arena is O(n + Σ|interest|), where universe-sized sets per node would
-//! be O(n²) bits at ~2n nodes. The builders' working nodes are sparse for
-//! the same reason — phrase sets as ascending id lists, advertiser sets
-//! as a cardinality — so [`build_shared_sort_plan_sparse`] never
-//! materializes a universe-sized set. Both builders are the same code
-//! around one pair search: the exhaustive [`build_shared_sort_plan`]
-//! searches over the leaves under the paper's equal-size constraint, the
-//! scalable one over fragment roots without it.
+//! child pairs, subtree sizes, and two shared CSR pools — served phrase
+//! ids per node, member advertisers per run — so there are no per-node
+//! heap allocations and nothing whose footprint grows with the advertiser
+//! *universe* rather than with actual interest. The builders' working
+//! nodes are sparse for the same reason — phrase sets as ascending id
+//! lists, advertiser sets as a cardinality — so
+//! [`build_shared_sort_plan_sparse`] never materializes a universe-sized
+//! set. Both builders are the same code around one pair search: the
+//! exhaustive one searches over one-advertiser runs under the paper's
+//! equal-size constraint, the scalable one over fragment runs without it.
 
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
 use ssa_setcover::BitSet;
 
-use super::{LeafCones, MergeNetwork};
+use super::{LeafCones, MergeNetwork, SortItem};
+use crate::plan::fragments::{group_by_signature, SignatureGroups};
 
 /// Sentinel child index marking a leaf (and the `u32` no-root marker).
 const NO_NODE: u32 = u32::MAX;
 
 /// A shared merge-sort plan across phrases, stored as an index arena.
 ///
-/// Nodes `0..advertiser_count` are leaves in advertiser order
-/// (advertisers interested in no phrase get a placeholder leaf serving
-/// nothing); internal nodes follow, children always before parents.
+/// Nodes `0..run_count` are the leaf runs in builder order; internal
+/// nodes follow, children always before parents.
 #[derive(Debug, Clone)]
 pub struct SortPlan {
     advertiser_count: usize,
-    /// Per node, the two children (`[NO_NODE; 2]` for leaves).
+    /// CSR offsets into `run_members`, length `run_count + 1`.
+    run_off: Vec<u32>,
+    /// Concatenated ascending advertiser indices of each run.
+    run_members: Vec<u32>,
+    /// Per node, the two children (`[NO_NODE; 2]` for runs).
     children: Vec<[u32; 2]>,
-    /// Per node, `|I_v|` — the number of leaves below it.
+    /// Per node, `|I_v|` — the number of advertisers below it.
     sizes: Vec<u32>,
     /// CSR offsets into `serves_pool`, length `node_count + 1`.
     serves_off: Vec<u32>,
     /// Concatenated ascending phrase ids each node serves (`Q_v` at
-    /// creation time for internal nodes; the full signature for leaves).
+    /// creation time for internal nodes; the full signature for runs).
     serves_pool: Vec<u32>,
     /// Per phrase, the root node (`NO_NODE` for empty phrases).
     roots: Vec<u32>,
 }
 
 impl SortPlan {
-    /// Advertiser universe size (also the number of leaf nodes).
+    /// Number of leaf runs (nodes `0..run_count`).
     #[inline]
-    pub fn advertiser_count(&self) -> usize {
-        self.advertiser_count
+    pub fn run_count(&self) -> usize {
+        self.run_off.len() - 1
     }
 
-    /// Total node count (leaves + internal).
+    /// The ascending advertiser indices of run `r`.
+    #[inline]
+    pub fn run_members(&self, r: usize) -> &[u32] {
+        &self.run_members[self.run_off[r] as usize..self.run_off[r + 1] as usize]
+    }
+
+    /// Total node count (runs + internal).
     #[inline]
     pub fn node_count(&self) -> usize {
         self.children.len()
@@ -85,7 +113,7 @@ impl SortPlan {
         self.roots.len()
     }
 
-    /// The children of `v`, or `None` for a leaf.
+    /// The children of `v`, or `None` for a run.
     #[inline]
     pub fn node_children(&self, v: usize) -> Option<(usize, usize)> {
         let [a, b] = self.children[v];
@@ -94,12 +122,6 @@ impl SortPlan {
         } else {
             Some((a as usize, b as usize))
         }
-    }
-
-    /// True iff `v` is an internal (merge) node.
-    #[inline]
-    pub fn is_internal(&self, v: usize) -> bool {
-        self.children[v][0] != NO_NODE
     }
 
     /// `|I_v|` — advertisers below node `v`.
@@ -131,43 +153,35 @@ impl SortPlan {
     /// Heap footprint of the arena in bytes (capacities, not lengths) —
     /// consumed by the memory-scaling benchmark's per-advertiser gate.
     pub fn heap_bytes(&self) -> usize {
-        self.children.capacity() * std::mem::size_of::<[u32; 2]>()
+        (self.run_off.capacity() + self.run_members.capacity()) * 4
+            + self.children.capacity() * std::mem::size_of::<[u32; 2]>()
             + self.sizes.capacity() * 4
             + self.serves_off.capacity() * 4
             + self.serves_pool.capacity() * 4
             + self.roots.capacity() * 4
     }
 
-    /// Reconstructs `I_v` as a `BitSet` by walking the subtree — for
-    /// tests and diagnostics only (O(subtree), allocates a universe-wide
-    /// set; the hot paths never need the materialized set).
-    pub fn node_advertisers(&self, v: usize) -> BitSet {
-        let mut out = BitSet::new(self.advertiser_count);
-        let mut stack = vec![v];
-        while let Some(x) = stack.pop() {
-            match self.node_children(x) {
-                None => {
-                    out.insert(x);
-                }
-                Some((a, b)) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-            }
+    /// The Section III-B weight of node `v`: `|I_v|` for a merge node,
+    /// the cost of the pairwise merge tree over its members for a run.
+    fn weight(&self, v: usize) -> f64 {
+        if v < self.run_count() {
+            pairwise_tree_cost(self.node_size(v)) as f64
+        } else {
+            self.node_size(v) as f64
         }
-        out
     }
 
     /// The expected full-sort cost
-    /// `Σ_v |I_v| (1 − Π_{q: v ⇝ q} (1 − sr_q))` (Section III-B).
+    /// `Σ_v |I_v| (1 − Π_{q: v ⇝ q} (1 − sr_q))` (Section III-B), each run
+    /// weighted as its pairwise merge tree.
     pub fn expected_cost(&self, search_rates: &[f64]) -> f64 {
-        (self.advertiser_count..self.node_count())
+        (0..self.node_count())
             .map(|v| {
                 let mut none = 1.0;
                 for &q in self.node_serves(v) {
                     none *= 1.0 - search_rates[q as usize];
                 }
-                self.sizes[v] as f64 * (1.0 - none)
+                self.weight(v) * (1.0 - none)
             })
             .sum()
     }
@@ -183,46 +197,23 @@ impl SortPlan {
             .sum()
     }
 
-    /// [`SortPlan::unshared_expected_cost`] from per-phrase interest
-    /// *sizes* — the sparse-path equivalent (the cost only depends on
-    /// `|I_q|`).
-    pub fn unshared_expected_cost_sizes(sizes: &[usize], search_rates: &[f64]) -> f64 {
-        sizes
-            .iter()
-            .zip(search_rates)
-            .map(|(&s, &sr)| sr * balanced_merge_cost(s) as f64)
-            .sum()
-    }
-
     /// Instantiates the runtime network for this plan given each
-    /// advertiser's bid. Returns the network plus per-phrase root ids in
-    /// the network's node space.
+    /// advertiser's bid: one network node per plan node, in order, so
+    /// plan node ids are network node ids. Returns the network plus the
+    /// per-phrase roots.
     pub fn instantiate(&self, bids: &[Money]) -> (MergeNetwork, Vec<usize>) {
         assert_eq!(bids.len(), self.advertiser_count, "one bid per advertiser");
         let mut net = MergeNetwork::new();
-        let mut net_id = Vec::with_capacity(self.node_count());
-        #[allow(clippy::needless_range_loop)] // idx spans the node arena; bids only covers leaves
-        for idx in 0..self.node_count() {
-            match self.node_children(idx) {
-                None => {
-                    let adv = AdvertiserId::from_index(idx);
-                    net_id.push(net.leaf(adv, bids[idx]));
-                }
-                Some((a, b)) => {
-                    net_id.push(net.merge(net_id[a], net_id[b]));
-                }
-            }
+        for v in 0..self.node_count() {
+            match self.node_children(v) {
+                None => net.run(self.run_members(v).iter().map(|&i| SortItem {
+                    bid: bids[i as usize],
+                    advertiser: AdvertiserId(i),
+                })),
+                Some((a, b)) => net.merge(a, b),
+            };
         }
-        let roots = (0..self.phrase_count())
-            .map(|q| {
-                let r = self.root(q);
-                if r == usize::MAX {
-                    usize::MAX
-                } else {
-                    net_id[r]
-                }
-            })
-            .collect();
+        let roots = (0..self.phrase_count()).map(|q| self.root(q)).collect();
         (net, roots)
     }
 
@@ -239,7 +230,7 @@ impl SortPlan {
         let m = self.phrase_count();
         let mut marginals = vec![0.0; m];
         let mut prefix: Vec<f64> = Vec::new();
-        for v in self.advertiser_count..self.node_count() {
+        for v in 0..self.node_count() {
             let qs = self.node_serves(v);
             // prefix[i] = Π_{j<i} (1 − sr_{qs[j]}); suffix runs the
             // mirror product so each phrase gets Π over the others.
@@ -249,146 +240,47 @@ impl SortPlan {
                 prefix.push(acc);
                 acc *= 1.0 - search_rates[q as usize];
             }
-            let size = self.sizes[v] as f64;
+            let weight = self.weight(v);
             let mut suffix = 1.0;
             for i in (0..qs.len()).rev() {
                 let q = qs[i] as usize;
-                marginals[q] += size * search_rates[q] * prefix[i] * suffix;
+                marginals[q] += weight * search_rates[q] * prefix[i] * suffix;
                 suffix *= 1.0 - search_rates[q];
             }
         }
         marginals
     }
 
-    /// Stable-partitions the internal nodes so that every node serving at
-    /// least one phrase in `hot` precedes all internal nodes serving
-    /// none. Leaves stay at `0..advertiser_count`, and within each class
-    /// the original order is kept, which preserves the children-before-
-    /// parent invariant [`SortPlan::instantiate`] relies on: a hot node's
-    /// children are hot (a parent's serving set is a subset of each
-    /// child's), and a cold node's hot children only move *earlier*.
-    ///
-    /// The adaptive hybrid resolver compiles its network over *all*
-    /// phrases but initially activates only the sort-routed subset; this
-    /// permutation packs that subset's cones into a contiguous arena
-    /// prefix — the same layout a network compiled over just the subset
-    /// would have — so the idle cones cost no locality, only memory.
-    pub fn cluster_hot_phrases(&mut self, hot: &[bool]) {
-        let n = self.advertiser_count;
-        let total = self.node_count();
-        let is_hot =
-            |plan: &SortPlan, v: usize| plan.node_serves(v).iter().any(|&q| hot[q as usize]);
-        let mut new_of_old: Vec<u32> = (0..total as u32).collect();
-        let mut next = n as u32;
-        for pass_hot in [true, false] {
-            for (idx, slot) in new_of_old.iter_mut().enumerate().skip(n) {
-                if is_hot(self, idx) == pass_hot {
-                    *slot = next;
-                    next += 1;
-                }
-            }
-        }
-        debug_assert_eq!(next as usize, total);
-        let mut children = vec![[NO_NODE; 2]; total];
-        let mut sizes = vec![0u32; total];
-        let mut serves_off = vec![0u32; total + 1];
-        let mut serves_pool = vec![0u32; self.serves_pool.len()];
-        // Two passes over the old arena: sizes/lengths first so the new
-        // CSR offsets are known, then the payloads.
-        for (old, &new) in new_of_old.iter().enumerate() {
-            let new = new as usize;
-            sizes[new] = self.sizes[old];
-            serves_off[new + 1] = self.node_serves(old).len() as u32;
-            children[new] = match self.node_children(old) {
-                None => [NO_NODE; 2],
-                Some((a, b)) => [new_of_old[a], new_of_old[b]],
-            };
-        }
-        for i in 0..total {
-            serves_off[i + 1] += serves_off[i];
-        }
-        for (old, &new) in new_of_old.iter().enumerate() {
-            let dst = serves_off[new as usize] as usize;
-            let src = self.node_serves(old);
-            serves_pool[dst..dst + src.len()].copy_from_slice(src);
-        }
-        for root in &mut self.roots {
-            if *root != NO_NODE {
-                *root = new_of_old[*root as usize];
-            }
-        }
-        self.children = children;
-        self.sizes = sizes;
-        self.serves_off = serves_off;
-        self.serves_pool = serves_pool;
-    }
-
-    /// Per leaf (advertiser index), the ids of every internal node whose
-    /// advertiser set contains it — the leaf's *cone*, i.e. exactly the
-    /// operators a bid change at that leaf invalidates. Computed once per
-    /// plan (O(Σ_v |I_v|), the same quantity the Section III-B cost model
-    /// bounds) and handed to `MergeNetwork::refresh`, which is then
-    /// O(dirty cones) instead of O(network). Returned as one CSR pool —
-    /// two allocations total instead of one `Vec` per advertiser.
-    ///
-    /// Node ids double as network node ids: [`SortPlan::instantiate`]
-    /// pushes one network node per plan node in order.
+    /// Per run, the ascending ids of every internal node with that run
+    /// below it — the run's *cone*, i.e. exactly the operators a rebuild
+    /// of the run invalidates. Computed once per plan and handed to
+    /// `MergeNetwork::refresh`, which is then O(dirty cones) instead of
+    /// O(network).
     pub fn leaf_cones(&self) -> LeafCones {
-        let n = self.advertiser_count;
-        let total = self.node_count();
+        let runs = self.run_count();
+        let mut lists = vec![Vec::new(); runs];
         // A node can have several parents (adoption for different phrase
         // sets), so subtrees are DAG cones; stamp visited nodes per
-        // enumeration so diamonds contribute each leaf once.
-        let mut stamp = vec![0u32; total];
-        let mut epoch = 0u32;
-        let mut stack: Vec<u32> = Vec::new();
-        let mut counts = vec![0u32; n];
-        let each_leaf = |plan: &SortPlan,
-                         v: usize,
-                         stamp: &mut [u32],
-                         epoch: &mut u32,
-                         stack: &mut Vec<u32>,
-                         f: &mut dyn FnMut(usize)| {
-            *epoch += 1;
-            stack.push(v as u32);
-            stamp[v] = *epoch;
+        // enumeration so diamonds contribute each run once.
+        let mut stamp = vec![0u32; self.node_count()];
+        let mut stack = Vec::new();
+        for v in runs..self.node_count() {
+            stack.push(v);
             while let Some(x) = stack.pop() {
-                let x = x as usize;
-                match plan.node_children(x) {
-                    None => f(x),
+                match self.node_children(x) {
+                    None => lists[x].push(v as u32),
                     Some((a, b)) => {
-                        if stamp[a] != *epoch {
-                            stamp[a] = *epoch;
-                            stack.push(a as u32);
-                        }
-                        if stamp[b] != *epoch {
-                            stamp[b] = *epoch;
-                            stack.push(b as u32);
+                        for child in [a, b] {
+                            if stamp[child] != v as u32 + 1 {
+                                stamp[child] = v as u32 + 1;
+                                stack.push(child);
+                            }
                         }
                     }
                 }
             }
-        };
-        for v in n..total {
-            each_leaf(self, v, &mut stamp, &mut epoch, &mut stack, &mut |leaf| {
-                counts[leaf] += 1;
-            });
         }
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + counts[i];
-        }
-        let mut pool = vec![0u32; offsets[n] as usize];
-        let mut fill: Vec<u32> = offsets[..n].to_vec();
-        // Ascending internal-node order keeps each cone sorted ascending,
-        // exactly the order the per-leaf `Vec` layout produced.
-        for v in n..total {
-            each_leaf(self, v, &mut stamp, &mut epoch, &mut stack, &mut |leaf| {
-                pool[fill[leaf] as usize] = v as u32;
-                fill[leaf] += 1;
-            });
-        }
-        LeafCones::from_csr(offsets, pool)
+        LeafCones::from_lists(&lists)
     }
 }
 
@@ -400,6 +292,24 @@ fn balanced_merge_cost(s: usize) -> usize {
     }
     let half = s / 2;
     balanced_merge_cost(half) + balanced_merge_cost(s - half) + s
+}
+
+/// `Σ_v |I_v|` over the merge operators of the pairwise tree over `f`
+/// leaves — adjacent nodes merged level by level, an odd last node
+/// carried up — the Section III-B weight of a run of `f`. The nodes at
+/// level `j` are the aligned blocks of `2^j` leaves (the last one
+/// possibly short), so each level merges all `f` leaves except a last
+/// block short enough (at most `2^(j−1)`) to have been carried. Not
+/// [`balanced_merge_cost`], which splits in halves: 13 vs 12 at `f = 5`.
+fn pairwise_tree_cost(f: usize) -> usize {
+    let mut cost = 0;
+    let mut half = 1;
+    while half < f {
+        let last = (f - 1) % (2 * half) + 1;
+        cost += if last <= half { f - last } else { f };
+        half *= 2;
+    }
+    cost
 }
 
 /// The expected number of queries in `Q_w` occurring beyond the first —
@@ -468,26 +378,6 @@ fn sparse_interest(advertiser_count: usize, interest: &[BitSet]) -> Vec<Vec<u32>
                 "interest set {q} universe mismatch"
             );
             iq.iter().map(|i| i as u32).collect()
-        })
-        .collect()
-}
-
-/// The per-advertiser leaf nodes (node index = advertiser index), their
-/// ascending signatures transposed from the per-phrase lists.
-fn leaf_nodes(advertiser_count: usize, interest: &[Vec<u32>]) -> Vec<WorkNode> {
-    let mut serves_of: Vec<Vec<u32>> = vec![Vec::new(); advertiser_count];
-    for (q, iq) in interest.iter().enumerate() {
-        for &i in iq {
-            serves_of[i as usize].push(q as u32);
-        }
-    }
-    serves_of
-        .into_iter()
-        .map(|serves| WorkNode {
-            remaining: serves.clone(),
-            serves,
-            size: 1,
-            children: None,
         })
         .collect()
 }
@@ -612,7 +502,19 @@ fn complete_per_phrase(nodes: &mut Vec<WorkNode>, m: usize) -> Vec<usize> {
 }
 
 /// Converts finished working nodes into the arena form.
-fn into_arena(advertiser_count: usize, nodes: Vec<WorkNode>, roots: Vec<usize>) -> SortPlan {
+fn into_arena(
+    advertiser_count: usize,
+    runs: &[Vec<u32>],
+    nodes: Vec<WorkNode>,
+    roots: Vec<usize>,
+) -> SortPlan {
+    let mut run_off = Vec::with_capacity(runs.len() + 1);
+    let mut run_members = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    run_off.push(0u32);
+    for run in runs {
+        run_members.extend_from_slice(run);
+        run_off.push(run_members.len() as u32);
+    }
     let total = nodes.len();
     let mut children = Vec::with_capacity(total);
     let mut sizes = Vec::with_capacity(total);
@@ -631,6 +533,8 @@ fn into_arena(advertiser_count: usize, nodes: Vec<WorkNode>, roots: Vec<usize>) 
     }
     SortPlan {
         advertiser_count,
+        run_off,
+        run_members,
         children,
         sizes,
         serves_off,
@@ -642,10 +546,36 @@ fn into_arena(advertiser_count: usize, nodes: Vec<WorkNode>, roots: Vec<usize>) 
     }
 }
 
+/// The builders' shared body: one leaf per run (in the given order), the
+/// savings search over them, then per-phrase completion.
+fn build_over_runs(
+    advertiser_count: usize,
+    runs: SignatureGroups,
+    search_rates: &[f64],
+    equal_sizes: bool,
+) -> SortPlan {
+    let mut nodes: Vec<WorkNode> = runs
+        .members
+        .iter()
+        .zip(runs.signatures)
+        .map(|(members, serves)| WorkNode {
+            remaining: serves.clone(),
+            serves,
+            size: members.len() as u32,
+            children: None,
+        })
+        .collect();
+    let frontier = (0..nodes.len()).collect();
+    merge_by_savings(&mut nodes, frontier, search_rates, equal_sizes);
+    let roots = complete_per_phrase(&mut nodes, search_rates.len());
+    into_arena(advertiser_count, &runs.members, nodes, roots)
+}
+
 /// The Section III-C greedy planner, considering every node pair at every
-/// step (the paper's formulation, `|I_u| = |I_v|` included). Quadratic in
-/// the node count per step — intended for up to a few hundred
-/// advertisers; use [`build_shared_sort_plan_bucketed`] at scale.
+/// step (the paper's formulation, `|I_u| = |I_v|` included) over one
+/// run per interested advertiser, in advertiser order. Quadratic in the
+/// node count per step — intended for up to a few hundred advertisers;
+/// use [`build_shared_sort_plan_bucketed`] at scale.
 ///
 /// `interest[q]` is `I_q` over an advertiser universe of size `n`;
 /// `search_rates[q]` is `sr_q`.
@@ -654,15 +584,26 @@ pub fn build_shared_sort_plan(
     interest: &[BitSet],
     search_rates: &[f64],
 ) -> SortPlan {
-    let m = interest.len();
-    assert_eq!(search_rates.len(), m, "one rate per phrase");
-    let interest = sparse_interest(advertiser_count, interest);
-    let mut nodes = leaf_nodes(advertiser_count, &interest);
-    // Every advertiser is its own frontier node.
-    let leaves = (0..advertiser_count).collect();
-    merge_by_savings(&mut nodes, leaves, search_rates, true);
-    let roots = complete_per_phrase(&mut nodes, m);
-    into_arena(advertiser_count, nodes, roots)
+    assert_eq!(search_rates.len(), interest.len(), "one rate per phrase");
+    let fragments = group_by_signature(
+        advertiser_count,
+        &sparse_interest(advertiser_count, interest),
+    );
+    let mut leaves: Vec<(u32, usize)> = fragments
+        .members
+        .iter()
+        .enumerate()
+        .flat_map(|(f, members)| members.iter().map(move |&i| (i, f)))
+        .collect();
+    leaves.sort_unstable();
+    let runs = SignatureGroups {
+        members: leaves.iter().map(|&(i, _)| vec![i]).collect(),
+        signatures: leaves
+            .iter()
+            .map(|&(_, f)| fragments.signatures[f].clone())
+            .collect(),
+    };
+    build_over_runs(advertiser_count, runs, search_rates, true)
 }
 
 /// A scalable variant of the Section III-C planner, over *sparse*
@@ -672,64 +613,22 @@ pub fn build_shared_sort_plan(
 /// advertisers.
 ///
 /// Advertisers with the same phrase signature are interchangeable, so the
-/// quadratic pair search over leaves is wasted work. This variant:
+/// quadratic pair search over them is wasted work. This variant:
 ///
-/// 1. groups advertisers into *fragments* by signature (exactly the
-///    Section II-D stage-1 idea, applied to sorting),
-/// 2. merge-sorts each fragment with a balanced tree (every internal node
-///    serves the whole signature; for a fixed leaf set a balanced tree
-///    minimizes `Σ_v |I_v|`),
-/// 3. runs the paper's greedy savings rule across the fragment roots and
-///    their merge results (a small node set), with the equal-size
-///    constraint relaxed as in the completion phase,
-/// 4. completes each phrase as usual.
+/// 1. groups advertisers into *fragments* by signature (Section II-D
+///    stage 1, [`group_by_signature`]), each fragment one leaf run;
+/// 2. runs the paper's greedy savings rule across the runs and their
+///    merge results (a small node set), with the equal-size constraint
+///    relaxed as in the completion phase;
+/// 3. completes each phrase as usual.
 pub fn build_shared_sort_plan_sparse(
     advertiser_count: usize,
     interest: &[Vec<u32>],
     search_rates: &[f64],
 ) -> SortPlan {
-    let m = interest.len();
-    assert_eq!(search_rates.len(), m, "one rate per phrase");
-
-    let mut nodes = leaf_nodes(advertiser_count, interest);
-
-    // Stage 1: fragments by signature (ignoring advertisers in no
-    // phrase), ordered by first member.
-    let mut groups: std::collections::HashMap<Vec<u32>, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, node) in nodes.iter().enumerate() {
-        if !node.serves.is_empty() {
-            groups.entry(node.serves.clone()).or_default().push(i);
-        }
-    }
-    let mut group_list: Vec<(Vec<u32>, Vec<usize>)> = groups.into_iter().collect();
-    group_list.sort_by_key(|(_, members)| members[0]);
-
-    // Stage 2: balanced tree per fragment. Fragments partition the
-    // advertisers and each member is merged exactly once per level, so
-    // every adopt here is advertiser-disjoint by construction.
-    let mut frontier: Vec<usize> = Vec::new();
-    for (_, members) in &group_list {
-        let mut level = members.clone();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if pair.len() == 2 {
-                    next.push(adopt(&mut nodes, pair[0], pair[1]));
-                } else {
-                    next.push(pair[0]);
-                }
-            }
-            level = next;
-        }
-        frontier.push(level[0]);
-    }
-
-    // Stage 3: the savings rule across the (small) set of fragment roots.
-    merge_by_savings(&mut nodes, frontier, search_rates, false);
-
-    let roots = complete_per_phrase(&mut nodes, m);
-    into_arena(advertiser_count, nodes, roots)
+    assert_eq!(search_rates.len(), interest.len(), "one rate per phrase");
+    let fragments = group_by_signature(advertiser_count, interest);
+    build_over_runs(advertiser_count, fragments, search_rates, false)
 }
 
 /// [`build_shared_sort_plan_sparse`] over dense `BitSet` interest sets —
@@ -748,6 +647,28 @@ pub fn build_shared_sort_plan_bucketed(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl SortPlan {
+        /// Reconstructs `I_v` as a `BitSet` by walking the subtree.
+        fn node_advertisers(&self, v: usize) -> BitSet {
+            let mut out = BitSet::new(self.advertiser_count);
+            let mut stack = vec![v];
+            while let Some(x) = stack.pop() {
+                match self.node_children(x) {
+                    None => {
+                        for &i in self.run_members(x) {
+                            out.insert(i as usize);
+                        }
+                    }
+                    Some((a, b)) => {
+                        stack.push(a);
+                        stack.push(b);
+                    }
+                }
+            }
+            out
+        }
+    }
 
     fn bs(n: usize, elems: &[usize]) -> BitSet {
         BitSet::from_elements(n, elems.iter().copied())
@@ -777,7 +698,7 @@ mod tests {
 
     /// Internal node indices of `plan`, ascending.
     fn internal_nodes(plan: &SortPlan) -> Vec<usize> {
-        (plan.advertiser_count()..plan.node_count()).collect()
+        (plan.run_count()..plan.node_count()).collect()
     }
 
     #[test]
@@ -878,10 +799,85 @@ mod tests {
     }
 
     #[test]
+    fn run_costs_equal_the_expanded_pairwise_trees() {
+        // Expand every run of a sparse plan into the pairwise merge tree
+        // that would sort it (adjacent pairs, odd node carried up), each
+        // operator serving the run's signature, and evaluate the Section
+        // III-B model on the expansion by brute force: the plan's own
+        // cost and marginals must agree.
+        assert_eq!(pairwise_tree_cost(5), 13);
+        assert_eq!(balanced_merge_cost(5), 12);
+        let n = 300usize;
+        let m = 9;
+        let interest: Vec<Vec<u32>> = (0..m)
+            .map(|q| {
+                (0..n)
+                    .filter(|&i| (i + q).is_multiple_of(3) || i % 11 == q || i.is_multiple_of(7))
+                    .map(|i| i as u32)
+                    .collect()
+            })
+            .collect();
+        let rates: Vec<f64> = (0..m).map(|q| 0.05 + 0.1 * q as f64).collect();
+        let plan = build_shared_sort_plan_sparse(n, &interest, &rates);
+        let mut expanded: Vec<(usize, &[u32])> = Vec::new();
+        for r in 0..plan.run_count() {
+            let mut level = vec![1usize; plan.node_size(r)];
+            while level.len() > 1 {
+                level = level
+                    .chunks(2)
+                    .map(|pair| {
+                        let size = pair.iter().sum();
+                        if pair.len() == 2 {
+                            expanded.push((size, plan.node_serves(r)));
+                        }
+                        size
+                    })
+                    .collect();
+            }
+        }
+        assert!(
+            (0..plan.run_count()).any(|r| plan.node_size(r) % 2 == 1 && plan.node_size(r) > 1),
+            "the instance must hold an odd run"
+        );
+        for v in internal_nodes(&plan) {
+            expanded.push((plan.node_size(v), plan.node_serves(v)));
+        }
+        let occurs = |qs: &[u32], skip: Option<u32>| {
+            1.0 - qs
+                .iter()
+                .filter(|&&q| Some(q) != skip)
+                .map(|&q| 1.0 - rates[q as usize])
+                .product::<f64>()
+        };
+        let cost: f64 = expanded
+            .iter()
+            .map(|&(size, qs)| size as f64 * occurs(qs, None))
+            .sum();
+        assert!(
+            (plan.expected_cost(&rates) - cost).abs() < 1e-9,
+            "expected cost {} vs expanded {cost}",
+            plan.expected_cost(&rates)
+        );
+        let marginals = plan.phrase_marginal_costs(&rates);
+        for (q, &marginal) in marginals.iter().enumerate() {
+            let want: f64 = expanded
+                .iter()
+                .filter(|(_, qs)| qs.contains(&(q as u32)))
+                .map(|&(size, qs)| size as f64 * rates[q] * (1.0 - occurs(qs, Some(q as u32))))
+                .sum();
+            assert!(
+                (marginal - want).abs() < 1e-9,
+                "phrase {q}: marginal {marginal} vs expanded {want}"
+            );
+        }
+    }
+
+    #[test]
     fn singleton_phrase_needs_no_merges() {
         let interest = vec![bs(3, &[1])];
         let plan = build_shared_sort_plan(3, &interest, &[1.0]);
-        assert_eq!(plan.root(0), 1, "the leaf itself is the root");
+        assert_eq!(plan.node_count(), 1, "one run, no merges");
+        assert_eq!(plan.run_members(plan.root(0)), &[1], "the run is the root");
         assert_eq!(plan.expected_cost(&[1.0]), 0.0);
     }
 
@@ -892,8 +888,8 @@ mod tests {
         let interest = vec![bs(6, &[0, 1, 2, 3]), bs(6, &[0, 1, 4, 5])];
         let rates = [0.9, 0.9];
         let bucketed = build_shared_sort_plan_bucketed(6, &interest, &rates);
-        let shared = internal_nodes(&bucketed)
-            .into_iter()
+        assert_eq!(bucketed.run_count(), 3, "one run per fragment");
+        let shared = (0..bucketed.node_count())
             .find(|&v| bucketed.node_advertisers(v) == bs(6, &[0, 1]))
             .expect("shared fragment node exists");
         assert_eq!(bucketed.node_serves(shared).len(), 2);
@@ -943,6 +939,10 @@ mod tests {
             .collect();
         let sparse = build_shared_sort_plan_sparse(n, &sparse_interest, &rates);
         assert_eq!(dense.node_count(), sparse.node_count());
+        assert_eq!(dense.run_count(), sparse.run_count());
+        for r in 0..dense.run_count() {
+            assert_eq!(dense.run_members(r), sparse.run_members(r), "run {r}");
+        }
         for v in 0..dense.node_count() {
             assert_eq!(dense.node_children(v), sparse.node_children(v), "node {v}");
             assert_eq!(dense.node_size(v), sparse.node_size(v), "node {v}");
@@ -951,41 +951,6 @@ mod tests {
         for q in 0..m {
             assert_eq!(dense.root(q), sparse.root(q), "phrase {q}");
         }
-    }
-
-    #[test]
-    fn cluster_hot_phrases_preserves_streams_and_prefixes() {
-        let interest = vec![
-            bs(8, &[0, 1, 2, 3, 4, 5]),
-            bs(8, &[0, 1, 2, 3, 6, 7]),
-            bs(8, &[0, 1, 2, 3, 4, 6]),
-        ];
-        let rates = [0.9, 0.9, 0.9];
-        let mut plan = build_shared_sort_plan_bucketed(8, &interest, &rates);
-        let cost_before = plan.expected_cost(&rates);
-        let hot = [false, true, false];
-        plan.cluster_hot_phrases(&hot);
-        // Leaves untouched; children always precede parents.
-        for idx in 0..plan.node_count() {
-            match plan.node_children(idx) {
-                None => assert!(idx < plan.advertiser_count(), "leaf {idx} out of place"),
-                Some((a, b)) => assert!(a < idx && b < idx, "child after parent at {idx}"),
-            }
-        }
-        // Hot internals form a contiguous prefix of the internal range.
-        let internal_hot: Vec<bool> = internal_nodes(&plan)
-            .into_iter()
-            .map(|v| plan.node_serves(v).iter().any(|&q| hot[q as usize]))
-            .collect();
-        let first_cold = internal_hot.iter().position(|&h| !h).unwrap_or(0);
-        assert!(
-            internal_hot[first_cold..].iter().all(|&h| !h),
-            "hot internals are not a prefix: {internal_hot:?}"
-        );
-        // Semantics unchanged: same expected cost, same sorted streams.
-        assert_eq!(plan.expected_cost(&rates), cost_before);
-        let bids: Vec<Money> = (0..8).map(|i| Money::from_units(20 - i as u64)).collect();
-        plan_roots_sort_correctly(&plan, &interest, &bids);
     }
 
     #[test]

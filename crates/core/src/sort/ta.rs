@@ -230,20 +230,28 @@ pub fn naive_top_k(
 
 #[cfg(test)]
 mod tests {
+    use super::super::SortItem;
     use super::*;
     use proptest::prelude::*;
 
     /// Builds a single-phrase environment: bids + factors for n
-    /// advertisers, balanced merge network over all of them.
+    /// advertisers, balanced merge network over runs of up to 3 of them.
     fn single_phrase(
         bids: &[u64],
         factors: &[f64],
     ) -> (MergeNetwork, usize, Vec<(AdvertiserId, f64)>) {
         let mut net = MergeNetwork::new();
-        let mut level: Vec<usize> = bids
+        let items: Vec<SortItem> = bids
             .iter()
             .enumerate()
-            .map(|(i, &b)| net.leaf(AdvertiserId::from_index(i), Money::from_micros(b)))
+            .map(|(i, &b)| SortItem {
+                bid: Money::from_micros(b),
+                advertiser: AdvertiserId::from_index(i),
+            })
+            .collect();
+        let mut level: Vec<usize> = items
+            .chunks(3)
+            .map(|run| net.run(run.iter().copied()))
             .collect();
         while level.len() > 1 {
             let mut next = Vec::new();

@@ -1,10 +1,11 @@
-//! Steady-state TA must not touch the heap in its seen-set and top-k
-//! scratch paths.
+//! A steady-state round on a run-backed merge network — refresh, then TA
+//! — must not touch the heap.
 //!
 //! A counting global allocator wraps the system allocator; after one
-//! warm-up run has sized the [`TaScratch`] stamps, the top-k working
-//! list, and the output buffer — and the merge network's caches are warm
-//! — a TA run over the same phrase must allocate exactly nothing.
+//! warm-up round has sized the [`TaScratch`] stamps, the top-k working
+//! list, the output buffer and the merge caches, a round that moves some
+//! bids (rebuilding their runs and resetting the cones above) and re-runs
+//! TA must allocate exactly nothing.
 //!
 //! This file deliberately holds a single `#[test]`: the allocation
 //! counter is process-global, and a concurrently running test in the same
@@ -13,7 +14,7 @@
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
 use ssa_core::sort::ta::{threshold_top_k_into, TaScratch};
-use ssa_core::sort::MergeNetwork;
+use ssa_core::sort::{LeafCones, MergeNetwork, SortItem};
 
 mod common;
 
@@ -23,33 +24,49 @@ static COUNTER: common::CountingAlloc = common::CountingAlloc;
 #[test]
 fn steady_state_ta_allocates_nothing() {
     let n = 64usize;
-    let bids: Vec<u64> = (0..n).map(|i| ((i as u64 * 131) % 97) * 10).collect();
+    let mut bids: Vec<Money> = (0..n)
+        .map(|i| Money::from_micros(((i as u64 * 131) % 97) * 10))
+        .collect();
     let factors: Vec<f64> = (0..n)
         .map(|i| 0.1 + ((i * 29) % 23) as f64 / 10.0)
         .collect();
 
-    // Balanced network over all advertisers, drained so caches are warm
-    // (a steady-state round re-reads cached prefixes; it only merges
-    // fresh items inside refreshed cones, which is the network's cost,
-    // not TA's).
+    // Eight runs of eight under a balanced tree; run `r` is node `r`, and
+    // its cone is every merge node above it.
     let mut net = MergeNetwork::new();
-    let mut level: Vec<usize> = bids
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| net.leaf(AdvertiserId::from_index(i), Money::from_micros(b)))
+    let mut level: Vec<usize> = (0..n)
+        .collect::<Vec<_>>()
+        .chunks(8)
+        .map(|run| {
+            net.run(run.iter().map(|&i| SortItem {
+                bid: bids[i],
+                advertiser: AdvertiserId::from_index(i),
+            }))
+        })
         .collect();
+    let runs = level.len();
+    let mut cones: Vec<Vec<u32>> = vec![Vec::new(); runs];
+    let mut below: Vec<Vec<usize>> = (0..runs).map(|r| vec![r]).collect();
     while level.len() > 1 {
         let mut next = Vec::new();
         for pair in level.chunks(2) {
             next.push(if pair.len() == 2 {
-                net.merge(pair[0], pair[1])
+                let node = net.merge(pair[0], pair[1]);
+                let under = [below[pair[0]].clone(), below[pair[1]].clone()].concat();
+                for &r in &under {
+                    cones[r].push(node as u32);
+                }
+                below.push(under);
+                node
             } else {
                 pair[0]
             });
         }
         level = next;
     }
+    let cones = LeafCones::from_lists(&cones);
     let root = level[0];
+    // Drained once, so every cache already has its full capacity.
     net.drain(root);
 
     let mut c_order: Vec<(AdvertiserId, f64)> = factors
@@ -62,33 +79,57 @@ fn steady_state_ta_allocates_nothing() {
     let mut scratch = TaScratch::new();
     let mut out = Vec::new();
     let k = 5;
-    let run = |net: &mut MergeNetwork,
-               scratch: &mut TaScratch,
-               out: &mut Vec<(AdvertiserId, ssa_auction::score::Score)>| {
-        threshold_top_k_into(
+    let round = |net: &mut MergeNetwork,
+                 bids: &[Money],
+                 scratch: &mut TaScratch,
+                 out: &mut Vec<(AdvertiserId, ssa_auction::score::Score)>| {
+        let stats = net.refresh(0..runs, bids, &cones);
+        let ta = threshold_top_k_into(
             |i| net.get(root, i),
             &c_order,
-            |a| Money::from_micros(bids[a.index()]),
+            |a| bids[a.index()],
             |a| factors[a.index()],
             k,
             scratch,
             out,
-        )
+        );
+        (stats.nodes_invalidated, ta)
     };
 
     // Warm-up: sizes the stamps array, the k-list, and the out buffer.
-    let warm = run(&mut net, &mut scratch, &mut out);
+    round(&mut net, &bids, &mut scratch, &mut out);
 
-    // Steady state: several rounds, zero allocations.
-    for round in 0..5 {
+    // Steady state: each round moves two bids, zero allocations.
+    for r in 0..5usize {
+        for i in [r * 13 % n, r * 29 % n + 1] {
+            bids[i] = Money::from_micros(bids[i].micros() * 7 % 1_000 + r as u64);
+        }
         let before = common::allocations();
-        let steady = run(&mut net, &mut scratch, &mut out);
+        let (invalidated, steady) = round(&mut net, &bids, &mut scratch, &mut out);
         let allocated = common::allocations() - before;
         assert_eq!(
             allocated, 0,
-            "steady-state TA round {round} performed {allocated} heap allocations"
+            "steady-state round {r} performed {allocated} heap allocations"
         );
-        assert_eq!(steady, warm, "round {round} diverged");
+        assert!(invalidated > 0, "round {r} must rebuild a run");
+
+        // Against a fresh network over this round's bids.
+        let mut fresh = MergeNetwork::new();
+        let fresh_root = fresh.run((0..n).map(|i| SortItem {
+            bid: bids[i],
+            advertiser: AdvertiserId::from_index(i),
+        }));
+        let mut fresh_out = Vec::new();
+        let want = threshold_top_k_into(
+            |i| fresh.get(fresh_root, i),
+            &c_order,
+            |a| bids[a.index()],
+            |a| factors[a.index()],
+            k,
+            &mut TaScratch::new(),
+            &mut fresh_out,
+        );
+        assert_eq!((steady, &out), (want, &fresh_out), "round {r} diverged");
     }
     assert_eq!(out.len(), k);
 }

@@ -965,18 +965,20 @@ pub fn check_shared_sort(seed: u64) -> Result<(), Divergence> {
 
 /// Differential check of the *persistent* shared-sort network: an engine
 /// running `SharedSort` for several rounds — its merge network built once
-/// and refreshed in place via dirty-cone invalidation — must be
-/// bit-identical to evaluating every round on a freshly instantiated
-/// network. Per round: same slot assignments, same total TA sorted-access
-/// stages, and every fresh node cache a prefix of the persistent node
-/// cache (the persistent network may retain *deeper* merged prefixes
-/// from earlier rounds, but never different ones). The persistent
-/// network refreshes only the leaves under the round's occurring
-/// phrases, so elsewhere its leaves may hold bids from earlier rounds;
-/// the prefix property still holds at every node because a fresh
-/// network fills only occurring cones, where both networks hold this
-/// round's bids. Exercised under both throttling policies (tight budgets
-/// make effective bids actually churn between rounds).
+/// and refreshed in place via run rebuilds and dirty-cone invalidation —
+/// must be bit-identical to evaluating every round on a freshly
+/// instantiated network. Per round: same slot assignments, same total TA
+/// sorted-access stages, and every fresh node cache a prefix of the
+/// persistent node cache (the persistent network may retain *deeper*
+/// sorted prefixes from earlier rounds, but never different ones). A
+/// run leaf's cache is its popped prefix, so the property covers the
+/// fragment runs as well as the merge nodes above them. The persistent
+/// network diffs only the runs under the round's occurring phrases, so
+/// elsewhere its runs may hold bids from earlier rounds; the prefix
+/// property still holds at every node because a fresh network fills
+/// only occurring cones, where both networks hold this round's bids.
+/// Exercised under both throttling policies (tight budgets make
+/// effective bids actually churn between rounds).
 pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "sort-persistent";
     let w = Workload::generate(cfg);

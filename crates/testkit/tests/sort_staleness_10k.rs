@@ -1,11 +1,11 @@
 //! Staleness oracle at 10k advertisers for the sort network's
 //! demand-driven refresh.
 //!
-//! The persistent merge network refreshes only the leaves under the
-//! phrases a round hands it; every other leaf keeps the bid of its
-//! advertiser's last participation. Tight budgets make throttled bids
+//! The persistent merge network diffs only the runs (one per fragment)
+//! under the phrases a round hands it; every other run keeps the bids of
+//! its members' last participation. Tight budgets make throttled bids
 //! churn between participations, and a steep search-rate tail leaves many
-//! phrases unsearched for hundreds of rounds, so most leaves are stale
+//! phrases unsearched for hundreds of rounds, so most runs are stale
 //! most of the time. Every outcome of every round must still equal the
 //! naive oracle's scan over that round's effective bids, for a pure
 //! `SharedSort` engine and for an adaptive `Hybrid` one (whose migrations
