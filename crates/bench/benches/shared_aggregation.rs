@@ -1,12 +1,16 @@
 //! E5 micro-benchmarks: shared-plan evaluation vs independent scans for
-//! one round of winner determination.
+//! one round of winner determination. `shared_plan` times the generic
+//! `PlanDag::evaluate`; `topk_cones` times the engine's path over the same
+//! plan (walk the occurring cones, then fill: a scan per fragment run, ⊕
+//! above).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use ssa_auction::money::Money;
 use ssa_auction::score::Score;
 use ssa_bench::setups::{sweep_workload, workload_problem};
-use ssa_core::plan::SharedPlanner;
+use ssa_core::plan::{SharedPlanner, TopKCones};
 use ssa_core::topk::{KList, ScoredAd, ScoredTopKOp};
 
 fn bench_shared_vs_unshared(c: &mut Criterion) {
@@ -37,6 +41,20 @@ fn bench_shared_vs_unshared(c: &mut Criterion) {
                     let (results, ops) =
                         plan.evaluate(&op, black_box(&leaves), black_box(&occurring));
                     black_box((results, ops))
+                })
+            },
+        );
+        let bids: Vec<Money> = w.advertisers.iter().map(|a| a.bid).collect();
+        let mut cones = TopKCones::new();
+        group.bench_with_input(
+            BenchmarkId::new("topk_cones", format!("n{n}_m{m}")),
+            &(),
+            |b, ()| {
+                b.iter(|| {
+                    cones.walk(&plan, plan.query_nodes().iter().copied());
+                    black_box(cones.fill(&plan, k, |i| {
+                        Score::expected_value(bids[i], w.advertisers[i].base_factor)
+                    }))
                 })
             },
         );

@@ -148,9 +148,9 @@ impl PhraseResolver for PlanResolver {
                 })
                 .collect();
         };
-        // Demand-driven: walk the occurring phrases' cones and merge only
-        // those nodes, reading each leaf's score straight off the bid
-        // buffer — the §II-B materialization cost, nothing per advertiser.
+        // Demand-driven: walk the occurring phrases' cones, scan their runs
+        // and merge only the nodes above, scoring straight off the bid
+        // buffer — the §II-B materialization cost, nothing population-sized.
         let advertisers = &ctx.workload.advertisers;
         let bids = &*effective_bids;
         let score = |i: usize| Score::expected_value(bids[i], advertisers[i].base_factor);

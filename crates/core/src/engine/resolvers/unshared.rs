@@ -21,40 +21,21 @@ use super::{PhraseResolver, RoundContext};
 #[derive(Debug, Default)]
 pub struct UnsharedResolver;
 
-/// Chunk width for the unshared phrase scan: small enough that the score
-/// buffer lives in registers/L1, wide enough to amortize the threshold
-/// re-read.
-const SCAN_CHUNK: usize = 64;
-
-/// Branch-light chunked top-k scan of one phrase's interest list.
-///
-/// Scores for a whole chunk are computed into a flat buffer first — a
-/// pure-arithmetic loop with no data-dependent branches, which the
-/// compiler can unroll and vectorize — and only candidates at or above
-/// the chunk-start k-th score touch the k-list. The filter uses `>=`
-/// because ties break by ascending advertiser id: an equal score with a
-/// lower id outranks the current k-th. A stale (chunk-start) threshold is
-/// conservative — it only admits extra candidates, which `insert`
-/// rejects — so the result is bit-identical to the naive one-by-one scan.
+/// Top-`k` of one phrase's interest list, advertiser `interest[j]`
+/// scoring its bid times `factors[j]`, by the chunked threshold scan of
+/// [`KList::scan`].
 pub fn scan_top_k(
     interest: &[AdvertiserId],
     factors: &[f64],
     bids: &[Money],
     k: usize,
 ) -> KList<ScoredAd> {
+    let factors = &factors[..interest.len()];
     let mut top: KList<ScoredAd> = KList::empty(k);
-    let mut scores = [Score::ZERO; SCAN_CHUNK];
-    for (ads, facs) in interest.chunks(SCAN_CHUNK).zip(factors.chunks(SCAN_CHUNK)) {
-        for ((slot, &a), &factor) in scores.iter_mut().zip(ads).zip(facs) {
-            *slot = Score::expected_value(bids[a.index()], factor);
-        }
-        let threshold = top.kth().map(|s| s.score);
-        for (&a, &score) in ads.iter().zip(&scores) {
-            if threshold.is_none_or(|t| score >= t) {
-                top.insert(ScoredAd::new(a, score));
-            }
-        }
-    }
+    top.scan(interest.len(), |j| {
+        let a = interest[j];
+        ScoredAd::new(a, Score::expected_value(bids[a.index()], factors[j]))
+    });
     top
 }
 

@@ -29,6 +29,9 @@ use crate::plan::{PlanDag, PlanProblem, SharedPlanner, TopKCones};
 #[derive(Debug, Clone)]
 pub struct SharedNonSeparable {
     plan: PlanDag,
+    /// Per phrase, the plan query it is bound to (`None` for
+    /// empty-interest phrases, which are left out of the plan).
+    query_index: Vec<Option<usize>>,
     advertiser_count: usize,
     k: usize,
 }
@@ -47,26 +50,28 @@ pub struct SharedNonSepOutcome {
 }
 
 impl SharedNonSeparable {
-    /// Compiles the shared plan over the phrase interest sets.
+    /// Compiles the shared plan over the non-empty phrase interest sets
+    /// (an empty one cannot be bound in a plan; it resolves to nothing).
     pub fn new(
         advertiser_count: usize,
         interest: &[BitSet],
         search_rates: &[f64],
         k: usize,
     ) -> Self {
-        let queries: Vec<BitSet> = interest
-            .iter()
-            .map(|q| {
-                if q.is_empty() {
-                    BitSet::singleton(advertiser_count, 0)
-                } else {
-                    q.clone()
-                }
-            })
-            .collect();
-        let problem = PlanProblem::new(advertiser_count, queries, Some(search_rates.to_vec()));
+        let mut query_index = vec![None; interest.len()];
+        let mut queries = Vec::new();
+        let mut rates = Vec::new();
+        for (q, set) in interest.iter().enumerate() {
+            if !set.is_empty() {
+                query_index[q] = Some(queries.len());
+                queries.push(set.clone());
+                rates.push(search_rates[q]);
+            }
+        }
+        let problem = PlanProblem::new(advertiser_count, queries, Some(rates));
         SharedNonSeparable {
             plan: SharedPlanner::fragments_only().plan(&problem),
+            query_index,
             advertiser_count,
             k,
         }
@@ -83,6 +88,7 @@ impl SharedNonSeparable {
         occurring: &[bool],
     ) -> SharedNonSepOutcome {
         assert_eq!(bids.len(), self.advertiser_count, "one bid per advertiser");
+        assert_eq!(interest.len(), self.query_index.len(), "one set per phrase");
         assert_eq!(occurring.len(), interest.len(), "one flag per phrase");
         assert_eq!(model.slot_count(), self.k, "model must cover k slots");
 
@@ -91,14 +97,14 @@ impl SharedNonSeparable {
         // of slot j's edge weights within its phrase's interest set; a
         // phrase's candidates are the union of its k such lists.
         let query_nodes = self.plan.query_nodes();
-        let live = |q: usize| occurring[q] && !interest[q].is_empty();
+        // The plan node of an occurring, non-empty phrase.
+        let live = |q: usize| {
+            self.query_index[q]
+                .filter(|_| occurring[q])
+                .map(|qi| query_nodes[qi])
+        };
         let mut cones = TopKCones::new();
-        cones.walk(
-            &self.plan,
-            (0..interest.len())
-                .filter(|&q| live(q))
-                .map(|q| query_nodes[q]),
-        );
+        cones.walk(&self.plan, (0..interest.len()).filter_map(live));
         let mut aggregation_ops = 0usize;
         let mut candidates: Vec<Vec<AdvertiserId>> = vec![Vec::new(); interest.len()];
         for j in 0..self.k {
@@ -108,10 +114,10 @@ impl SharedNonSeparable {
                 Score::new(model.ctr(adv, slot).value() * bids[i].to_f64())
             });
             for (q, found) in candidates.iter_mut().enumerate() {
-                if !live(q) {
+                let Some(node) = live(q) else {
                     continue;
-                }
-                for i in cones.top(&self.plan, query_nodes[q]) {
+                };
+                for i in cones.top(&self.plan, node) {
                     let adv = AdvertiserId::from_index(i);
                     if !found.contains(&adv) {
                         found.push(adv);
@@ -124,7 +130,7 @@ impl SharedNonSeparable {
         // its candidates.
         let mut assignments = Vec::with_capacity(interest.len());
         for (q, mut candidates) in candidates.into_iter().enumerate() {
-            if !live(q) {
+            if live(q).is_none() {
                 assignments.push(None);
                 continue;
             }
@@ -177,7 +183,7 @@ impl SharedNonSeparable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use ssa_auction::ctr::CtrMatrix;
+    use ssa_auction::ctr::{CtrMatrix, SeparableCtr};
     use ssa_auction::nonseparable::{determine_winners_nonseparable, NonSeparableBid};
 
     /// Per-phrase unshared reference.
@@ -275,6 +281,32 @@ mod tests {
         assert!(outcome.assignments[0].is_some());
         assert!(outcome.assignments[1].is_none(), "empty phrase");
         assert!(outcome.assignments[2].is_none(), "did not occur");
+    }
+
+    #[test]
+    fn compiles_and_resolves_with_no_advertisers() {
+        let interest = vec![BitSet::new(0), BitSet::new(0)];
+        let shared = SharedNonSeparable::new(0, &interest, &[0.5, 0.5], 2);
+        let model = SeparableCtr::new(Vec::new(), vec![0.3, 0.2]).unwrap();
+        let outcome = shared.resolve_round(&model, &[], &interest, &[true, true]);
+        assert!(outcome.assignments.iter().all(Option::is_none));
+        assert_eq!(outcome.aggregation_ops, 0);
+    }
+
+    #[test]
+    fn an_empty_phrase_leaves_the_plan_unchanged() {
+        let n = 6;
+        let a = BitSet::from_elements(n, 0..4);
+        let b = BitSet::from_elements(n, 2..6);
+        let interest = [a.clone(), BitSet::new(n), b.clone()];
+        let with = SharedNonSeparable::new(n, &interest, &[0.5, 0.9, 0.7], 2).plan;
+        let without = SharedNonSeparable::new(n, &[a, b], &[0.5, 0.7], 2).plan;
+        assert_eq!(with.node_count(), without.node_count());
+        for idx in 0..with.node_count() {
+            assert_eq!(with.vars(idx), without.vars(idx), "node {idx}");
+            assert_eq!(with.children(idx), without.children(idx), "node {idx}");
+        }
+        assert_eq!(with.query_nodes(), without.query_nodes());
     }
 
     proptest! {

@@ -5,11 +5,18 @@
 //! node v being materialized is `1 − Π_{q: v⇝q} (1 − sr_q)`. Thus, by
 //! linearity of expectation, the total expected cost of a plan is
 //! `Σ_v (1 − Π_{q: v⇝q} (1 − sr_q))`."
+//!
+//! A run stands for the left-deep chain of `f − 1` nodes over its `f`
+//! members, every one of which has the run's reach set, so each sum below
+//! adds a node's term once per unit of [`PlanDag::weight`] — in the order
+//! the chain's nodes would, which keeps the totals the chain plan's to the
+//! bit.
 
 use super::{PlanDag, PlanProblem};
 
-/// The expected number of internal nodes materialized per round, under
-/// independent Bernoulli query occurrence with the given search rates.
+/// The expected number of ⊕ applications materialized per round (internal
+/// nodes, a run counting its weight), under independent Bernoulli query
+/// occurrence with the given search rates.
 ///
 /// # Panics
 /// Panics if `search_rates.len()` differs from the plan's query count.
@@ -21,12 +28,14 @@ pub fn expected_cost(plan: &PlanDag, search_rates: &[f64]) -> f64 {
     );
     let reach = plan.reach_sets();
     let mut total = 0.0;
-    for idx in plan.var_count()..plan.node_count() {
+    for (idx, qs) in reach.iter().enumerate().skip(plan.var_count()) {
         let mut none_occur = 1.0;
-        for &q in reach.queries_of(idx) {
+        for &q in qs {
             none_occur *= 1.0 - search_rates[q as usize];
         }
-        total += 1.0 - none_occur;
+        for _ in 0..plan.weight(idx) {
+            total += 1.0 - none_occur;
+        }
     }
     total
 }
@@ -50,8 +59,7 @@ pub fn phrase_marginal_costs(plan: &PlanDag, search_rates: &[f64]) -> Vec<f64> {
     let reach = plan.reach_sets();
     let mut marginals = vec![0.0; search_rates.len()];
     let mut prefix: Vec<f64> = Vec::new();
-    for idx in plan.var_count()..plan.node_count() {
-        let qs = reach.queries_of(idx);
+    for (idx, qs) in reach.iter().enumerate().skip(plan.var_count()) {
         // prefix[i] = Π_{j<i} (1 − sr_{qs[j]}); suffix runs the mirror
         // product so each query gets Π over the others.
         prefix.clear();
@@ -60,11 +68,13 @@ pub fn phrase_marginal_costs(plan: &PlanDag, search_rates: &[f64]) -> Vec<f64> {
             prefix.push(acc);
             acc *= 1.0 - search_rates[q as usize];
         }
-        let mut suffix = 1.0;
-        for i in (0..qs.len()).rev() {
-            let q = qs[i] as usize;
-            marginals[q] += search_rates[q] * prefix[i] * suffix;
-            suffix *= 1.0 - search_rates[q];
+        for _ in 0..plan.weight(idx) {
+            let mut suffix = 1.0;
+            for i in (0..qs.len()).rev() {
+                let q = qs[i] as usize;
+                marginals[q] += search_rates[q] * prefix[i] * suffix;
+                suffix *= 1.0 - search_rates[q];
+            }
         }
     }
     marginals
@@ -82,14 +92,16 @@ pub fn unshared_expected_cost(problem: &PlanProblem) -> f64 {
         .sum()
 }
 
-/// The number of internal nodes actually materialized for one concrete
-/// round (the per-round realization of [`expected_cost`]).
+/// The ⊕ applications actually materialized for one concrete round (the
+/// per-round realization of [`expected_cost`]): the weights of the
+/// internal nodes under an occurring query.
 pub fn materialized_cost(plan: &PlanDag, occurring: &[bool]) -> usize {
     assert_eq!(occurring.len(), plan.query_count());
     let reach = plan.reach_sets();
     (plan.var_count()..plan.node_count())
-        .filter(|&idx| reach.queries_of(idx).iter().any(|&q| occurring[q as usize]))
-        .count()
+        .filter(|&idx| reach[idx].iter().any(|&q| occurring[q as usize]))
+        .map(|idx| plan.weight(idx))
+        .sum()
 }
 
 #[cfg(test)]

@@ -16,10 +16,13 @@
 //! inverted build is linear in the input size, which is the paper's own
 //! running-time parameter.
 //!
-//! [`group_by_signature`] is the one stage 1 of the crate: the aggregation
-//! planner reaches it through [`identify_fragments`], and the shared-sort
-//! planner (`sort::planner`) calls it directly, turning every fragment
-//! into one leaf run of its merge network.
+//! [`group_by_signature`] is the one stage 1 of the crate, and both
+//! planners make every fragment one leaf *run*: the aggregation planner
+//! reaches it through [`identify_fragments`] and [`build_fragment_plan`]
+//! (one [`PlanDag::run`] node per multi-variable fragment, scanned at
+//! evaluation instead of folded through a ⊕ chain), and the shared-sort
+//! planner (`sort::planner`) calls it directly for the leaf runs of its
+//! merge network.
 
 use std::collections::HashMap;
 
@@ -149,11 +152,12 @@ pub fn identify_fragments(problem: &PlanProblem) -> Fragments {
     }
 }
 
-/// Builds the stage-1 plan: every multi-variable fragment is aggregated by
-/// a left-deep chain. Returns the plan plus, per query, the plan-node
-/// indices of its fragments (the starting points for stage 2). Queries
-/// that consist of a single fragment already have their node and are
-/// *not* yet bound (binding happens when the planner finishes).
+/// Builds the stage-1 plan: every multi-variable fragment is one run
+/// node, in fragment order, and a one-variable fragment is its leaf.
+/// Returns the plan plus, per query, the plan-node indices of its
+/// fragments (the starting points for stage 2). Queries that consist of a
+/// single fragment already have their node and are *not* yet bound
+/// (binding happens when the planner finishes).
 pub fn build_fragment_plan(problem: &PlanProblem) -> (PlanDag, Fragments, Vec<Vec<usize>>) {
     let fragments = identify_fragments(problem);
     let mut plan = PlanDag::new(problem.var_count);
@@ -161,8 +165,8 @@ pub fn build_fragment_plan(problem: &PlanProblem) -> (PlanDag, Fragments, Vec<Ve
         .fragments
         .iter()
         .map(|f| {
-            let leaves: Vec<usize> = f.vars.iter().collect();
-            plan.merge_chain(&leaves)
+            let members: Vec<u32> = f.vars.iter().map(|v| v as u32).collect();
+            plan.run(&members)
         })
         .collect();
     let per_query_nodes = fragments
@@ -226,8 +230,9 @@ mod tests {
     fn fragment_plan_has_chain_costs() {
         let problem = mini_problem();
         let (plan, f, per_query_nodes) = build_fragment_plan(&problem);
-        // One multi-var fragment of size 2 → 1 internal node; singleton
+        // One multi-var fragment of size 2 → 1 run weighing 1; singleton
         // fragments reuse their leaves.
+        assert_eq!(plan.run_members(5), Some(&[0, 1][..]));
         assert_eq!(plan.total_cost(), 1);
         assert_eq!(f.fragments.len(), 3);
         assert!(plan.validate().is_ok());
@@ -247,7 +252,9 @@ mod tests {
         let f = identify_fragments(&problem);
         assert_eq!(f.fragments.len(), 1);
         let (plan, _, _) = build_fragment_plan(&problem);
-        // Chain of 3 vars = 2 nodes, shared by both queries.
+        // One run of 3 vars, weighing the 2 merges of its chain, shared
+        // by both queries.
+        assert_eq!(plan.node_count(), 4);
         assert_eq!(plan.total_cost(), 2);
     }
 

@@ -44,10 +44,10 @@
 //! the same selection sequence as a full scan — every greedy pick
 //! is fragment-aligned by induction (fragments are equivalence classes,
 //! so each is entirely inside or entirely outside any candidate the loop
-//! creates), and the full scan's extra candidates (leaves and chain
-//! prefixes of multi-variable fragments) are strictly gain-dominated by
-//! their fragment node while it has uncovered variables and contribute
-//! zero gain afterwards, so a full scan never picks them either.
+//! creates), and the full scan's extra candidates (the member leaves of
+//! multi-variable fragments' runs) are strictly gain-dominated by their
+//! run while it has uncovered variables and contribute zero gain
+//! afterwards, so a full scan never picks them either.
 //! What the pools buy is scale: membership tests go through each node's
 //! minimum variable's fragment signature (exact, not heuristic — `w ⊆
 //! X_q` forces `q` into that signature), so absorbing a node costs its

@@ -7,6 +7,14 @@
 //! top-k operator, Lemma 1 lets us identify every node with its *variable
 //! set*, which is how [`PlanDag`] stores labels.
 //!
+//! One internal node kind stands for a whole left-deep chain: a *run*
+//! ([`PlanDag::run`]) aggregates an ascending list of variables directly
+//! and has no children. Stage 1 makes each multi-variable fragment one
+//! run — "we can safely aggregate elements within a fragment since no
+//! sharing occurs across fragments" (§II-D) — so evaluators scan inside a
+//! fragment and apply ⊕ only above it. A run of `f` members weighs
+//! `f − 1`, the chain it replaces, in every cost and op count.
+//!
 //! # Node-set storage at scale
 //!
 //! Variable sets are stored *adaptively sparse* ([`VarSet`]/[`VarSetRef`]
@@ -14,19 +22,16 @@
 //! advertisers a dense label costs ~125 kB per node regardless of
 //! content, which was the documented reason plan-bearing strategies used
 //! to stop at ~100k. Internal-node sets live in one CSR pool
-//! (`pool_elems` + per-node spans, the `LeafCones` pattern), with two
-//! structural tricks that keep fragment chains linear instead of
-//! quadratic:
+//! (`pool_elems` + per-node spans, the `LeafCones` pattern), and two
+//! node kinds keep the population-sized part of a plan linear:
 //!
 //! * **Implicit leaves** — nodes `0..var_count` are singletons by
 //!   construction, so no storage, hash, or interning entry exists for
 //!   them; `vars(v)` serves a one-element slice of a shared identity
 //!   array and `PlanDag::new` is O(n), not O(n²/8).
-//! * **Prefix extension** — merging the pool's *tail* node with a set
-//!   strictly above its maximum appends only the new elements and spans
-//!   the union over the shared prefix, so a k-leaf fragment chain stores
-//!   O(k) elements total (not O(k²)) and each step extends the cached
-//!   FNV content hash incrementally instead of rehashing the prefix.
+//! * **Runs** — a run's set is its ascending member list, one pool span
+//!   that is never promoted to dense, so a fragment costs its members'
+//!   4 bytes each plus one node, whatever its size.
 //!
 //! Interning (`node_for`, merge dedup) keys on the 64-bit content hash
 //! with exact element comparison on hit plus a linear overflow list for
@@ -37,7 +42,7 @@
 //! * [`cost`] — total/extra cost and the probabilistic expected
 //!   materialization cost `Σ_v (1 − Π_{q: v⇝q} (1 − sr_q))`;
 //! * [`fragments`] — stage 1 of the paper's heuristic (group variables by
-//!   query-membership signature);
+//!   query-membership signature, one run per fragment);
 //! * [`greedy`] — stage 2 (greedy completion by expected greedy coverage
 //!   gain) and the [`SharedPlanner`] facade;
 //! * [`cse`] — the non-associative baseline planner (syntactic sharing
@@ -46,7 +51,8 @@
 //! * [`reduction`] — the executable set-cover constructions behind
 //!   Theorems 2 and 3;
 //! * [`topk_cones`] — the per-round scored top-k evaluator over a
-//!   [`ConeWalker`]'s slots (the engine's ⊕ hot path).
+//!   [`ConeWalker`]'s slots (the engine's hot path: a scan per run, ⊕
+//!   per merge).
 
 pub mod cost;
 pub mod cse;
@@ -63,7 +69,7 @@ pub use topk_cones::TopKCones;
 
 use std::collections::HashMap;
 
-use ssa_setcover::varset::{fnv1a_extend, sparse_limit, FNV_SEED};
+use ssa_setcover::varset::sparse_limit;
 use ssa_setcover::{AsVarSetRef, BitSet, VarSet, VarSetRef};
 
 use crate::algebra::ops::AggregateOp;
@@ -72,35 +78,35 @@ use crate::algebra::ops::AggregateOp;
 /// `dense[len]` instead of in the CSR element pool.
 const DENSE_SPAN: u32 = u32::MAX;
 
+/// `children_packed` entry of a run: it has no children.
+const RUN: [u32; 2] = [u32::MAX; 2];
+
 /// A shared aggregation plan over `var_count` variables.
 ///
-/// Nodes `0..var_count` are the (implicit) variable leaves. Internal
-/// nodes are deduplicated by variable set: merging two nodes whose union
-/// already exists returns the existing node (the semilattice
-/// identification). Node sets are read through [`PlanDag::vars`] as
-/// borrowed [`VarSetRef`] views into the pooled storage.
+/// Nodes `0..var_count` are the (implicit) variable leaves; every other
+/// node is a merge of two earlier nodes or a run over ascending
+/// variables. Internal nodes are deduplicated by variable set: merging
+/// two nodes whose union already exists returns the existing node (the
+/// semilattice identification). Node sets are read through
+/// [`PlanDag::vars`] as borrowed [`VarSetRef`] views into the pooled
+/// storage.
 #[derive(Debug, Clone)]
 pub struct PlanDag {
     var_count: usize,
     /// Identity array `0..var_count`; `vars(v)` for a leaf borrows the
     /// one-element slice `&leaf_ids[v..=v]`.
     leaf_ids: Vec<u32>,
-    /// CSR element storage for sparse internal-node sets. Chain-built
-    /// nodes share prefixes: a prefix-extended union's span covers its
-    /// left child's elements plus the appended tail.
+    /// CSR element storage for sparse internal-node sets; a run's span
+    /// is its member list.
     pool_elems: Vec<u32>,
     /// Per internal node `(start, len)` into `pool_elems`, or
     /// `(DENSE_SPAN, dense_index)` for promoted sets.
     spans: Vec<(u32, u32)>,
     /// Dense block storage for internal nodes past the sparse limit.
     dense: Vec<Box<[u64]>>,
-    /// Cached FNV-1a content hash per internal node — extended
-    /// incrementally on the prefix-extension path so chain steps cost
-    /// O(tail), not O(prefix + tail).
-    hashes: Vec<u64>,
     /// Packed child pairs, one per *internal* node (index `idx -
-    /// var_count`). The per-round [`ConeWalker`] and `reach_sets`
-    /// traverse this flat `u32` arena — 8 bytes per node.
+    /// var_count`), [`RUN`] for runs. The per-round [`ConeWalker`] and
+    /// `reach_sets` traverse this flat `u32` arena — 8 bytes per node.
     children_packed: Vec<[u32; 2]>,
     /// Content-hash interning: hash → first internal node with that set.
     /// Distinct sets colliding on the hash go to `by_set_overflow`
@@ -120,7 +126,6 @@ impl PlanDag {
             pool_elems: Vec::new(),
             spans: Vec::new(),
             dense: Vec::new(),
-            hashes: Vec::new(),
             children_packed: Vec::new(),
             by_set: HashMap::new(),
             by_set_overflow: Vec::new(),
@@ -129,8 +134,8 @@ impl PlanDag {
     }
 
     /// Heap footprint of the plan in bytes: the pooled node labels, the
-    /// packed child arena, cached hashes, and the interning tables. For
-    /// the memory-scaling gate.
+    /// packed child arena and the interning tables. For the memory-scaling
+    /// gate.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.leaf_ids.capacity() * size_of::<u32>()
@@ -142,7 +147,6 @@ impl PlanDag {
                 .iter()
                 .map(|b| b.len() * size_of::<u64>())
                 .sum::<usize>()
-            + self.hashes.capacity() * size_of::<u64>()
             + self.children_packed.capacity() * size_of::<[u32; 2]>()
             + self.by_set.capacity() * (size_of::<u64>() + size_of::<u32>())
             + self.by_set_overflow.capacity() * size_of::<(u64, u32)>()
@@ -195,15 +199,32 @@ impl PlanDag {
         self.vars(idx).to_var_set()
     }
 
-    /// The children of node `idx`: `Some((a, b))` for internal nodes,
-    /// `None` for leaves.
+    /// The children of node `idx`: `Some((a, b))` for merges, `None` for
+    /// leaves and runs.
     #[inline]
     pub fn children(&self, idx: usize) -> Option<(usize, usize)> {
-        if idx < self.var_count {
-            None
-        } else {
-            let [a, b] = self.children_packed[idx - self.var_count];
-            Some((a as usize, b as usize))
+        let pair = self.children_packed[idx.checked_sub(self.var_count)?];
+        (pair != RUN).then_some((pair[0] as usize, pair[1] as usize))
+    }
+
+    /// The ascending member variables of node `idx` if it is a run.
+    #[inline]
+    pub fn run_members(&self, idx: usize) -> Option<&[u32]> {
+        let i = idx.checked_sub(self.var_count)?;
+        (self.children_packed[i] == RUN).then(|| {
+            let (start, len) = self.spans[i];
+            &self.pool_elems[start as usize..(start + len) as usize]
+        })
+    }
+
+    /// The ⊕ applications materializing node `idx` stands for: none for a
+    /// leaf, one for a merge, and `f − 1` for a run of `f` members (the
+    /// left-deep chain it replaces).
+    #[inline]
+    pub fn weight(&self, idx: usize) -> usize {
+        match self.run_members(idx) {
+            Some(members) => members.len() - 1,
+            None => usize::from(idx >= self.var_count),
         }
     }
 
@@ -278,141 +299,75 @@ impl PlanDag {
         if a == b {
             return a;
         }
-        // Prefix-extension fast path: `a` is the sparse tail of the pool
-        // and `b`'s elements all lie strictly above `a`'s maximum. The
-        // union is then `a`'s run extended in place — O(|b|) storage and
-        // hashing, which is what keeps k-step fragment chains O(k) total.
-        if a >= self.var_count {
-            let (start, len) = self.spans[a - self.var_count];
-            if start != DENSE_SPAN && (start + len) as usize == self.pool_elems.len() {
-                if let VarSetRef::Sparse { elems: b_elems, .. } = self.vars(b) {
-                    let a_max = self.pool_elems[(start + len) as usize - 1];
-                    if !b_elems.is_empty() && b_elems[0] > a_max {
-                        let hash =
-                            fnv1a_extend(self.hashes[a - self.var_count], b_elems.iter().copied());
-                        // Dedup before extending the pool: the union may
-                        // already exist as an earlier node. The probe
-                        // compares structurally (candidate == a's run
-                        // followed by b's), so no union is materialized.
-                        let b_len = b_elems.len() as u32;
-                        if let Some(idx) = self.find_extended(hash, a, b, len + b_len) {
-                            return idx;
-                        }
-                        // Copy b's elements (they may live earlier in the
-                        // same pool, so take them by index range).
-                        let (b_start, copy_len) = match b < self.var_count {
-                            true => (b as u32, 0),
-                            false => self.spans[b - self.var_count],
-                        };
-                        if b < self.var_count {
-                            self.pool_elems.push(b_start);
-                        } else {
-                            let lo = b_start as usize;
-                            let hi = lo + copy_len as usize;
-                            self.pool_elems.extend_from_within(lo..hi);
-                        }
-                        let idx = self.node_count();
-                        self.spans.push((start, len + b_len));
-                        self.hashes.push(hash);
-                        self.children_packed.push([a as u32, b as u32]);
-                        self.intern(hash, idx as u32);
-                        return idx;
-                    }
-                }
-            }
-        }
-        // General path: materialize the union's element run.
-        let union: Vec<u32> = {
-            let ra = self.vars(a);
-            let rb = self.vars(b);
-            let mut out = Vec::with_capacity(ra.len() + rb.len());
-            let mut ia = ra.iter().peekable();
-            let mut ib = rb.iter().peekable();
-            loop {
-                match (ia.peek().copied(), ib.peek().copied()) {
-                    (None, None) => break,
-                    (Some(_), None) => {
-                        out.push(ia.next().unwrap() as u32);
-                    }
-                    (None, Some(_)) => {
-                        out.push(ib.next().unwrap() as u32);
-                    }
-                    (Some(x), Some(y)) => match x.cmp(&y) {
-                        std::cmp::Ordering::Less => {
-                            out.push(ia.next().unwrap() as u32);
-                        }
-                        std::cmp::Ordering::Greater => {
-                            out.push(ib.next().unwrap() as u32);
-                        }
-                        std::cmp::Ordering::Equal => {
-                            out.push(ia.next().unwrap() as u32);
-                            ib.next();
-                        }
-                    },
-                }
-            }
-            out
-        };
+        let mut union: Vec<u32> = (self.vars(a).iter().chain(self.vars(b).iter()))
+            .map(|v| v as u32)
+            .collect();
+        // Two ascending runs back to back: the stable sort merges them in
+        // one linear pass.
+        union.sort();
+        union.dedup();
         if union.len() == 1 {
             // Both children were the same singleton; `a == b` is caught
             // above, so this cannot happen for distinct nodes — but keep
             // the leaf identification for safety.
             return union[0] as usize;
         }
-        let hash = fnv1a_extend(FNV_SEED, union.iter().copied());
+        self.intern_node(&union, [a as u32, b as u32])
+    }
+
+    /// Adds a *run*: one node aggregating the ascending variables
+    /// `members` directly, with no children — the plan's leaf for a
+    /// stage-1 fragment, which evaluators scan instead of folding through
+    /// ⊕ nodes. It weighs `members.len() − 1` ([`PlanDag::weight`]), and
+    /// its set stays a sparse pool span at any size. Deduplicates like
+    /// [`PlanDag::merge`]; a single member is its own leaf.
+    ///
+    /// # Panics
+    /// Panics if `members` is empty, not strictly ascending, or names a
+    /// variable out of range.
+    pub fn run(&mut self, members: &[u32]) -> usize {
+        assert!(
+            members.windows(2).all(|w| w[0] < w[1])
+                && members
+                    .last()
+                    .is_some_and(|&v| (v as usize) < self.var_count),
+            "a run's members are ascending variables"
+        );
+        if let [v] = members {
+            return *v as usize;
+        }
+        self.intern_node(members, RUN)
+    }
+
+    /// The node whose set is the ascending `elems`: an existing one, or a
+    /// new internal node with `children` ([`RUN`] for a run). A merge's
+    /// set past the sparse limit is promoted to dense blocks; a run's
+    /// never is.
+    fn intern_node(&mut self, elems: &[u32], children: [u32; 2]) -> usize {
         let probe = VarSetRef::Sparse {
-            elems: &union,
+            elems,
             capacity: self.var_count,
         };
+        let hash = probe.hash64();
         if let Some(idx) = self.find_interned(hash, probe) {
             return idx;
         }
-        let idx = self.node_count();
-        if union.len() > sparse_limit(self.var_count) {
-            // Promote to dense blocks — only here, never on the
-            // prefix-extension path (which must keep sharing the pool).
+        if children != RUN && elems.len() > sparse_limit(self.var_count) {
             let mut blocks = vec![0u64; self.var_count.div_ceil(64)].into_boxed_slice();
-            for &e in &union {
+            for &e in elems {
                 blocks[e as usize / 64] |= 1u64 << (e as usize % 64);
             }
-            let dense_idx = self.dense.len() as u32;
+            self.spans.push((DENSE_SPAN, self.dense.len() as u32));
             self.dense.push(blocks);
-            self.spans.push((DENSE_SPAN, dense_idx));
         } else {
-            let start = self.pool_elems.len() as u32;
-            self.pool_elems.extend_from_slice(&union);
-            self.spans.push((start, union.len() as u32));
+            self.spans
+                .push((self.pool_elems.len() as u32, elems.len() as u32));
+            self.pool_elems.extend_from_slice(elems);
         }
-        self.hashes.push(hash);
-        self.children_packed.push([a as u32, b as u32]);
+        self.children_packed.push(children);
+        let idx = self.node_count() - 1;
         self.intern(hash, idx as u32);
         idx
-    }
-
-    /// Interning probe for the prefix-extension path: is there a node
-    /// whose set is `vars(a) ++ vars(b)` (a dedup-free concatenation of
-    /// length `total`)? Verified structurally against pooled storage.
-    fn find_extended(&self, hash: u64, a: usize, b: usize, total: u32) -> Option<usize> {
-        let check = |idx: usize| -> bool {
-            let cand = self.vars(idx);
-            if cand.len() != total as usize {
-                return false;
-            }
-            let ra = self.vars(a);
-            let rb = self.vars(b);
-            cand.iter().eq(ra.iter().chain(rb.iter()))
-        };
-        if let Some(&idx) = self.by_set.get(&hash) {
-            if check(idx as usize) {
-                return Some(idx as usize);
-            }
-            for &(h, idx) in &self.by_set_overflow {
-                if h == hash && check(idx as usize) {
-                    return Some(idx as usize);
-                }
-            }
-        }
-        None
     }
 
     /// Aggregates a list of existing nodes left-to-right (a chain),
@@ -441,11 +396,14 @@ impl PlanDag {
         idx
     }
 
-    /// Total cost: the number of internal (in-degree 2) nodes — "the
-    /// number of nodes with non-zero in-degree", i.e. top-k aggregation
-    /// operations materializable per round.
+    /// Total cost: "the number of nodes with non-zero in-degree", i.e.
+    /// top-k aggregation operations materializable per round — the summed
+    /// [`PlanDag::weight`] of the internal nodes, so a run counts the
+    /// chain of in-degree-2 nodes it stands for.
     pub fn total_cost(&self) -> usize {
-        self.spans.len()
+        (self.var_count..self.node_count())
+            .map(|idx| self.weight(idx))
+            .sum()
     }
 
     /// Extra cost: total cost minus the base cost `|E|` (queries that are
@@ -459,12 +417,15 @@ impl PlanDag {
         self.total_cost().saturating_sub(base)
     }
 
-    /// Validates the A-plan invariants: every internal node's variable set
-    /// is the union of its children's; children precede parents; every
-    /// bound query points at a node with exactly its variable set.
+    /// Validates the A-plan invariants: every merge's variable set is the
+    /// union of its children's and children precede parents (a run's set
+    /// is its member list, checked by [`PlanDag::run`]); every bound query
+    /// points at an existing node.
     pub fn validate(&self) -> Result<(), String> {
         for idx in self.var_count..self.node_count() {
-            let (a, b) = self.children(idx).expect("internal node has children");
+            let Some((a, b)) = self.children(idx) else {
+                continue;
+            };
             if a >= idx || b >= idx {
                 return Err(format!("node {idx} references later node"));
             }
@@ -481,67 +442,39 @@ impl PlanDag {
         Ok(())
     }
 
-    /// True iff some internal node merges children with overlapping
-    /// variable sets. Such plans are only correct for idempotent
-    /// operators (duplicates collapse); non-idempotent evaluation rejects
-    /// them.
+    /// True iff some merge combines children with overlapping variable
+    /// sets (a run's members are distinct). Such plans are only correct
+    /// for idempotent operators (duplicates collapse); non-idempotent
+    /// evaluation rejects them.
     pub fn has_overlapping_merges(&self) -> bool {
-        (self.var_count..self.node_count()).any(|idx| {
-            let (a, b) = self.children(idx).expect("internal node");
-            !self.vars(a).is_disjoint(self.vars(b))
-        })
+        (self.var_count..self.node_count())
+            .filter_map(|idx| self.children(idx))
+            .any(|(a, b)| !self.vars(a).is_disjoint(self.vars(b)))
     }
 
-    /// For each node, the set of *bound queries* it feeds (`v ⇝ q`):
-    /// query-node cones walked per query, packed into one CSR pool.
-    /// Each node's query list is ascending (queries are visited in
-    /// index order), preserving the summation order the cost model's
-    /// floating-point products depend on.
-    pub fn reach_sets(&self) -> ReachSets {
-        let n_nodes = self.node_count();
-        let mut counts = vec![0u32; n_nodes];
-        let mut epoch = vec![u32::MAX; n_nodes];
-        let mut stack: Vec<usize> = Vec::new();
-        for pass in 0..2 {
-            let mut offsets = Vec::new();
-            let mut fill: Vec<u32> = Vec::new();
-            let mut qs: Vec<u32> = Vec::new();
-            if pass == 1 {
-                offsets = vec![0u32; n_nodes + 1];
-                for i in 0..n_nodes {
-                    offsets[i + 1] = offsets[i] + counts[i];
-                }
-                fill = offsets[..n_nodes].to_vec();
-                qs = vec![0u32; offsets[n_nodes] as usize];
-                for e in epoch.iter_mut() {
-                    *e = u32::MAX;
-                }
-            }
-            for (q, &root) in self.queries.iter().enumerate() {
-                let stamp = q as u32;
-                stack.push(root);
-                while let Some(idx) = stack.pop() {
-                    if epoch[idx] == stamp {
-                        continue;
-                    }
-                    epoch[idx] = stamp;
-                    if pass == 0 {
-                        counts[idx] += 1;
-                    } else {
-                        qs[fill[idx] as usize] = stamp;
-                        fill[idx] += 1;
-                    }
+    /// For each node, the *bound queries* it feeds (`v ⇝ q`), from one
+    /// walk of each query's cone. Queries are walked in index order, so
+    /// each list is ascending — the summation order the cost model's
+    /// floating-point products depend on — and a node already holding the
+    /// current query is already walked. The walk stops at runs: a run's
+    /// members are reached only as the run, so only the few nodes above
+    /// the fragments and the leaves they merge get a list.
+    pub fn reach_sets(&self) -> Vec<Vec<u32>> {
+        let mut reach = vec![Vec::new(); self.node_count()];
+        let mut stack = Vec::new();
+        for (q, &root) in self.queries.iter().enumerate() {
+            let q = q as u32;
+            stack.push(root);
+            while let Some(idx) = stack.pop() {
+                if reach[idx].last() != Some(&q) {
+                    reach[idx].push(q);
                     if let Some((a, b)) = self.children(idx) {
-                        stack.push(a);
-                        stack.push(b);
+                        stack.extend([a, b]);
                     }
                 }
-            }
-            if pass == 1 {
-                return ReachSets { offsets, qs };
             }
         }
-        unreachable!()
+        reach
     }
 
     /// Checks the [`PlanDag::evaluate`] preconditions.
@@ -567,9 +500,10 @@ impl PlanDag {
     /// `leaves[v]` is variable `v`'s current value; `occurring[q]` says
     /// whether query `q`'s bid phrase occurs this round. Only nodes needed
     /// by occurring queries are materialized (the cost model's notion of
-    /// materialization), via a throwaway [`ConeWalker`]. Returns per-query
-    /// results (`None` for phrases that did not occur) and the number of ⊕
-    /// applications performed.
+    /// materialization), via a throwaway [`ConeWalker`]. A run folds its
+    /// members left to right, the order of the chain it stands for.
+    /// Returns per-query results (`None` for phrases that did not occur)
+    /// and the number of ⊕ applications performed.
     ///
     /// # Panics
     /// Panics if the operator is not idempotent but the plan contains
@@ -593,12 +527,24 @@ impl PlanDag {
         // Slot-indexed memo over the walked internal nodes only: leaf
         // values are read from the input slice, never cloned.
         let mut memo: Vec<O::Value> = Vec::with_capacity(walker.slots());
+        let mut ops = 0;
         for slot in 0..walker.slots() {
-            let [a, b] = walker.operands(self, slot);
-            let value = op.combine(
-                operand_value(&memo, leaves, a),
-                operand_value(&memo, leaves, b),
-            );
+            let value = match walker.inputs(self, slot) {
+                Inputs::Run(members) => {
+                    ops += members.len() - 1;
+                    let (&first, rest) = members.split_first().expect("runs are non-empty");
+                    rest.iter().fold(leaves[first as usize].clone(), |acc, &v| {
+                        op.combine(&acc, &leaves[v as usize])
+                    })
+                }
+                Inputs::Merge([a, b]) => {
+                    ops += 1;
+                    op.combine(
+                        operand_value(&memo, leaves, a),
+                        operand_value(&memo, leaves, b),
+                    )
+                }
+            };
             memo.push(value);
         }
         let results = self
@@ -609,7 +555,7 @@ impl PlanDag {
                 occ.then(|| operand_value(&memo, leaves, walker.locate(self, idx)).clone())
             })
             .collect();
-        (results, memo.len())
+        (results, ops)
     }
 }
 
@@ -633,15 +579,25 @@ pub enum Operand {
     Slot(usize),
 }
 
+/// What a walked slot's value is computed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inputs<'p> {
+    /// A run: the aggregate of these ascending variables.
+    Run(&'p [u32]),
+    /// A merge: ⊕ of two operands, each a leaf or an earlier slot.
+    Merge([Operand; 2]),
+}
+
 /// Stack-entry flag: the node's children are scheduled, assign its slot.
 const EXPANDED: u32 = 1 << 31;
 
 /// The demand-driven plan traversal: visits exactly the internal nodes
-/// under a round's occurring query nodes — the Σᵥ(1 − Π(1 − sr_q)) nodes
-/// §II-B charges, never the whole DAG — children first, and assigns each
-/// a dense per-round *slot*. Evaluators keep one value per slot and fill
-/// them in slot order ([`ConeWalker::operands`] resolves each slot's two
-/// children to earlier slots or leaves).
+/// under a round's occurring query nodes — the nodes §II-B charges
+/// Σᵥ(1 − Π(1 − sr_q)) for, never the whole DAG — children first, and
+/// assigns each a dense per-round *slot*. A run is a slot with no
+/// children. Evaluators keep one value per slot and fill them in slot
+/// order ([`ConeWalker::inputs`] resolves a merge's two children to
+/// earlier slots or leaves, and hands a run its members).
 ///
 /// The scratch is persistent and nothing in it is cleared between rounds:
 /// `slot_of` is a sparse-set index (one `u32` per internal node), and an
@@ -701,10 +657,11 @@ impl ConeWalker {
                     self.slot_node.push(node as u32);
                 } else if !self.scheduled(var_count, node) {
                     self.stack.push(entry | EXPANDED);
-                    for child in plan.children_packed[node - var_count] {
-                        if child as usize >= var_count && !self.scheduled(var_count, child as usize)
-                        {
-                            self.stack.push(child);
+                    if let Some((a, b)) = plan.children(node) {
+                        for child in [a, b] {
+                            if child >= var_count && !self.scheduled(var_count, child) {
+                                self.stack.push(child as u32);
+                            }
                         }
                     }
                 }
@@ -719,8 +676,9 @@ impl ConeWalker {
         self.slot_node.get(slot) == Some(&(node as u32))
     }
 
-    /// Number of internal nodes the current walk scheduled — the ⊕
-    /// applications an evaluation of it performs.
+    /// Number of internal nodes — runs and merges — the current walk
+    /// scheduled. An evaluation of it performs their summed
+    /// [`PlanDag::weight`] in ⊕ applications, not one per slot.
     #[inline]
     pub fn slots(&self) -> usize {
         self.slot_node.len()
@@ -743,42 +701,14 @@ impl ConeWalker {
         }
     }
 
-    /// The two children of the node in `slot`, each a leaf or an earlier
-    /// slot.
+    /// What the node in `slot` is computed from.
     #[inline]
-    pub fn operands(&self, plan: &PlanDag, slot: usize) -> [Operand; 2] {
+    pub fn inputs<'p>(&self, plan: &'p PlanDag, slot: usize) -> Inputs<'p> {
         let node = self.slot_node[slot] as usize;
-        plan.children_packed[node - plan.var_count].map(|child| self.locate(plan, child as usize))
-    }
-}
-
-/// Per-node reach sets (`node ⇝ query`) in one CSR pool — the sparse
-/// replacement for the old `Vec<BitSet>` (which materialized O(nodes × m)
-/// dense bits). `queries_of(idx)` is ascending, so cost-model products
-/// iterate queries in exactly the order the dense representation did.
-#[derive(Debug, Clone)]
-pub struct ReachSets {
-    offsets: Vec<u32>,
-    qs: Vec<u32>,
-}
-
-impl ReachSets {
-    /// The ascending query indices node `idx` feeds.
-    #[inline]
-    pub fn queries_of(&self, idx: usize) -> &[u32] {
-        &self.qs[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
-    }
-
-    /// Number of nodes covered.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.offsets.capacity() * size_of::<u32>() + self.qs.capacity() * size_of::<u32>()
+        match plan.children(node) {
+            Some((a, b)) => Inputs::Merge([self.locate(plan, a), self.locate(plan, b)]),
+            None => Inputs::Run(plan.run_members(node).expect("a childless slot is a run")),
+        }
     }
 }
 
@@ -851,10 +781,76 @@ impl PlanProblem {
 mod tests {
     use super::*;
     use crate::algebra::ops::{MaxOp, SumOp, TopKOp};
-    use crate::topk::KList;
+    use crate::plan::cost::{expected_cost, materialized_cost, phrase_marginal_costs};
+    use crate::topk::{KList, ScoredAd, ScoredTopKOp};
+    use proptest::prelude::*;
+    use ssa_auction::ids::AdvertiserId;
+    use ssa_auction::score::Score;
 
     fn bs(n: usize, elems: &[usize]) -> BitSet {
         BitSet::from_elements(n, elems.iter().copied())
+    }
+
+    /// A plan in stage 1's shape: variable `v` belongs to fragment
+    /// `owners[v]`, every fragment is a run (a one-member fragment is its
+    /// leaf), each `(a, b)` of `merges` merges two fragment-level nodes
+    /// picked modulo their count so far, and each of `queries` binds one.
+    pub(crate) fn run_plan(
+        owners: &[usize],
+        merges: &[(usize, usize)],
+        queries: &[usize],
+    ) -> PlanDag {
+        let mut fragments = vec![Vec::new(); owners.iter().max().map_or(0, |&f| f + 1)];
+        for (v, &f) in owners.iter().enumerate() {
+            fragments[f].push(v as u32);
+        }
+        let mut plan = PlanDag::new(owners.len());
+        let mut nodes: Vec<usize> = fragments
+            .iter()
+            .filter(|members| !members.is_empty())
+            .map(|members| plan.run(members))
+            .collect();
+        for &(a, b) in merges {
+            let merged = plan.merge(nodes[a % nodes.len()], nodes[b % nodes.len()]);
+            if !nodes.contains(&merged) {
+                nodes.push(merged);
+            }
+        }
+        for &q in queries {
+            let vars = plan.vars_owned(nodes[q % nodes.len()]);
+            plan.bind_query(&vars);
+        }
+        plan
+    }
+
+    /// [`run_plan`] inputs: 1–4 fragments over 1–200 variables, so runs
+    /// of 1–200 members straddle the 64-wide scan chunk.
+    pub(crate) fn run_plan_spec(
+    ) -> impl Strategy<Value = (Vec<usize>, Vec<(usize, usize)>, Vec<usize>)> {
+        (
+            (1usize..=4, proptest::collection::vec(0usize..4, 1..=200))
+                .prop_map(|(k, owners)| owners.into_iter().map(|f| f % k).collect()),
+            proptest::collection::vec((0usize..64, 0usize..64), 0..8),
+            proptest::collection::vec(0usize..64, 1..5),
+        )
+    }
+
+    /// `plan` with every run replaced by the left-deep chain of merges it
+    /// stands for, in the same place in node order.
+    fn expand_runs(plan: &PlanDag) -> PlanDag {
+        let mut chains = PlanDag::new(plan.var_count());
+        let mut node_of: Vec<usize> = (0..plan.var_count()).collect();
+        for idx in plan.var_count()..plan.node_count() {
+            node_of.push(match plan.children(idx) {
+                Some((a, b)) => chains.merge(node_of[a], node_of[b]),
+                None => {
+                    let members = plan.run_members(idx).expect("a childless node is a run");
+                    chains.merge_chain(&members.iter().map(|&v| v as usize).collect::<Vec<_>>())
+                }
+            });
+        }
+        chains.queries = plan.query_nodes().iter().map(|&q| node_of[q]).collect();
+        chains
     }
 
     #[test]
@@ -880,38 +876,44 @@ mod tests {
     }
 
     #[test]
-    fn chain_storage_shares_prefixes() {
-        // A k-leaf ascending chain must store O(k) pooled elements, not
-        // O(k²): each step extends the previous node's run in place.
-        let k = 64;
-        let mut plan = PlanDag::new(k);
-        let leaves: Vec<usize> = (0..k).collect();
-        plan.merge_chain(&leaves);
-        assert_eq!(plan.total_cost(), k - 1);
-        assert_eq!(
-            plan.pool_elems.len(),
-            k,
-            "chain prefixes must share one pooled run"
-        );
-        // Every prefix node is still individually addressable and correct.
-        for idx in k..plan.node_count() {
-            let want: Vec<usize> = (0..=(idx - k + 1)).collect();
-            assert_eq!(plan.vars(idx).iter().collect::<Vec<_>>(), want);
-        }
-        assert!(plan.validate().is_ok());
+    fn a_run_is_one_node_weighing_its_chain() {
+        let k = 200;
+        let mut plan = PlanDag::new(k + 1);
+        let members: Vec<u32> = (0..k as u32).collect();
+        let run = plan.run(&members);
+        assert_eq!(run, k + 1);
+        assert_eq!(plan.node_count(), k + 2);
+        assert_eq!(plan.run_members(run), Some(&members[..]));
+        assert_eq!(plan.children(run), None);
+        assert_eq!((plan.weight(run), plan.total_cost()), (k - 1, k - 1));
+        // Past the sparse limit, its set is still the pooled member list.
+        assert!(matches!(plan.vars(run), VarSetRef::Sparse { .. }));
+        assert_eq!(plan.pool_elems.len(), k);
+        // Interned like any node; a one-member run is its leaf.
+        let all: Vec<usize> = (0..k).collect();
+        assert_eq!(plan.node_for(&bs(k + 1, &all)), Some(run));
+        assert_eq!(plan.run(&members), run);
+        assert_eq!(plan.run(&[7]), 7);
+        let top = plan.merge(run, k);
+        assert_eq!((plan.weight(top), plan.total_cost()), (1, k));
+        assert_eq!(plan.validate(), Ok(()));
+        assert!(!plan.has_overlapping_merges());
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending variables")]
+    fn run_rejects_unsorted_members() {
+        PlanDag::new(4).run(&[2, 1]);
     }
 
     #[test]
     fn merge_promotes_large_unions_to_dense() {
-        // Universe 4096 → sparse limit 128. A general-path (non-chain)
-        // union past the limit must land in dense block storage.
+        // Universe 4096 → sparse limit 128. Runs stay sparse at any size,
+        // but a merge past the limit must land in dense block storage.
         let n = 4096;
         let mut plan = PlanDag::new(n);
-        let a = plan.merge_chain(&(0..100).collect::<Vec<_>>());
-        let b = plan.merge_chain(&(200..300).collect::<Vec<_>>());
-        // Merging b (whose min 200 > a's max 99) extends the pool only if
-        // b is the tail; a is not the tail anymore, so this takes the
-        // general path and promotes.
+        let a = plan.run(&(0..100).collect::<Vec<_>>());
+        let b = plan.run(&(200..300).collect::<Vec<_>>());
         let ab = plan.merge(a, b);
         assert!(matches!(plan.vars(ab), VarSetRef::Dense { .. }));
         assert_eq!(plan.vars(ab).len(), 200);
@@ -961,10 +963,10 @@ mod tests {
         plan.queries = vec![abc, abd];
         let reach = plan.reach_sets();
         // ab feeds both queries; leaf 2 only query 0; leaf 3 only query 1.
-        assert_eq!(reach.queries_of(ab), &[0, 1]);
-        assert_eq!(reach.queries_of(2), &[0]);
-        assert_eq!(reach.queries_of(3), &[1]);
-        assert_eq!(reach.queries_of(abc), &[0]);
+        assert_eq!(reach[ab], &[0, 1]);
+        assert_eq!(reach[2], &[0]);
+        assert_eq!(reach[3], &[1]);
+        assert_eq!(reach[abc], &[0]);
     }
 
     #[test]
@@ -1036,5 +1038,66 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn plan_problem_rejects_empty_query() {
         PlanProblem::new(2, vec![BitSet::new(2)], None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// A run is exactly the chain it stands for: expanding every run
+        /// back into its left-deep chain moves no cost, no op count and no
+        /// evaluated value.
+        #[test]
+        fn runs_match_their_expanded_chains(
+            (owners, merges, queries) in run_plan_spec(),
+            rates in proptest::collection::vec(0.0f64..=1.0, 5),
+            mask in proptest::collection::vec(any::<bool>(), 5),
+            values in proptest::collection::vec(-50i64..50, 1..16),
+            k in 0usize..4,
+        ) {
+            let plan = run_plan(&owners, &merges, &queries);
+            let chains = expand_runs(&plan);
+            let n = plan.var_count();
+            prop_assert!((n..chains.node_count()).all(|idx| chains.children(idx).is_some()));
+            prop_assert_eq!(chains.validate(), Ok(()));
+            prop_assert_eq!(chains.total_cost(), chains.node_count() - n);
+            prop_assert_eq!(plan.total_cost(), chains.total_cost());
+            prop_assert_eq!(plan.extra_cost(), chains.extra_cost());
+
+            let m = plan.query_count();
+            let rates: Vec<f64> = (0..m).map(|q| rates[q % 5]).collect();
+            let occurring: Vec<bool> = (0..m).map(|q| mask[q % 5]).collect();
+            prop_assert_eq!(
+                materialized_cost(&plan, &occurring),
+                materialized_cost(&chains, &occurring)
+            );
+            prop_assert!((expected_cost(&plan, &rates) - expected_cost(&chains, &rates)).abs() < 1e-9);
+            let marginals = phrase_marginal_costs(&plan, &rates);
+            for (a, b) in marginals.iter().zip(phrase_marginal_costs(&chains, &rates)) {
+                prop_assert!((a - b).abs() < 1e-9, "marginal {} vs {}", a, b);
+            }
+
+            let value = |v: usize| values[v % values.len()];
+            let ints: Vec<i64> = (0..n).map(value).collect();
+            let klists: Vec<KList<ScoredAd>> = (0..n)
+                .map(|v| {
+                    let score = Score::new(value(v) as f64);
+                    KList::singleton(k, ScoredAd::new(AdvertiserId::from_index(v), score))
+                })
+                .collect();
+            let op = ScoredTopKOp { k };
+            prop_assert_eq!(
+                plan.evaluate(&op, &klists, &occurring),
+                chains.evaluate(&op, &klists, &occurring)
+            );
+            prop_assert_eq!(
+                plan.evaluate(&MaxOp, &ints, &occurring),
+                chains.evaluate(&MaxOp, &ints, &occurring)
+            );
+            if !plan.has_overlapping_merges() {
+                prop_assert_eq!(
+                    plan.evaluate(&SumOp, &ints, &occurring),
+                    chains.evaluate(&SumOp, &ints, &occurring)
+                );
+            }
+        }
     }
 }

@@ -64,7 +64,8 @@ pub fn closed_plan_problem_from_set_cover(instance: &SetCoverInstance) -> PlanPr
 /// Extracts a cover of the universal query from a plan (the Theorem 2
 /// argument's cut `Z`): walk down from the universe's node; stop at any
 /// node whose variable set is one of the other queries (or a leaf), and
-/// collect those sets. The result always unions to the universe.
+/// collect those sets. A run is walked as the chain it stands for, down
+/// to its member leaves. The result always unions to the universe.
 pub fn extract_cover(plan: &PlanDag, problem: &PlanProblem) -> Vec<BitSet> {
     let universe = problem
         .queries
@@ -79,24 +80,22 @@ pub fn extract_cover(plan: &PlanDag, problem: &PlanProblem) -> Vec<BitSet> {
     let mut stack = vec![root];
     while let Some(idx) = stack.pop() {
         let vars = plan.vars(idx);
-        let children = plan.children(idx);
         let is_query = query_sets.iter().any(|q| vars == **q);
-        if idx != root && (is_query || children.is_none()) {
+        if idx != root && (is_query || idx < plan.var_count()) {
             let set = vars.to_bitset();
             if !cover.contains(&set) {
                 cover.push(set);
             }
             continue;
         }
-        match children {
-            Some((a, b)) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            None => {
-                // Root is itself a leaf: the universe is a variable.
-                cover.push(vars.to_bitset());
-            }
+        if let Some((a, b)) = plan.children(idx) {
+            stack.push(a);
+            stack.push(b);
+        } else if let Some(members) = plan.run_members(idx) {
+            stack.extend(members.iter().map(|&v| v as usize));
+        } else {
+            // Root is itself a leaf: the universe is a variable.
+            cover.push(vars.to_bitset());
         }
     }
     cover

@@ -1,4 +1,4 @@
-//! Scored top-k evaluation over a walked cone: the engine's ⊕ hot path.
+//! Scored top-k evaluation over a walked cone: the engine's plan hot path.
 //!
 //! [`PlanDag::evaluate`] is generic over the operator and clones
 //! heap-backed values; a round of winner determination needs neither. Here
@@ -9,15 +9,21 @@
 //! the merge recomputes it from the caller's closure when it needs to
 //! compare, and the arena costs a quarter of a `ScoredAd` per item.
 //!
-//! Merging follows [`KList::merge`](crate::topk::KList::merge) exactly:
+//! A run slot (a stage-1 fragment) is filled by the chunked threshold scan
+//! of [`KList::scan`], the unshared resolver's kernel, so ⊕ is paid only
+//! above the fragments. A merge slot follows [`KList::merge`] exactly:
 //! descending by score, ties by ascending advertiser index, the same
-//! advertiser reached through two overlapping children emitted once.
+//! advertiser reached through two overlapping children emitted once. Both
+//! rank exactly as the chain of ⊕ a run stands for would.
 
 use std::cmp::{Ordering, Reverse};
 
+use ssa_auction::ids::AdvertiserId;
 use ssa_auction::score::Score;
 
-use super::{ConeWalker, Operand, PlanDag};
+use crate::topk::{KList, ScoredAd};
+
+use super::{ConeWalker, Inputs, Operand, PlanDag};
 
 /// Persistent per-round scratch for scored top-k plan evaluation.
 #[derive(Debug, Clone, Default)]
@@ -30,6 +36,8 @@ pub struct TopKCones {
     lens: Vec<u16>,
     /// The `k` of the last [`TopKCones::fill`].
     k: usize,
+    /// Scan scratch for run slots, reset per run (`k + 1` capacity).
+    run_top: KList<ScoredAd>,
 }
 
 impl TopKCones {
@@ -44,6 +52,7 @@ impl TopKCones {
         self.walker.heap_bytes()
             + self.ids.capacity() * size_of::<u32>()
             + self.lens.capacity() * size_of::<u16>()
+            + self.run_top.heap_bytes()
     }
 
     /// Schedules the cones of `roots` (see [`ConeWalker::walk`]). Every
@@ -53,7 +62,8 @@ impl TopKCones {
     }
 
     /// Computes the top-`k` list of every scheduled node, where variable
-    /// `v` scores `score(v)`, and returns the number of ⊕ applications.
+    /// `v` scores `score(v)`, and returns the number of ⊕ applications
+    /// that stands for (a run of `f` members counts `f − 1`).
     ///
     /// # Panics
     /// Panics if `k` exceeds `u16::MAX`.
@@ -64,13 +74,31 @@ impl TopKCones {
         grow_exact(&mut self.lens, slots);
         grow_exact(&mut self.ids, slots * k);
         let key = |id: &u32| (score(*id as usize), Reverse(*id));
+        let mut ops = 0;
         for slot in 0..slots {
-            let [a, b] = self.walker.operands(plan, slot);
             let (done, rest) = self.ids.split_at_mut(slot * k);
+            let out = &mut rest[..k];
+            let [a, b] = match self.walker.inputs(plan, slot) {
+                Inputs::Run(members) => {
+                    ops += members.len() - 1;
+                    self.run_top.reset(k);
+                    self.run_top.scan(members.len(), |j| {
+                        let v = members[j] as usize;
+                        ScoredAd::new(AdvertiserId::from_index(v), score(v))
+                    });
+                    let top = self.run_top.items();
+                    for (id, s) in out.iter_mut().zip(top) {
+                        *id = s.advertiser.index() as u32;
+                    }
+                    self.lens[slot] = top.len() as u16;
+                    continue;
+                }
+                Inputs::Merge(operands) => operands,
+            };
+            ops += 1;
             let (mut leaf_l, mut leaf_r) = ([0], [0]);
             let left = list(a, &mut leaf_l, done, &self.lens, k);
             let right = list(b, &mut leaf_r, done, &self.lens, k);
-            let out = &mut rest[..k];
             let (mut i, mut j, mut n) = (0, 0, 0);
             let (mut head_l, mut head_r) = (left.first().map(key), right.first().map(key));
             while n < k {
@@ -103,7 +131,7 @@ impl TopKCones {
             }
             self.lens[slot] = n as u16;
         }
-        slots
+        ops
     }
 
     /// The variables of `node`'s top-k list, best first, as of the last
@@ -154,6 +182,7 @@ fn list<'a>(
 mod tests {
     use super::*;
     use crate::plan::cost::materialized_cost;
+    use crate::plan::tests::{run_plan, run_plan_spec};
     use crate::topk::{KList, ScoredAd, ScoredTopKOp};
     use proptest::prelude::*;
     use ssa_auction::ids::AdvertiserId;
@@ -175,10 +204,11 @@ mod tests {
         plan
     }
 
-    /// Naive top-k of a node: sort its variables by (score desc, id asc).
+    /// Naive top-k of a node: sort its variables by (score desc, id asc),
+    /// variable `v` scoring `scores[v % scores.len()]`.
     fn naive(plan: &PlanDag, node: usize, k: usize, scores: &[u8]) -> Vec<usize> {
         let mut vars: Vec<usize> = plan.vars(node).iter().collect();
-        vars.sort_by_key(|&v| (Reverse(scores[v]), v));
+        vars.sort_by_key(|&v| (Reverse(scores[v % scores.len()]), v));
         vars.truncate(k);
         vars
     }
@@ -196,7 +226,7 @@ mod tests {
                 .filter(|(_, &occ)| occ)
                 .map(|(&node, _)| node)
         };
-        let score = |v: usize| Score::new(f64::from(scores[v]));
+        let score = |v: usize| Score::new(f64::from(scores[v % scores.len()]));
         cones.walk(plan, roots());
         let ops = cones.fill(plan, k, score);
 
@@ -302,6 +332,32 @@ mod tests {
             let plans = [first, second].map(|(n, merges, queries)| build(n, &merges, &queries));
             let mut cones = TopKCones::new();
             for (round, (scores, mask)) in rounds.iter().enumerate() {
+                check_round(&mut cones, &plans[round % 2], k, scores, mask);
+            }
+        }
+
+        /// The same on stage-1-shaped plans whose fragments are runs of
+        /// 1–200 members (scanned in 64-wide chunks), under score spreads
+        /// from all-equal (pure id tie-break) to 16 distinct values.
+        #[test]
+        fn run_plans_match_naive(
+            first in run_plan_spec(),
+            second in run_plan_spec(),
+            k in 0usize..5,
+            rounds in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u8..16, 1..40),
+                    any::<bool>(),
+                    proptest::collection::vec(any::<bool>(), 1..6),
+                ),
+                1..5,
+            ),
+        ) {
+            let plans = [first, second]
+                .map(|(owners, merges, queries)| run_plan(&owners, &merges, &queries));
+            let mut cones = TopKCones::new();
+            for (round, (scores, flat, mask)) in rounds.iter().enumerate() {
+                let scores = if *flat { &scores[..1] } else { &scores[..] };
                 check_round(&mut cones, &plans[round % 2], k, scores, mask);
             }
         }

@@ -115,6 +115,11 @@ impl<T: Ord + Clone> KList<T> {
         self.items.is_empty()
     }
 
+    /// Heap footprint in bytes (capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.items.capacity() * std::mem::size_of::<T>()
+    }
+
     /// The worst retained element (the k-th best), if the list is full —
     /// the threshold the TA driver compares against.
     pub fn kth(&self) -> Option<&T> {
@@ -187,6 +192,40 @@ impl<T: Ord + Clone> KList<T> {
                 self.items.insert(pos, item);
                 self.items.truncate(self.k);
                 true
+            }
+        }
+    }
+}
+
+/// Chunk width of [`KList::scan`]: small enough that the candidate buffer
+/// lives in registers/L1, wide enough to amortize the threshold re-read.
+const SCAN_CHUNK: usize = 64;
+
+impl KList<ScoredAd> {
+    /// Inserts the candidates `candidate(0..len)` by a branch-light
+    /// chunked threshold scan — the one kernel behind the unshared
+    /// per-phrase scan and a plan run's slot.
+    ///
+    /// A whole chunk is scored into a flat buffer first — a pure
+    /// arithmetic loop with no data-dependent branches — and only
+    /// candidates at or above the chunk-start k-th score touch the list.
+    /// The filter uses `>=` because ties break by ascending advertiser id:
+    /// an equal score with a lower id outranks the current k-th. A stale
+    /// (chunk-start) threshold is conservative — it only admits extra
+    /// candidates, which `insert` rejects — so the result is bit-identical
+    /// to inserting every candidate one by one.
+    pub fn scan(&mut self, len: usize, candidate: impl Fn(usize) -> ScoredAd) {
+        let mut buffer = [ScoredAd::new(AdvertiserId(0), Score::ZERO); SCAN_CHUNK];
+        for start in (0..len).step_by(SCAN_CHUNK) {
+            let chunk = &mut buffer[..SCAN_CHUNK.min(len - start)];
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                *slot = candidate(start + j);
+            }
+            let threshold = self.kth().map(|s| s.score);
+            for &c in chunk.iter() {
+                if threshold.is_none_or(|t| c.score >= t) {
+                    self.insert(c);
+                }
             }
         }
     }

@@ -50,16 +50,17 @@ fn bytes_per_advertiser_stay_under_ceiling() {
     // run members, the few merge nodes above the runs and their caches,
     // the TA seen-set and the `c_orders`; 241 after 500 rounds, 279 after
     // 5 000; 713 / 778 / 821 when every advertiser was a leaf under its
-    // fragment's merge tree), SharedAggregation 169 and Hybrid 254 (620
-    // with per-advertiser sort leaves; plan nodes hold adaptive-sparse
-    // `VarSet`s in a CSR pool, so the plan's footprint follows interest
-    // density, not nodes x n/8 — down from 5360/5539 when every node
-    // owned a dense n-bit set; 18 and 13 of those bytes are the plan
-    // resolver's persistent cone scratch; the plan's cost model is
-    // stateless, nothing of it is resident). The shared-aggregation-100k
-    // case re-pins the plan-bearing ceiling a decade up (measured 153 hot
-    // / 542 peak) to catch anything population-quadratic hiding at 10k.
-    // Peaks (SharedAggregation 720, SharedSort 221, Hybrid 647) add the
+    // fragment's merge tree), SharedAggregation 92 and Hybrid 181 (plan
+    // fragments are run nodes: 4 bytes per member in the CSR pool plus the
+    // few merge nodes above them, so the plan's cone scratch is sized by
+    // those nodes, not by advertisers; 169 and 254 when every fragment was
+    // a chain of per-advertiser merge nodes, 620 for Hybrid with
+    // per-advertiser sort leaves, 5360/5539 when every plan node owned a
+    // dense n-bit set; the plan's cost model is stateless, nothing of it
+    // is resident). The shared-aggregation-100k case re-pins the
+    // plan-bearing ceiling a decade up (measured 90 hot / 480 peak) to
+    // catch anything population-quadratic hiding at 10k. Peaks
+    // (SharedAggregation 643, SharedSort 221, Hybrid 572) add the
     // planners' construction scratch, dropped before steady state.
     // Ceilings leave ~50% headroom; one extra dense population-sized
     // vector (8+ bytes/advertiser) blows through them.
@@ -70,7 +71,7 @@ fn bytes_per_advertiser_stay_under_ceiling() {
             SharingStrategy::SharedAggregation,
             10_000,
             0.0,
-            250,
+            140,
             1_100,
         ),
         (
@@ -81,13 +82,13 @@ fn bytes_per_advertiser_stay_under_ceiling() {
             SHARED_SORT_HOT_CEILING,
             340,
         ),
-        ("hybrid", SharingStrategy::Hybrid, 10_000, 0.4, 380, 970),
+        ("hybrid", SharingStrategy::Hybrid, 10_000, 0.4, 270, 970),
         (
             "shared-aggregation-100k",
             SharingStrategy::SharedAggregation,
             100_000,
             0.0,
-            250,
+            135,
             1_100,
         ),
     ];

@@ -30,11 +30,7 @@ pub const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds one element into an FNV-1a hash chain (little-endian bytes).
-///
-/// Exposed so pooled storage can maintain per-node hashes *incrementally*:
-/// extending a set by a suffix extends its hash by the same suffix, which
-/// is what makes chain-building O(1) amortized per step instead of
-/// rehashing the whole prefix.
+/// Extending a set by a suffix extends its hash by the same suffix.
 #[inline]
 pub fn fnv1a_u32(mut h: u64, e: u32) -> u64 {
     for byte in e.to_le_bytes() {

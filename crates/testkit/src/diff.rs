@@ -21,6 +21,7 @@ use ssa_core::algebra::expr::Expr;
 use ssa_core::algebra::ops::{check_axioms, AggregateOp, BloomUnionOp};
 use ssa_core::algebra::AxiomSet;
 use ssa_core::budget::compare_throttled;
+use ssa_core::engine::resolvers::PlanResolver;
 use ssa_core::engine::{
     AuctionOutcome, BudgetPolicy, BudgetSnapshot, Engine, EngineConfig, RoutingMode,
     SharingStrategy,
@@ -416,13 +417,40 @@ fn run_engine_diff(
     mut variants: Vec<Variant>,
     seed: u64,
 ) -> Result<(), Divergence> {
+    // A SharedAggregation variant must count exactly the ⊕ §II-B's model
+    // materializes for each round's occurring phrases.
+    let plans: Vec<Option<PlanResolver>> = variants
+        .iter()
+        .map(|v| {
+            let cfg = v.engine.config();
+            (cfg.sharing == SharingStrategy::SharedAggregation)
+                .then(|| PlanResolver::new(w, cfg.planner, None))
+        })
+        .collect();
     for round in 0..ROUNDS {
         let snapshots = reference.budget_snapshots();
         let ref_out = reference.run_round();
         oracle_check_round(check, w, &reference, &snapshots, &ref_out, seed, round)?;
         let oracle_bids = reference.last_effective_bids().to_vec();
-        for v in &mut variants {
+        for (v, plan) in variants.iter_mut().zip(&plans) {
+            let ops_before = v.engine.metrics().aggregation_ops;
             let out = v.engine.run_round();
+            if let Some(plan) = plan {
+                let phrases: Vec<PhraseId> = out.iter().map(|o| o.phrase).collect();
+                let counted = v.engine.metrics().aggregation_ops - ops_before;
+                let model = oracle::plan_round_ops(w, plan, &phrases);
+                if counted != model {
+                    return Err(Divergence::new(
+                        check,
+                        seed,
+                        format!(
+                            "round {round} [{}]: {counted} ⊕ counted, but the plan's \
+                             materialized cost over phrases {phrases:?} is {model}",
+                            v.name
+                        ),
+                    ));
+                }
+            }
             if v.desynced {
                 continue;
             }
@@ -467,8 +495,9 @@ fn run_engine_diff(
 /// unshared scan, the Section II shared aggregation plan, the Section III
 /// shared sort, and the bounds-based budget policy must all produce the
 /// reference outcomes; the reference itself is replayed against the
-/// naive oracle each round. The `Ignore` budget policy gets its own
-/// oracle replay.
+/// naive oracle each round, and the shared plan's counted ⊕ must equal its
+/// §II-B materialized cost every round. The `Ignore` budget policy gets
+/// its own oracle replay.
 pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "engine-separable";
     let w = Workload::generate(cfg);

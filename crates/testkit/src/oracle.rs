@@ -6,7 +6,8 @@
 //! convolution from `ssa-core::budget` (itself backed by `ssa-stats`), and
 //! its own reading of the pricing rules over a full rescan.
 //! Anything an optimized path computes must agree with what this module
-//! computes from the same inputs.
+//! computes from the same inputs. [`plan_round_ops`] is the one model-side
+//! entry: the work a plan round must count, per §II-B.
 
 use ssa_auction::ids::{AdvertiserId, PhraseId};
 use ssa_auction::instance::{AuctionEntry, AuctionInstance};
@@ -14,7 +15,9 @@ use ssa_auction::money::Money;
 use ssa_auction::pricing::PricingRule;
 use ssa_auction::winner::{determine_winners, Assignment};
 use ssa_core::budget::BudgetContext;
+use ssa_core::engine::resolvers::PlanResolver;
 use ssa_core::engine::{BudgetPolicy, BudgetSnapshot};
+use ssa_core::plan::cost;
 use ssa_workload::Workload;
 
 /// Per-advertiser auction participation counts `m_i` for a round in which
@@ -164,6 +167,25 @@ pub fn phrase_ranking(w: &Workload, phrase: PhraseId, bids: &[Money]) -> Vec<Adv
         .collect();
     scored.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
     scored.into_iter().map(|(_, a)| a).collect()
+}
+
+/// The ⊕ applications §II-B's model charges one round of `resolver`
+/// (compiled over every phrase of `w`) in which `occurring` occur:
+/// [`cost::materialized_cost`] of its plan. The plan binds the non-empty
+/// phrases in phrase order, which is how occurrence maps onto its queries.
+pub fn plan_round_ops(w: &Workload, resolver: &PlanResolver, occurring: &[PhraseId]) -> u64 {
+    let Some(plan) = resolver.dag() else {
+        return 0;
+    };
+    let mut occurs = vec![false; w.phrase_count()];
+    for phrase in occurring {
+        occurs[phrase.index()] = true;
+    }
+    let per_query: Vec<bool> = (0..w.phrase_count())
+        .filter(|&q| !w.interest[q].is_empty())
+        .map(|q| occurs[q])
+        .collect();
+    cost::materialized_cost(plan, &per_query) as u64
 }
 
 #[cfg(test)]
