@@ -113,14 +113,11 @@ pub struct SimulationSpec {
     /// `BENCH_planner_scaling.json`), so both the engine and this CLI
     /// default to `"full"`.
     pub planner: String,
-    /// Hybrid route selection: `"static"` (the fixed separability
-    /// predicate, the default) or `"adaptive"` (cost-model seeded routing
-    /// with online phrase migration). Ignored by the single-resolver
-    /// strategies.
+    /// Hybrid route selection: `"static"` (the separability predicate,
+    /// the default) or `"adaptive"` (the cost-model route). Either is
+    /// computed once, at engine construction. Ignored by the
+    /// single-resolver strategies.
     pub routing: String,
-    /// Pin the adaptive router to its cost-model seed route (no online
-    /// migration). Meaningless unless `routing` is `"adaptive"`.
-    pub route_frozen: bool,
     /// Engine RNG seed.
     pub seed: u64,
 }
@@ -140,7 +137,6 @@ impl Default for SimulationSpec {
             shards: 1,
             planner: "full".to_string(),
             routing: "static".to_string(),
-            route_frozen: false,
             seed: 7,
         }
     }
@@ -190,13 +186,16 @@ fn f64_field(v: &Value, key: &str, default: f64) -> Result<f64, ConfigError> {
     }
 }
 
-fn bool_field(v: &Value, key: &str, default: bool) -> Result<bool, ConfigError> {
-    match field(v, key) {
-        None => Ok(default),
-        Some(x) => x
-            .as_bool()
-            .ok_or_else(|| ConfigError(format!("field '{key}' must be a boolean"))),
+/// Rejects a key of object `v` that `template` (the default spec's
+/// rendering, which names every field) lacks: a misspelt or retired key
+/// would otherwise run the default silently.
+fn reject_unknown_keys(v: &Value, template: &Value, scope: &str) -> Result<(), ConfigError> {
+    if let Value::Object(pairs) = v {
+        if let Some((key, _)) = pairs.iter().find(|(key, _)| template.get(key).is_none()) {
+            return Err(ConfigError(format!("unknown field '{scope}{key}'")));
+        }
     }
+    Ok(())
 }
 
 fn string_field(v: &Value, key: &str, default: &str) -> Result<String, ConfigError> {
@@ -212,6 +211,7 @@ fn string_field(v: &Value, key: &str, default: &str) -> Result<String, ConfigErr
 impl WorkloadSpec {
     fn from_value(v: &Value) -> Result<Self, ConfigError> {
         let d = WorkloadSpec::default();
+        reject_unknown_keys(v, &d.to_value(), "workload.")?;
         Ok(WorkloadSpec {
             advertisers: usize_field(v, "advertisers", d.advertisers)?,
             phrases: usize_field(v, "phrases", d.phrases)?,
@@ -257,15 +257,16 @@ impl WorkloadSpec {
 }
 
 impl SimulationSpec {
-    /// Parses a spec from JSON. Unknown fields are ignored and missing
-    /// fields fall back to [`SimulationSpec::default`], matching the
-    /// behavior of the original `#[serde(default)]` derive.
+    /// Parses a spec from JSON. Missing fields fall back to
+    /// [`SimulationSpec::default`]; an unknown field, at the top level or
+    /// in `workload`, is an error naming it.
     pub fn from_json(json: &str) -> Result<Self, ConfigError> {
         let v = json::parse(json).map_err(|e| ConfigError(e.to_string()))?;
         if !matches!(v, Value::Object(_)) {
             return Err(ConfigError("config must be a JSON object".to_string()));
         }
         let d = SimulationSpec::default();
+        reject_unknown_keys(&v, &d.to_value(), "")?;
         let workload = match v.get("workload") {
             None => d.workload,
             Some(w) => WorkloadSpec::from_value(w)?,
@@ -300,7 +301,6 @@ impl SimulationSpec {
             shards: usize_field(&v, "shards", d.shards)?,
             planner: string_field(&v, "planner", &d.planner)?,
             routing: string_field(&v, "routing", &d.routing)?,
-            route_frozen: bool_field(&v, "route_frozen", d.route_frozen)?,
             seed: u64_field(&v, "seed", d.seed)?,
         })
     }
@@ -308,6 +308,10 @@ impl SimulationSpec {
     /// Renders the spec as pretty-printed JSON (round-trips through
     /// [`SimulationSpec::from_json`]).
     pub fn to_json(&self) -> String {
+        self.to_value().to_string_pretty()
+    }
+
+    fn to_value(&self) -> Value {
         Value::Object(vec![
             ("workload".into(), self.workload.to_value()),
             ("rounds".into(), Value::from(self.rounds)),
@@ -333,10 +337,8 @@ impl SimulationSpec {
             ("shards".into(), Value::from(self.shards)),
             ("planner".into(), Value::from(self.planner.as_str())),
             ("routing".into(), Value::from(self.routing.as_str())),
-            ("route_frozen".into(), Value::from(self.route_frozen)),
             ("seed".into(), Value::from(self.seed)),
         ])
-        .to_string_pretty()
     }
 
     fn pricing_rule(&self) -> Result<PricingRule, ConfigError> {
@@ -402,7 +404,6 @@ impl SimulationSpec {
                 shards: self.shards,
                 planner: self.planner_mode()?,
                 routing: self.routing_mode()?,
-                route_frozen: self.route_frozen,
                 seed: self.seed,
             },
         ))
@@ -422,7 +423,7 @@ pub fn render_metrics(m: &EngineMetrics) -> String {
          clicks beyond budget: {}\nadvertisers scanned: {}\naggregation ops: {}\n\
          merge invocations: {}\nta stages: {}\nsort nodes invalidated: {}\n\
          sort cache items reused: {}\nphrases routed plan: {}\nphrases routed sort: {}\n\
-         phrases routed unshared: {}\nrouter migrations: {}\nthrottle ms: {:.2}\nwd ms: {:.2}\n\
+         phrases routed unshared: {}\nthrottle ms: {:.2}\nwd ms: {:.2}\n\
          wd plan ms: {:.2}\nwd sort ms: {:.2}\nwd unshared ms: {:.2}\n\
          sort refresh ms: {:.2}\nsettle ms: {:.2}\nresolution ms: {:.2}",
         m.rounds,
@@ -441,7 +442,6 @@ pub fn render_metrics(m: &EngineMetrics) -> String {
         m.phrases_routed_plan,
         m.phrases_routed_sort,
         m.phrases_routed_unshared,
-        m.router_migrations,
         m.throttle_nanos as f64 / 1e6,
         m.wd_nanos as f64 / 1e6,
         m.wd_plan_nanos as f64 / 1e6,
@@ -526,17 +526,50 @@ mod tests {
 
     #[test]
     fn routing_fields_round_trip() {
-        // Omitted routing stays static with migration enabled.
+        // Omitted routing stays static.
         let spec = SimulationSpec::from_json("{}").expect("empty config parses");
         assert_eq!(spec.routing, "static");
-        assert!(!spec.route_frozen);
-        let spec =
-            SimulationSpec::from_json(r#"{"routing": "adaptive", "route_frozen": true}"#).unwrap();
+        let spec = SimulationSpec::from_json(r#"{"routing": "adaptive"}"#).unwrap();
         assert_eq!(spec.routing, "adaptive");
-        assert!(spec.route_frozen);
         let back = SimulationSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back.routing, "adaptive");
-        assert!(back.route_frozen);
+    }
+
+    #[test]
+    fn rejects_unknown_keys() {
+        for (json, key) in [
+            // Retired: the adaptive route no longer moves, so there is
+            // nothing left to freeze.
+            (
+                r#"{"routing": "adaptive", "route_frozen": true}"#,
+                "route_frozen",
+            ),
+            (r#"{"rounds": 3, "shard": 2}"#, "shard"),
+            (r#"{"workload": {"advertsers": 50}}"#, "workload.advertsers"),
+        ] {
+            let err = SimulationSpec::from_json(json).expect_err(json);
+            assert!(
+                err.to_string().contains(&format!("'{key}'")),
+                "{json}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_ci_config_parses() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(&dir).expect("ci directory is readable") {
+            let path = entry.expect("ci directory entry").path();
+            if path.extension().is_some_and(|ext| ext == "json") {
+                let json = std::fs::read_to_string(&path).expect("ci config is readable");
+                if let Err(err) = SimulationSpec::from_json(&json) {
+                    panic!("{}: {err}", path.display());
+                }
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 4, "found only {parsed} ci configs");
     }
 
     #[test]
@@ -562,7 +595,7 @@ mod tests {
             m.auctions,
             "every auction routed to exactly one hybrid resolver"
         );
-        assert!(render_metrics(&m).contains("router migrations"));
+        assert_eq!(m.router_migrations, 0, "the route is fixed at construction");
     }
 
     #[test]

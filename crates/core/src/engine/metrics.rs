@@ -63,19 +63,13 @@ pub struct EngineMetrics {
     pub phrases_routed_sort: u64,
     /// Phrase auctions routed to the unshared per-phrase scan.
     pub phrases_routed_unshared: u64,
-    /// Phrases migrated between the Hybrid resolvers by the adaptive
-    /// router (plus explicit `force_hybrid_route` calls). Always zero
-    /// under static routing. Online migrations are driven by measured
-    /// wall-clock, so this counter — and, under `RoutingMode::Adaptive`,
-    /// the `phrases_routed_*` split — is timing-dependent and zeroed by
-    /// [`EngineMetrics::without_timing`].
+    /// Always 0: the Hybrid route is fixed at construction, so no phrase
+    /// migrates. Kept only because the frozen `benchmark/` reads it; its
+    /// next PR deletes it.
     pub router_migrations: u64,
-    /// Times the adaptive router rebuilt the Hybrid sort resolver's
-    /// network: steady-state compactions onto the sort-routed subset
-    /// (shedding the full-set arena's cache footprint once the route has
-    /// held still), plus forced expansions when a migration entered a
-    /// phrase a compacted network had dropped. Timing-driven like
-    /// `router_migrations`; zeroed by [`EngineMetrics::without_timing`].
+    /// Always 0: the Hybrid sort network is compiled once, over the
+    /// route's sort side. Kept only because the frozen `benchmark/` reads
+    /// it; its next PR deletes it.
     pub router_sort_rebuilds: u64,
     /// Throttled-bid bound evaluations (bounded budget policy).
     pub bound_evaluations: u64,
@@ -109,8 +103,7 @@ pub struct EngineMetrics {
     /// Wall-clock nanoseconds in the shared-sort resolver's `resolve`
     /// *only* — network refresh is accounted separately in
     /// `sort_refresh_nanos`, so the per-path resolver costs are directly
-    /// comparable (the adaptive router's calibration signal reads these).
-    /// Both are included in `wd_nanos`, which wraps the whole
+    /// comparable. Both are included in `wd_nanos`, which wraps the whole
     /// winner-determination stage.
     pub wd_sort_nanos: u128,
     /// Wall-clock nanoseconds in the unshared resolver (included in
@@ -180,18 +173,11 @@ impl EngineMetrics {
         self.throttle_nanos + self.wd_nanos
     }
 
-    /// A copy with every wall-clock field — and the timing-*driven*
-    /// `router_migrations` counter — zeroed, for comparing the
-    /// deterministic counters of two runs (e.g. two pipeline widths)
-    /// where only timing may legitimately differ. Note that under
-    /// `RoutingMode::Adaptive` the `phrases_routed_plan`/`_sort` split
-    /// also depends on migration history and is not comparable across
-    /// runs; checks over adaptive engines compare outcomes, not routing
-    /// counters.
+    /// A copy with every wall-clock and host-resolved field zeroed, for
+    /// comparing the deterministic counters of two runs (e.g. two
+    /// pipeline widths) where only timing may legitimately differ.
     pub fn without_timing(&self) -> EngineMetrics {
         EngineMetrics {
-            router_migrations: 0,
-            router_sort_rebuilds: 0,
             wd_threads_resolved: 0,
             shards_resolved: 0,
             throttle_nanos: 0,

@@ -68,8 +68,9 @@ pub enum SharingStrategy {
     /// The Section III shared merge-sort network + Threshold Algorithm
     /// (handles phrase-specific factors).
     SharedSort,
-    /// Per-phrase routing across both shared paths: separable phrases
-    /// (factors equal to the advertiser's base factor) compile into one
+    /// Per-phrase routing across both shared paths, fixed at construction
+    /// by the [`RoutingMode`]: plan-routed phrases (separable ones only:
+    /// factors equal to the advertiser's base factor) compile into one
     /// aggregation plan, the rest into one persistent sort network, each
     /// over only its own phrase subset. Handles *mixed* workloads that
     /// `SharedAggregation` rejects without paying the sort network for
@@ -85,15 +86,12 @@ pub enum RoutingMode {
     /// phrase on the plan even where the sort network serves it cheaper.
     #[default]
     Static,
-    /// Cost-model routing with online phrase migration: routes are seeded
-    /// from the paper's Section II-B / III-B expected-cost marginals over
-    /// the workload's search rates, calibrated against measured per-path
-    /// wall-clock (EWMA), and phrases migrate between the resolvers at
-    /// round boundaries when the estimated saving clears a hysteresis
-    /// threshold. Auction outcomes are bit-identical to every other
-    /// strategy regardless of where a phrase is routed; only wall-clock
-    /// and routing counters depend on the (timing-driven, hence
-    /// nondeterministic) migration history.
+    /// Cost-model routing: each separable phrase goes to the path the
+    /// paper's Section II-B / III-B expected-cost models favour over the
+    /// workload's search rates, decided once at construction and never
+    /// revised. No clock is read, so the route is a pure function of the
+    /// workload, the config and the shard's phrases. Auction outcomes are
+    /// bit-identical to every other strategy wherever a phrase is routed.
     Adaptive,
 }
 
@@ -109,14 +107,9 @@ pub struct EngineConfig {
     /// Winner-determination sharing strategy.
     pub sharing: SharingStrategy,
     /// Phrase-routing mode for `SharingStrategy::Hybrid` (ignored by the
-    /// single-resolver strategies).
+    /// single-resolver strategies). Either mode fixes the route at
+    /// construction.
     pub routing: RoutingMode,
-    /// Escape hatch: pin an adaptive router to its cost-model seed route
-    /// (no online migration). Keeps `RoutingMode::Adaptive` runs fully
-    /// deterministic — the seed depends only on the workload — which the
-    /// testkit minimizer uses to shrink adaptive-routing counterexamples.
-    /// Explicit [`Engine::force_hybrid_route`] calls still apply.
-    pub route_frozen: bool,
     /// Mean click delay in rounds (geometric).
     pub mean_click_delay_rounds: f64,
     /// Outstanding ads expire (never click) after this many rounds.
@@ -165,7 +158,6 @@ impl Default for EngineConfig {
             budget_policy: BudgetPolicy::ThrottleExact,
             sharing: SharingStrategy::Unshared,
             routing: RoutingMode::Static,
-            route_frozen: false,
             mean_click_delay_rounds: 3.0,
             click_expiry_rounds: 20,
             billing_increment: Money::from_micros(10_000), // one cent
@@ -328,7 +320,7 @@ impl Engine {
     /// Panics if `SharedAggregation` is requested for a workload with
     /// phrase-specific factors (the Section III setting), where top-k
     /// aggregates cannot be shared. `Hybrid` accepts any workload: it
-    /// routes exactly the separable phrases to the plan.
+    /// routes only separable phrases to the plan.
     pub fn new(workload: Workload, mut config: EngineConfig) -> Self {
         // `0` means auto for both executor knobs: size to the host.
         // Resolved here, before the shard partition, so everything
@@ -451,55 +443,16 @@ impl Engine {
         &self.display_events
     }
 
-    /// Which resolver each phrase is *currently* bound to: `true` means
-    /// the shared aggregation plan, `false` the shared sort network.
-    /// `None` unless the strategy is `Hybrid`. Under static routing this
-    /// is the separability map; under adaptive routing it is the router's
-    /// live route and changes as phrases migrate. An observation seam for
-    /// the `hybrid-routing` and `adaptive-routing` differential checks.
+    /// Which resolver each phrase is bound to: `true` means the shared
+    /// aggregation plan, `false` the shared sort network. `None` unless
+    /// the strategy is `Hybrid` on the single-domain executor. The route
+    /// is fixed at construction: the separability map under static
+    /// routing, the cost-model route under adaptive routing. An
+    /// observation seam for the `hybrid-routing` differential check.
     pub fn hybrid_plan_route(&self) -> Option<&[bool]> {
         match &self.wd {
-            WdExec::Single(Resolvers::Hybrid { router, .. }) => Some(router.route()),
-            _ => None,
-        }
-    }
-
-    /// Forces phrase `phrase` onto the plan (`to_plan == true`) or sort
-    /// path of an adaptive Hybrid engine, applying the same incremental
-    /// migration the router performs at round boundaries (and counting it
-    /// in `router_migrations`). Returns `false` — and changes nothing —
-    /// when the strategy is not Hybrid, routing is not adaptive, the
-    /// phrase is not plan-eligible, or it already sits on the requested
-    /// path. A testing/operator seam: differential checks use it to make
-    /// migration rounds deterministic.
-    pub fn force_hybrid_route(&mut self, phrase: PhraseId, to_plan: bool) -> bool {
-        match &mut self.wd {
-            WdExec::Single(Resolvers::Hybrid {
-                sort,
-                router,
-                stable_boundaries,
-                subset,
-                ..
-            }) => {
-                if !router.force_route(phrase.index(), to_plan) {
-                    return false;
-                }
-                *stable_boundaries = 0;
-                if !to_plan && !sort.serves_phrase(phrase.index()) {
-                    // The forced move re-enters a phrase the steady-state
-                    // compaction dropped from the network; widen it back.
-                    resolvers::rebuild_sort(
-                        sort,
-                        &self.workload,
-                        router.route(),
-                        subset.as_deref(),
-                    );
-                    self.metrics.router_sort_rebuilds += 1;
-                }
-                self.metrics.router_migrations += 1;
-                true
-            }
-            _ => false,
+            WdExec::Single(resolvers) => resolvers.hybrid_route(),
+            WdExec::Sharded(_) => None,
         }
     }
 

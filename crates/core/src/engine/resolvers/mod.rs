@@ -9,14 +9,12 @@
 //! loop, budgets, and settlement.
 //!
 //! Resolvers are compiled over an explicit *phrase subset*, which is what
-//! makes `SharingStrategy::Hybrid` possible: separable phrases compile
-//! into one aggregation plan, the rest into one sort network, and each
-//! round the engine routes every occurring phrase to the resolver that
-//! owns it. Under `RoutingMode::Adaptive` the per-phrase route is not a
-//! fixed separability predicate but a [`Router`] decision: seeded from
-//! the paper's probabilistic cost models and refined online from measured
-//! per-path wall-clock, with phrases migrating between the resolvers at
-//! round boundaries.
+//! makes `SharingStrategy::Hybrid` possible: a per-phrase route is fixed
+//! at construction — the separability predicate under
+//! `RoutingMode::Static`, the cost-model [`seed_route`] under
+//! `RoutingMode::Adaptive` — one aggregation plan and one sort network are
+//! compiled over its two sides, and each round the engine hands every
+//! occurring phrase to the resolver that owns it.
 
 mod plan;
 mod router;
@@ -27,8 +25,6 @@ pub use plan::PlanResolver;
 pub use sort::SortResolver;
 pub use unshared::{scan_top_k, UnsharedResolver};
 
-pub(crate) use router::Router;
-
 use std::time::Instant;
 
 use ssa_auction::ids::PhraseId;
@@ -36,6 +32,9 @@ use ssa_auction::money::Money;
 use ssa_workload::Workload;
 
 use crate::budget::BudgetContext;
+
+use router::{seed_route, RouteModel};
+use sort::compile_sort_plan;
 
 use super::{
     AuctionOutcome, BudgetPolicy, EngineConfig, EngineMetrics, RoutingMode, SharingStrategy,
@@ -104,97 +103,81 @@ pub(crate) enum Resolvers {
     Hybrid {
         plan: PlanResolver,
         sort: SortResolver,
-        /// Who owns each phrase: the static separability predicate, or
-        /// the adaptive cost-model router with online migration.
-        router: Router,
+        /// Per phrase, `true` routes to the plan and `false` to the sort
+        /// network; fixed at construction.
+        route: Vec<bool>,
         /// Reusable per-round partition buffers (hoisted so steady-state
         /// rounds allocate nothing).
         plan_phrases: Vec<PhraseId>,
         sort_phrases: Vec<PhraseId>,
-        /// Consecutive occupied round boundaries without a migration.
-        /// Reaching [`COMPACT_AFTER_STABLE`] triggers the steady-state
-        /// sort-network compaction.
-        stable_boundaries: u32,
-        /// The phrase subset this resolver pair owns, when it was built
-        /// for an execution shard ([`Resolvers::for_strategy`]); `None`
-        /// means the whole workload. Sort-network rebuilds must stay
-        /// inside this subset or a shard would absorb its neighbours'
-        /// phrases.
-        subset: Option<Vec<bool>>,
     },
-}
-
-/// Occupied round boundaries the adaptive route must hold still before
-/// the sort resolver is recompiled over exactly the sort-routed subset.
-///
-/// The adaptive engine compiles its sort network over *all* phrases so
-/// cold-start migration is a route-bit flip, but that generality has a
-/// standing cost: under generalist-heavy interest sets every internal
-/// node serves at least one sort-routed phrase, so the live cones span
-/// the full-set arena — measurably slower (~5% wall-clock) than a
-/// subset-compiled network doing bit-identical work, purely from cache
-/// footprint. Once the router has
-/// converged, that insurance is no longer worth carrying: the network is
-/// rebuilt over the routed subset, making its shape — and its locality —
-/// identical to a statically compiled engine's. Migrations arriving
-/// after a compaction still work; one that targets a phrase the compact
-/// network dropped forces a rebuild over the widened subset instead of
-/// the usual route-bit flip.
-///
-/// Strictly above `EVAC_STREAK` (4): group evacuation fires on its
-/// fourth consecutive favourable boundary, so a route heading for
-/// evacuation migrates — and resets this counter — before compaction can
-/// freeze the pre-evacuation subset in.
-const COMPACT_AFTER_STABLE: u32 = 6;
-
-/// Recompiles `sort` over exactly the route's sort-routed subset. The
-/// persistent network rebuilds from scratch on the next occupied sort
-/// round (an all-dirty refresh); outcomes are unaffected because merge
-/// order is bid-deterministic regardless of network shape.
-pub(super) fn rebuild_sort(
-    sort: &mut SortResolver,
-    workload: &Workload,
-    plan_route: &[bool],
-    subset: Option<&[bool]>,
-) {
-    let mask: Vec<bool> = plan_route
-        .iter()
-        .enumerate()
-        .map(|(q, &to_plan)| !to_plan && subset.is_none_or(|s| s[q]))
-        .collect();
-    *sort = SortResolver::new(workload, Some(&mask), 1);
 }
 
 /// Runs the sort resolver over `phrases`, accounting its wall-clock in
 /// `wd_sort_nanos` net of the network refresh `resolve` times into
-/// `sort_refresh_nanos` itself. Returns the outcomes and that net time,
-/// the adaptive router's sort-path signal.
+/// `sort_refresh_nanos` itself.
 fn resolve_sort(
     sort: &mut SortResolver,
     ctx: &RoundContext<'_>,
     phrases: &[PhraseId],
     effective_bids: &mut [Money],
     metrics: &mut EngineMetrics,
-) -> (Vec<AuctionOutcome>, u128) {
+) -> Vec<AuctionOutcome> {
     let refresh_before = metrics.sort_refresh_nanos;
     let started = Instant::now();
     let out = sort.resolve(ctx, phrases, effective_bids, metrics);
-    let nanos = started.elapsed().as_nanos() - (metrics.sort_refresh_nanos - refresh_before);
-    metrics.wd_sort_nanos += nanos;
-    (out, nanos)
+    metrics.wd_sort_nanos +=
+        started.elapsed().as_nanos() - (metrics.sort_refresh_nanos - refresh_before);
+    out
 }
 
-/// The sort path's group terms for the router under `plan_route`: the
-/// network's expected items per round over the sort-routed phrases, and
-/// the extra items full absorption of the plan-routed ones would add.
-fn sort_group_terms(sort: &SortResolver, rates: &[f64], plan_route: &[bool]) -> (f64, f64) {
-    let masked: Vec<f64> = rates
+/// The adaptive route over `subset`: the [`seed_route`] of the phrases'
+/// modeled costs on `plan` and on a sort network over every in-subset
+/// phrase. That network is compiled for its cost model only and dropped
+/// here; the engine's sort resolver is compiled over the route's sort
+/// side alone.
+fn adaptive_route(
+    workload: &Workload,
+    config: &EngineConfig,
+    subset: Option<&[bool]>,
+    plan: &PlanResolver,
+) -> Vec<bool> {
+    let m = workload.phrase_count();
+    let rates: Vec<f64> = workload
+        .search_rates()
         .iter()
-        .zip(plan_route)
-        .map(|(&sr, &to_plan)| if to_plan { 0.0 } else { sr })
+        .enumerate()
+        .map(|(q, &sr)| if subset.is_none_or(|s| s[q]) { sr } else { 0.0 })
         .collect();
-    let fixed = sort.model_items(&masked);
-    (fixed, sort.model_items(rates) - fixed)
+    // Marginals in common item units: one plan node is a pairwise top-k
+    // aggregation (~2k item ops), one sort unit an item sent upstream.
+    let items_per_node = 2.0 * config.slot_factors.len().max(1) as f64;
+    let plan_marginal: Vec<f64> = plan
+        .phrase_marginals()
+        .iter()
+        .map(|&nodes| nodes * items_per_node)
+        .collect();
+    let eligible: Vec<bool> = (0..m).map(|q| plan.is_bound(q)).collect();
+    // The merge model's marginal is the upstream *traffic* a phrase adds,
+    // which collapses to zero at saturated search rates, so the route
+    // also prices absorbing the whole plan side: the network's expected
+    // items with every phrase active, less those with only the
+    // ineligible ones.
+    let sort_plan = compile_sort_plan(workload, subset);
+    let ineligible_rates: Vec<f64> = rates
+        .iter()
+        .zip(&eligible)
+        .map(|(&sr, &e)| if e { 0.0 } else { sr })
+        .collect();
+    let sort_fixed = sort_plan.expected_cost(&ineligible_rates);
+    seed_route(&RouteModel {
+        sort_marginal: sort_plan.phrase_marginal_costs(&rates),
+        sort_absorb_extra: sort_plan.expected_cost(&rates) - sort_fixed,
+        ta_items: config.slot_factors.len().max(1) as f64,
+        eligible,
+        plan_marginal,
+        rates,
+    })
 }
 
 impl Resolvers {
@@ -216,12 +199,12 @@ impl Resolvers {
         }
     }
 
-    /// The Hybrid resolver pair. Static routing compiles each resolver
-    /// over exactly its separability subset. Adaptive routing compiles
-    /// the plan over the separable subset but the sort network over *all*
-    /// phrases, so a later migration in either direction is the router's
-    /// route bit, never a recompile: the sort network refreshes whatever
-    /// occurs on it.
+    /// The Hybrid resolver pair. The plan is compiled over the separable
+    /// phrases, the route is computed from the routing mode, and the sort
+    /// network is compiled over exactly the route's sort side. A
+    /// separable phrase the adaptive route sends to the sort network
+    /// costs the plan only idle nodes: plan evaluation is demand-driven,
+    /// and the plan is never handed that phrase.
     ///
     /// With `subset` set (sharded execution) every compiled set is
     /// intersected with the shard's phrases and the cost models see only
@@ -234,79 +217,25 @@ impl Resolvers {
             .map(|q| in_subset(q) && workload.phrase_is_separable(q))
             .collect();
         let plan = PlanResolver::new(workload, config.planner, Some(&separable));
-        match config.routing {
-            RoutingMode::Static => {
-                let sort_route: Vec<bool> = separable
-                    .iter()
-                    .enumerate()
-                    .map(|(q, &r)| in_subset(q) && !r)
-                    .collect();
-                Resolvers::Hybrid {
-                    plan,
-                    sort: SortResolver::new(workload, Some(&sort_route), 1),
-                    router: Router::fixed(separable),
-                    plan_phrases: Vec::new(),
-                    sort_phrases: Vec::new(),
-                    stable_boundaries: 0,
-                    subset: subset.map(<[bool]>::to_vec),
-                }
-            }
-            RoutingMode::Adaptive => {
-                let rates: Vec<f64> = workload
-                    .search_rates()
-                    .iter()
-                    .enumerate()
-                    .map(|(q, &sr)| if in_subset(q) { sr } else { 0.0 })
-                    .collect();
-                let sort = SortResolver::new(workload, subset, 1);
-                // Marginals in common item units: one plan node is a
-                // pairwise top-k aggregation (~2k item ops), one sort
-                // unit an item sent upstream.
-                let items_per_node = 2.0 * config.slot_factors.len().max(1) as f64;
-                let plan_marginal: Vec<f64> = plan
-                    .phrase_marginals()
-                    .iter()
-                    .map(|&nodes| nodes * items_per_node)
-                    .collect();
-                // The merge model's marginal is the upstream *traffic* a
-                // phrase adds, which collapses to zero at saturated
-                // search rates (a shared cone carries its items whether
-                // or not any one subscriber occurs). The router therefore
-                // also gets group terms — the network's expected items
-                // over the sort-routed set, and the extra items full
-                // absorption of the plan set would add — plus a ~k-item
-                // Threshold-Algorithm scan per occurrence, so both its
-                // calibration weights and its evacuation pricing stay
-                // non-degenerate where the marginals vanish.
-                let sort_marginal: Vec<f64> = sort.phrase_marginals(&rates);
-                let eligible: Vec<bool> = (0..m).map(|q| plan.is_bound(q)).collect();
-                let (sort_fixed, sort_absorb_extra) = sort_group_terms(&sort, &rates, &eligible);
-                let ta_items = config.slot_factors.len().max(1) as f64;
-                let mut router = Router::adaptive(
-                    eligible,
-                    plan_marginal,
-                    sort_marginal,
-                    rates,
-                    sort_fixed,
-                    sort_absorb_extra,
-                    ta_items,
-                    config.route_frozen,
-                );
-                // The seed may already have migrated phrases; refresh the
-                // group terms for the route it actually chose.
-                let (sort_fixed, sort_absorb_extra) =
-                    sort_group_terms(&sort, router.search_rates(), router.route());
-                router.set_sort_model(sort_fixed, sort_absorb_extra);
-                Resolvers::Hybrid {
-                    plan,
-                    sort,
-                    router,
-                    plan_phrases: Vec::new(),
-                    sort_phrases: Vec::new(),
-                    stable_boundaries: 0,
-                    subset: subset.map(<[bool]>::to_vec),
-                }
-            }
+        let route = match config.routing {
+            RoutingMode::Static => separable,
+            RoutingMode::Adaptive => adaptive_route(workload, config, subset, &plan),
+        };
+        let sort_side: Vec<bool> = (0..m).map(|q| in_subset(q) && !route[q]).collect();
+        Resolvers::Hybrid {
+            plan,
+            sort: SortResolver::new(workload, Some(&sort_side), 1),
+            route,
+            plan_phrases: Vec::new(),
+            sort_phrases: Vec::new(),
+        }
+    }
+
+    /// The Hybrid route (`true` = plan), when the strategy is Hybrid.
+    pub(super) fn hybrid_route(&self) -> Option<&[bool]> {
+        match self {
+            Resolvers::Hybrid { route, .. } => Some(route),
+            _ => None,
         }
     }
 
@@ -357,20 +286,17 @@ impl Resolvers {
             }
             Resolvers::Sort(resolver) => {
                 metrics.phrases_routed_sort += occurring.len() as u64;
-                resolve_sort(resolver, ctx, occurring, effective_bids, metrics).0
+                resolve_sort(resolver, ctx, occurring, effective_bids, metrics)
             }
             Resolvers::Hybrid {
                 plan,
                 sort,
-                router,
+                route,
                 plan_phrases,
                 sort_phrases,
-                stable_boundaries,
-                subset,
             } => {
                 plan_phrases.clear();
                 sort_phrases.clear();
-                let route = router.route();
                 for &p in occurring {
                     if route[p.index()] {
                         plan_phrases.push(p);
@@ -386,19 +312,14 @@ impl Resolvers {
                 let sort_out = if sort_phrases.is_empty() {
                     Vec::new()
                 } else {
-                    let (out, nanos) =
-                        resolve_sort(sort, ctx, sort_phrases, effective_bids, metrics);
-                    router.observe_sort(nanos, sort_phrases);
-                    out
+                    resolve_sort(sort, ctx, sort_phrases, effective_bids, metrics)
                 };
                 let plan_out = if plan_phrases.is_empty() {
                     Vec::new()
                 } else {
                     let started = Instant::now();
                     let out = plan.resolve(ctx, plan_phrases, effective_bids, metrics);
-                    let nanos = started.elapsed().as_nanos();
-                    metrics.wd_plan_nanos += nanos;
-                    router.observe_plan(nanos, plan_phrases);
+                    metrics.wd_plan_nanos += started.elapsed().as_nanos();
                     out
                 };
 
@@ -406,8 +327,7 @@ impl Resolvers {
                 // subsequences of `occurring`; zip them back together.
                 let mut plan_out = plan_out.into_iter();
                 let mut sort_out = sort_out.into_iter();
-                let route = router.route();
-                let outcomes: Vec<AuctionOutcome> = occurring
+                occurring
                     .iter()
                     .map(|&p| {
                         if route[p.index()] {
@@ -416,51 +336,7 @@ impl Resolvers {
                             sort_out.next().expect("one outcome per sort phrase")
                         }
                     })
-                    .collect();
-
-                // Round boundary: migrate phrases whose calibrated cost
-                // on the other path clears the hysteresis margin. A move
-                // is the route bit alone: a phrase entering the sort
-                // network has its stale runs refreshed when it next
-                // occurs there.
-                if !occurring.is_empty() {
-                    let mut migrated = false;
-                    let mut outgrew_network = false;
-                    for &(q, to_plan) in router.rebalance() {
-                        // A network compacted past the phrase has no root
-                        // for it: rebuild below.
-                        outgrew_network |= !to_plan && !sort.serves_phrase(q);
-                        metrics.router_migrations += 1;
-                        migrated = true;
-                    }
-                    // The sort path's group cost depends on which phrases
-                    // the network serves, so a migration invalidates it;
-                    // re-derive both terms from the model (O(network),
-                    // only on boundaries that moved something).
-                    if migrated {
-                        *stable_boundaries = 0;
-                        if outgrew_network {
-                            rebuild_sort(sort, ctx.workload, router.route(), subset.as_deref());
-                            metrics.router_sort_rebuilds += 1;
-                        }
-                        let (sort_fixed, sort_absorb_extra) =
-                            sort_group_terms(sort, router.search_rates(), router.route());
-                        router.set_sort_model(sort_fixed, sort_absorb_extra);
-                    } else if router.is_adaptive() {
-                        // Steady route: once it has held still long
-                        // enough, shed the full-set network's footprint
-                        // by recompiling over exactly the sort-routed
-                        // subset (see [`COMPACT_AFTER_STABLE`]).
-                        *stable_boundaries = stable_boundaries.saturating_add(1);
-                        if *stable_boundaries == COMPACT_AFTER_STABLE
-                            && sort.compiled_beyond(router.route())
-                        {
-                            rebuild_sort(sort, ctx.workload, router.route(), subset.as_deref());
-                            metrics.router_sort_rebuilds += 1;
-                        }
-                    }
-                }
-                outcomes
+                    .collect()
             }
         }
     }

@@ -20,9 +20,10 @@ use ssa_auction::money::Money;
 ///
 /// The plan is found offline and never changes (Section II-B); its cost
 /// model is two pure functions of (plan, rates) in [`crate::plan::cost`],
-/// evaluated on call. Routing a phrase away from the plan is the router's
-/// route bit alone: evaluation is occurrence-driven, so a phrase the
-/// engine never hands this resolver never materializes its private nodes.
+/// evaluated on call. A bound phrase the Hybrid route sends to the sort
+/// network costs only idle nodes: evaluation is occurrence-driven, so a
+/// phrase the engine never hands this resolver never materializes its
+/// private nodes.
 pub struct PlanResolver {
     /// The offline shared-aggregation plan; `None` when every bound
     /// phrase's interest set is empty.

@@ -57,40 +57,46 @@ pub struct SortResolver {
     /// TA scratch + output buffer.
     ta_scratch: TaScratch,
     ta_out: Vec<(AdvertiserId, Score)>,
-    /// Per phrase, whether this resolver's plan was compiled over it. A
-    /// phrase outside the compiled set has no root and no `c_order`;
-    /// routing it here requires rebuilding the resolver first.
-    compiled: Vec<bool>,
+}
+
+/// The offline shared-sort plan over the phrases where `mask` is true
+/// (all phrases when `mask` is `None`). Masked-out phrases keep an empty
+/// interest set in the plan, so they root at `usize::MAX` and cost the
+/// network nothing.
+pub(crate) fn compile_sort_plan(workload: &Workload, mask: Option<&[bool]>) -> SortPlan {
+    // Sparse interest lists (ascending advertiser indices) — the builder
+    // never materializes universe-sized bitsets, which is what lets plan
+    // construction reach 10^6 advertisers.
+    let interest: Vec<Vec<u32>> = workload
+        .interest
+        .iter()
+        .enumerate()
+        .map(|(q, ids)| {
+            if mask.is_none_or(|mask| mask[q]) {
+                let mut list: Vec<u32> = ids.iter().map(|a| a.index() as u32).collect();
+                list.sort_unstable();
+                list
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    build_shared_sort_plan_sparse(
+        workload.advertiser_count(),
+        &interest,
+        &workload.search_rates(),
+    )
 }
 
 impl SortResolver {
     /// Compiles a sort plan over the phrases where `mask` is true (all
-    /// phrases when `mask` is `None`). Masked-out phrases keep an empty
-    /// interest set in the plan, so they root at `usize::MAX` and cost
-    /// the network nothing. `_threads` is accepted and unread: the frozen
-    /// `benchmark/` package still passes it; its next PR drops it.
+    /// phrases when `mask` is `None`); see [`compile_sort_plan`].
+    /// `_threads` is accepted and unread: the frozen `benchmark/` package
+    /// still passes it; its next PR drops it.
     pub fn new(workload: &Workload, mask: Option<&[bool]>, _threads: usize) -> Self {
-        let n = workload.advertiser_count();
         let m = workload.phrase_count();
         let included = |q: usize| mask.is_none_or(|mask| mask[q]);
-        // Sparse interest lists (ascending advertiser indices) — the
-        // builder never materializes universe-sized bitsets, which is what
-        // lets plan construction reach 10^6 advertisers.
-        let interest: Vec<Vec<u32>> = workload
-            .interest
-            .iter()
-            .enumerate()
-            .map(|(q, ids)| {
-                if included(q) {
-                    let mut list: Vec<u32> = ids.iter().map(|a| a.index() as u32).collect();
-                    list.sort_unstable();
-                    list
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let plan = build_shared_sort_plan_sparse(n, &interest, &workload.search_rates());
+        let plan = compile_sort_plan(workload, mask);
         let c_orders = (0..m)
             .map(|q| {
                 if !included(q) {
@@ -127,7 +133,6 @@ impl SortResolver {
             roots: Vec::new(),
             ta_scratch: TaScratch::new(),
             ta_out: Vec::new(),
-            compiled: (0..m).map(included).collect(),
         }
     }
 
@@ -143,7 +148,6 @@ impl SortResolver {
             + net
             + self.ta_scratch.heap_bytes()
             + self.roots.capacity() * size_of::<usize>()
-            + self.compiled.capacity()
             + self
                 .c_orders
                 .iter()
@@ -154,40 +158,6 @@ impl SortResolver {
                 .iter()
                 .map(|runs| size_of::<Vec<u32>>() + runs.capacity() * 4)
                 .sum::<usize>()
-    }
-
-    /// Whether this resolver's plan was compiled over phrase `q` (and so
-    /// can serve it without a rebuild).
-    pub(crate) fn serves_phrase(&self, q: usize) -> bool {
-        self.compiled[q]
-    }
-
-    /// Whether the compiled set strictly exceeds the sort-routed set —
-    /// i.e. the network still carries structure for phrases the route
-    /// sends to the plan. True means a rebuild over the routed subset
-    /// would shrink the arena.
-    pub(crate) fn compiled_beyond(&self, plan_route: &[bool]) -> bool {
-        self.compiled
-            .iter()
-            .zip(plan_route)
-            .any(|(&compiled, &to_plan)| compiled && to_plan)
-    }
-
-    /// Per phrase, the marginal expected merge cost (Section III-B units:
-    /// expected items sent upstream per round) of serving the phrase
-    /// through this resolver's shared schedule.
-    pub(crate) fn phrase_marginals(&self, search_rates: &[f64]) -> Vec<f64> {
-        self.plan.phrase_marginal_costs(search_rates)
-    }
-
-    /// Expected items per round through the network if exactly the
-    /// phrases with a nonzero entry in `rates` were active (the Section
-    /// III-B cost of the shared plan under those rates). The adaptive
-    /// router's group-cost terms: callers mask `rates` by the current
-    /// route to price the active network, or leave them unmasked to price
-    /// full absorption.
-    pub(crate) fn model_items(&self, rates: &[f64]) -> f64 {
-        self.plan.expected_cost(rates)
     }
 
     /// The persistent network's cached stream per node (its already

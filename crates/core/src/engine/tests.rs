@@ -171,11 +171,10 @@ fn hybrid_on_separable_workload_routes_everything_to_the_plan() {
     assert_eq!(m.ta_stages, 0);
 }
 
-fn adaptive_config(policy: BudgetPolicy, frozen: bool) -> EngineConfig {
+fn adaptive_config(policy: BudgetPolicy) -> EngineConfig {
     EngineConfig {
         sharing: SharingStrategy::Hybrid,
         routing: RoutingMode::Adaptive,
-        route_frozen: frozen,
         budget_policy: policy,
         ..EngineConfig::default()
     }
@@ -183,11 +182,11 @@ fn adaptive_config(policy: BudgetPolicy, frozen: bool) -> EngineConfig {
 
 /// Routing is a performance decision, never a semantic one: an adaptive
 /// Hybrid engine must stay bit-identical to the unshared baseline and a
-/// pure `SharedSort` engine whatever its migration history.
+/// pure `SharedSort` engine whatever route the cost model picks.
 #[test]
 fn adaptive_hybrid_matches_unshared_and_shared_sort_round_by_round() {
     for policy in [BudgetPolicy::Ignore, BudgetPolicy::ThrottleExact] {
-        let mut adaptive = Engine::new(mixed_workload(23), adaptive_config(policy, false));
+        let mut adaptive = Engine::new(mixed_workload(23), adaptive_config(policy));
         let mut sort = Engine::new(
             mixed_workload(23),
             config(SharingStrategy::SharedSort, policy),
@@ -228,137 +227,15 @@ fn adaptive_hybrid_matches_unshared_and_shared_sort_round_by_round() {
     }
 }
 
-/// A migrated phrase's first post-migration round must match a
-/// from-scratch engine that carried the post-migration route from round
-/// zero — refreshing the phrase's stale runs when it first occurs on
-/// the sort path reconstructs exactly the state that engine's network
-/// holds.
-#[test]
-fn migrated_phrase_first_round_matches_a_from_scratch_engine_with_that_route() {
-    let policy = BudgetPolicy::ThrottleExact;
-    let mut live = Engine::new(mixed_workload(23), adaptive_config(policy, true));
-    let seed_route: Vec<bool> = live.hybrid_plan_route().expect("hybrid").to_vec();
-    for _ in 0..4 {
-        live.run_round();
-    }
-    // Flip the first phrase that accepts a forced migration.
-    let (q, to_plan) = (0..seed_route.len())
-        .find_map(|q| {
-            let to_plan = !seed_route[q];
-            live.force_hybrid_route(PhraseId::from_index(q), to_plan)
-                .then_some((q, to_plan))
-        })
-        .expect("some phrase accepts a forced migration");
-    assert_eq!(live.hybrid_plan_route().expect("hybrid")[q], to_plan);
-
-    // From-scratch twin: same workload and seed, migrated before round 0.
-    let mut fresh = Engine::new(mixed_workload(23), adaptive_config(policy, true));
-    assert!(fresh.force_hybrid_route(PhraseId::from_index(q), to_plan));
-    for _ in 0..4 {
-        fresh.run_round();
-    }
-
-    for round in 4..8 {
-        let a = live.run_round();
-        let b = fresh.run_round();
-        assert_eq!(a.len(), b.len(), "round {round}");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.phrase, y.phrase);
-            assert_eq!(
-                x.assignment, y.assignment,
-                "round {round} phrase {}",
-                x.phrase
-            );
-        }
-        assert_eq!(
-            live.last_effective_bids(),
-            fresh.last_effective_bids(),
-            "round {round} effective bids"
-        );
-    }
-    assert_eq!(live.budget_snapshots(), fresh.budget_snapshots());
-    assert_eq!(live.metrics().router_migrations, 1);
-}
-
-/// `route_frozen` pins the adaptive router to its cost-model seed: the
-/// route never moves and no migration fires, however long the run.
-#[test]
-fn route_frozen_keeps_the_seed_route() {
-    let mut frozen = Engine::new(
-        mixed_workload(29),
-        adaptive_config(BudgetPolicy::ThrottleExact, true),
-    );
-    let seed_route: Vec<bool> = frozen.hybrid_plan_route().expect("hybrid").to_vec();
-    let m = frozen.run(12);
-    assert_eq!(frozen.hybrid_plan_route().expect("hybrid"), &seed_route[..]);
-    assert_eq!(m.router_migrations, 0);
-}
-
-/// Once the adaptive route has held still for enough occupied
-/// boundaries, the sort resolver recompiles over exactly the sort-routed
-/// subset — shedding the full-set network's footprint — without
-/// perturbing a single outcome. A later forced migration into a phrase
-/// the compaction dropped widens the network back with a second rebuild,
-/// and outcomes still match.
-#[test]
-fn stable_adaptive_route_compacts_the_sort_network_and_rebuilds_on_reentry() {
-    let policy = BudgetPolicy::ThrottleExact;
-    // Frozen route: no online migrations, so the stability counter runs
-    // uninterrupted and compaction timing is deterministic.
-    let mut adaptive = Engine::new(mixed_workload(23), adaptive_config(policy, true));
-    let mut sort = Engine::new(
-        mixed_workload(23),
-        config(SharingStrategy::SharedSort, policy),
-    );
-    let identical_round = |round: usize, a: &mut Engine, s: &mut Engine| {
-        let x = a.run_round();
-        let y = s.run_round();
-        assert_eq!(x.len(), y.len(), "round {round}");
-        for (o, r) in x.iter().zip(&y) {
-            assert_eq!(
-                (o.phrase, &o.assignment),
-                (r.phrase, &r.assignment),
-                "round {round}"
-            );
-        }
-    };
-    for round in 0..12 {
-        identical_round(round, &mut adaptive, &mut sort);
-    }
-    assert_eq!(
-        adaptive.metrics().router_sort_rebuilds,
-        1,
-        "a stable route compacts the sort network exactly once"
-    );
-    assert_eq!(adaptive.metrics().router_migrations, 0);
-
-    // Force a plan-routed phrase onto the compacted network: it was
-    // dropped by the compaction, so the move must rebuild (widen) it.
-    let route: Vec<bool> = adaptive.hybrid_plan_route().expect("hybrid").to_vec();
-    let q = route
-        .iter()
-        .position(|&p| p)
-        .expect("plan side is nonempty");
-    assert!(adaptive.force_hybrid_route(PhraseId::from_index(q), false));
-    assert_eq!(
-        adaptive.metrics().router_sort_rebuilds,
-        2,
-        "re-entering a compacted-away phrase widens the network"
-    );
-    for round in 12..16 {
-        identical_round(round, &mut adaptive, &mut sort);
-    }
-}
-
-/// The adaptive seed route only ever plan-routes separable (plan-bound)
-/// phrases, and a forced migration of an ineligible phrase is rejected.
+/// The adaptive route only ever plan-routes separable (plan-bound)
+/// phrases.
 #[test]
 fn adaptive_route_respects_plan_eligibility() {
     let w = mixed_workload(17);
     let separable: Vec<bool> = (0..w.phrase_count())
         .map(|q| w.phrase_is_separable(q))
         .collect();
-    let mut engine = Engine::new(w, adaptive_config(BudgetPolicy::ThrottleExact, false));
+    let engine = Engine::new(w, adaptive_config(BudgetPolicy::ThrottleExact));
     let route: Vec<bool> = engine.hybrid_plan_route().expect("hybrid").to_vec();
     for (q, &to_plan) in route.iter().enumerate() {
         assert!(
@@ -366,14 +243,6 @@ fn adaptive_route_respects_plan_eligibility() {
             "non-separable phrase {q} routed to the plan"
         );
     }
-    let q = separable.iter().position(|&s| !s).expect("mixed workload");
-    assert!(!engine.force_hybrid_route(PhraseId::from_index(q), true));
-    // Static engines expose no forced-migration surface at all.
-    let mut static_engine = Engine::new(
-        mixed_workload(17),
-        config(SharingStrategy::Hybrid, BudgetPolicy::ThrottleExact),
-    );
-    assert!(!static_engine.force_hybrid_route(PhraseId::from_index(0), false));
 }
 
 #[test]

@@ -22,7 +22,7 @@
 //! counter is process-global, and a concurrently running test in the same
 //! binary would pollute it.
 
-use ssa_core::engine::{Engine, EngineConfig, SharingStrategy};
+use ssa_core::engine::{Engine, EngineConfig, RoutingMode, SharingStrategy};
 use ssa_workload::{Workload, WorkloadConfig};
 
 mod common;
@@ -50,7 +50,10 @@ fn bytes_per_advertiser_stay_under_ceiling() {
     // run members, the few merge nodes above the runs and their caches,
     // the TA seen-set and the `c_orders`; 241 after 500 rounds, 279 after
     // 5 000; 713 / 778 / 821 when every advertiser was a leaf under its
-    // fragment's merge tree), SharedAggregation 92 and Hybrid 181 (plan
+    // fragment's merge tree), SharedAggregation 92 and Hybrid 181 under
+    // either routing mode (the cost-model route here is the separability
+    // split, and the adaptive engine compiles its network over the
+    // routed subset only, like the static one) (plan
     // fragments are run nodes: 4 bytes per member in the CSR pool plus the
     // few merge nodes above them, so the plan's cone scratch is sized by
     // those nodes, not by advertisers; 169 and 254 when every fragment was
@@ -64,11 +67,21 @@ fn bytes_per_advertiser_stay_under_ceiling() {
     // planners' construction scratch, dropped before steady state.
     // Ceilings leave ~50% headroom; one extra dense population-sized
     // vector (8+ bytes/advertiser) blows through them.
+    use RoutingMode::{Adaptive, Static};
     let cases = [
-        ("unshared", SharingStrategy::Unshared, 10_000, 0.4, 105, 140),
+        (
+            "unshared",
+            SharingStrategy::Unshared,
+            Static,
+            10_000,
+            0.4,
+            105,
+            140,
+        ),
         (
             "shared-aggregation",
             SharingStrategy::SharedAggregation,
+            Static,
             10_000,
             0.0,
             140,
@@ -77,22 +90,41 @@ fn bytes_per_advertiser_stay_under_ceiling() {
         (
             "shared-sort",
             SharingStrategy::SharedSort,
+            Static,
             10_000,
             0.4,
             SHARED_SORT_HOT_CEILING,
             340,
         ),
-        ("hybrid", SharingStrategy::Hybrid, 10_000, 0.4, 270, 970),
+        (
+            "hybrid",
+            SharingStrategy::Hybrid,
+            Static,
+            10_000,
+            0.4,
+            270,
+            970,
+        ),
+        (
+            "hybrid-adaptive",
+            SharingStrategy::Hybrid,
+            Adaptive,
+            10_000,
+            0.4,
+            270,
+            970,
+        ),
         (
             "shared-aggregation-100k",
             SharingStrategy::SharedAggregation,
+            Static,
             100_000,
             0.0,
             135,
             1_100,
         ),
     ];
-    for (name, sharing, n, jitter, hot_ceiling, peak_ceiling) in cases {
+    for (name, sharing, routing, n, jitter, hot_ceiling, peak_ceiling) in cases {
         let workload = workload(n, jitter);
 
         // Baseline after the workload exists: everything the engine adds
@@ -103,6 +135,7 @@ fn bytes_per_advertiser_stay_under_ceiling() {
             workload,
             EngineConfig {
                 sharing,
+                routing,
                 ..EngineConfig::default()
             },
         );

@@ -114,28 +114,11 @@ fn report(seed: u64, d: &Divergence) {
     if let Some((_, profile, check)) = diff::WORKLOAD_CHECKS.iter().find(|(n, _, _)| *n == d.check)
     {
         let cfg = ssa_testkit::gen::workload_config(seed, *profile);
-        // Before shrinking an adaptive-routing divergence, try pinning the
-        // router to its deterministic seed route (`route_frozen` plus
-        // forced migrations only). If the failure survives the pin, keep
-        // it for the whole shrink: the minimized counterexample then
-        // replays exactly, free of wall-clock-driven migration schedules.
-        let pinned = d.check == "adaptive-routing" && {
-            diff::set_freeze_adaptive_routes(true);
-            let still_fails = check(&cfg, seed).is_err();
-            if !still_fails {
-                diff::set_freeze_adaptive_routes(false);
-            }
-            still_fails
-        };
         let min = minimize(&cfg, seed, *check);
         eprintln!("  minimized workload config: {min:#?}");
-        if pinned {
-            eprintln!("  (reproduces with adaptive routes frozen — deterministic replay)");
-        }
         if let Err(small) = check(&min, seed) {
             eprintln!("  divergence on minimized workload: {}", small.detail);
         }
-        diff::set_freeze_adaptive_routes(false);
     }
 }
 

@@ -7,7 +7,6 @@
 //! — is a one-liner to replay.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,31 +107,8 @@ pub const WORKLOAD_CHECKS: &[(&str, Profile, WorkloadCheck)] = &[
         check_sort_persistent_with,
     ),
     ("hybrid-routing", Profile::Mixed, check_hybrid_routing_with),
-    (
-        "adaptive-routing",
-        Profile::Mixed,
-        check_adaptive_routing_with,
-    ),
     ("shard-exec", Profile::TightBudgets, check_shard_exec_with),
 ];
-
-/// Escape hatch for the soak binary's minimizer: when set, the
-/// adaptive-routing check pins every adaptive engine to `route_frozen`
-/// (the cost-model seed route plus deterministic forced migrations) and
-/// skips the free-running variant whose migration schedule is
-/// wall-clock-driven. A counterexample that still reproduces under the
-/// pin is fully deterministic to replay.
-static FREEZE_ADAPTIVE_ROUTES: AtomicBool = AtomicBool::new(false);
-
-/// Sets the [adaptive-route freeze pin](FREEZE_ADAPTIVE_ROUTES).
-pub fn set_freeze_adaptive_routes(frozen: bool) {
-    FREEZE_ADAPTIVE_ROUTES.store(frozen, Ordering::Relaxed);
-}
-
-/// Reads the [adaptive-route freeze pin](FREEZE_ADAPTIVE_ROUTES).
-pub fn freeze_adaptive_routes() -> bool {
-    FREEZE_ADAPTIVE_ROUTES.load(Ordering::Relaxed)
-}
 
 /// A seed-only invariant check (no workload involved).
 pub type SeedCheck = fn(u64) -> Result<(), Divergence>;
@@ -1120,28 +1096,82 @@ pub fn check_sort_persistent(seed: u64) -> Result<(), Divergence> {
 }
 
 /// Differential check of per-phrase hybrid routing on a mixed workload
-/// (part separable, part jittered): a `Hybrid` engine must be
-/// *bit-identical* to a pure `SharedSort` engine — same outcomes every
-/// round, same effective bids, same budget snapshots — under both
-/// throttling policies; its routing table must equal the workload's
-/// separability map; and every round is additionally replayed
-/// statically, plan-routed phrases against a fresh shared-aggregation
-/// evaluation over the separable subset and sort-routed phrases against
-/// a freshly instantiated subset sort network.
+/// (part separable, part jittered), under both routing modes. The route
+/// is a pure function of workload and config: the one a fresh engine
+/// shows before round 0 must hold after every round of every engine; it
+/// may plan-route only separable phrases; and under
+/// `RoutingMode::Static` it is exactly the separability map. A `Hybrid`
+/// engine must be *bit-identical* to a pure `SharedSort` engine — same
+/// outcomes every round, same effective bids, same budget snapshots —
+/// and survive a naive-oracle replay of every round, under both
+/// throttling policies. Every round is additionally replayed statically
+/// over the engine's route: plan-routed phrases against a fresh
+/// shared-aggregation evaluation over the plan side, sort-routed phrases
+/// against a freshly instantiated subset sort network.
 pub fn check_hybrid_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
-    const CHECK: &str = "hybrid-routing";
     let w = Workload::generate(cfg);
+    for routing in [RoutingMode::Static, RoutingMode::Adaptive] {
+        check_hybrid_route(&w, routing, seed)?;
+    }
+    Ok(())
+}
+
+/// [`check_hybrid_routing_with`] under one routing mode.
+fn check_hybrid_route(w: &Workload, routing: RoutingMode, seed: u64) -> Result<(), Divergence> {
+    const CHECK: &str = "hybrid-routing";
     let n = w.advertiser_count();
     let m = w.phrase_count();
+    let hybrid_config = |policy| EngineConfig {
+        routing,
+        ..engine_config(SharingStrategy::Hybrid, policy, seed)
+    };
 
-    // The routing is a workload property: a phrase is plan-eligible iff
-    // all of its factors are phrase-independent.
-    let plan_route: Vec<bool> = (0..m).map(|q| w.phrase_is_separable(q)).collect();
+    // The route is fixed at construction: read it off a fresh engine and
+    // hold every engine below to it.
+    let plan_route: Vec<bool> = Engine::new(w.clone(), hybrid_config(BudgetPolicy::ThrottleExact))
+        .hybrid_plan_route()
+        .expect("hybrid engine has a route")
+        .to_vec();
+    let separable: Vec<bool> = (0..m).map(|q| w.phrase_is_separable(q)).collect();
+    if let Some(q) = (0..m).find(|&q| plan_route[q] && !separable[q]) {
+        return Err(Divergence::new(
+            CHECK,
+            seed,
+            format!("[{routing:?}] non-separable phrase {q} is routed to the plan"),
+        ));
+    }
+    if routing == RoutingMode::Static && plan_route != separable {
+        return Err(Divergence::new(
+            CHECK,
+            seed,
+            format!(
+                "[{routing:?}] engine routing table disagrees with the workload's \
+                 separability map: {plan_route:?} vs {separable:?}"
+            ),
+        ));
+    }
+    let route_holds = |engine: &Engine, label: &str, when: &str| {
+        let routed = engine
+            .hybrid_plan_route()
+            .expect("hybrid engine has a route");
+        if routed == plan_route.as_slice() {
+            Ok(())
+        } else {
+            Err(Divergence::new(
+                CHECK,
+                seed,
+                format!(
+                    "[{label}] {when} the route is {routed:?}, not a fresh engine's \
+                     {plan_route:?}"
+                ),
+            ))
+        }
+    };
 
     // Static-replay material over each phrase subset, mirroring what the
     // hybrid engine compiles at construction.
     let rates = w.search_rates();
-    let interest = gen::interest_sets(&w);
+    let interest = gen::interest_sets(w);
     let mut query_index: Vec<Option<usize>> = vec![None; m];
     let mut queries = Vec::new();
     let mut query_rates = Vec::new();
@@ -1182,31 +1212,21 @@ pub fn check_hybrid_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), 
         .collect();
 
     for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-        let ec = engine_config(SharingStrategy::Hybrid, policy, seed);
+        let ec = hybrid_config(policy);
         let k = ec.slot_factors.len();
         let mut hybrid = Engine::new(w.clone(), ec);
         let mut reference = Engine::new(
             w.clone(),
             engine_config(SharingStrategy::SharedSort, policy, seed),
         );
-        let label = format!("{policy:?}");
-
-        let routed = hybrid
-            .hybrid_plan_route()
-            .expect("hybrid engine has a route");
-        if routed != plan_route.as_slice() {
-            return Err(Divergence::new(
-                CHECK,
-                seed,
-                format!(
-                    "[{label}] engine routing table disagrees with the workload's \
-                         separability map: {routed:?} vs {plan_route:?}"
-                ),
-            ));
-        }
+        let label = format!("{routing:?}/{policy:?}");
+        route_holds(&hybrid, &label, "before round 0")?;
 
         for round in 0..ROUNDS {
+            let snapshots = hybrid.budget_snapshots();
             let hybrid_out = hybrid.run_round();
+            route_holds(&hybrid, &label, &format!("after round {round}"))?;
+            oracle_check_round(CHECK, w, &hybrid, &snapshots, &hybrid_out, seed, round)?;
             let ref_out = reference.run_round();
             if hybrid_out.len() != ref_out.len()
                 || hybrid_out
@@ -1353,152 +1373,6 @@ pub fn check_hybrid_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), 
 /// Seed-only wrapper for [`check_hybrid_routing_with`].
 pub fn check_hybrid_routing(seed: u64) -> Result<(), Divergence> {
     check_hybrid_routing_with(&gen::workload_config(seed, Profile::Mixed), seed)
-}
-
-/// Differential check of *adaptive* hybrid routing: a
-/// `RoutingMode::Adaptive` engine must be bit-identical to a pure
-/// `SharedSort` engine — outcomes, effective bids, budget snapshots —
-/// and survive a naive-oracle replay of every round, under both
-/// throttling policies, *whatever its migration history*. Two engines
-/// run per policy: a `route_frozen` one whose migrations are forced
-/// deterministically between rounds (guaranteeing rounds where a
-/// migration fired), and — unless the soak minimizer has
-/// [pinned routes](set_freeze_adaptive_routes) — a free-running one
-/// whose migration schedule is the router's own.
-pub fn check_adaptive_routing_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
-    const CHECK: &str = "adaptive-routing";
-    let w = Workload::generate(cfg);
-    let m = w.phrase_count();
-    // A phrase can be force-migrated iff it is plan-eligible (separable
-    // with a non-empty interest set); with none, migration assertions are
-    // vacuous (everything lives on the sort network).
-    let any_eligible = (0..m).any(|q| w.phrase_is_separable(q) && !w.interest[q].is_empty());
-
-    for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-        let mut frozen_modes = vec![true];
-        if !freeze_adaptive_routes() {
-            frozen_modes.push(false);
-        }
-        for frozen in frozen_modes {
-            let mut ec = engine_config(SharingStrategy::Hybrid, policy, seed);
-            ec.routing = RoutingMode::Adaptive;
-            ec.route_frozen = frozen;
-            let mut engine = Engine::new(w.clone(), ec);
-            let mut reference = Engine::new(
-                w.clone(),
-                engine_config(SharingStrategy::SharedSort, policy, seed),
-            );
-            let label = format!(
-                "{policy:?}/{}",
-                if frozen {
-                    "frozen+forced"
-                } else {
-                    "free-running"
-                }
-            );
-            let mut forced = 0u64;
-            for round in 0..ROUNDS {
-                let snapshots = engine.budget_snapshots();
-                let out = engine.run_round();
-                oracle_check_round(CHECK, &w, &engine, &snapshots, &out, seed, round)?;
-                let ref_out = reference.run_round();
-                if out.len() != ref_out.len()
-                    || out.iter().zip(&ref_out).any(|(a, b)| a.phrase != b.phrase)
-                {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!("[{label}] round {round}: occurring phrase sets differ"),
-                    ));
-                }
-                for (a, b) in out.iter().zip(&ref_out) {
-                    if a.assignment != b.assignment {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] round {round} phrase {}: adaptive hybrid \
-                                     assigned {:?}, shared-sort {:?}",
-                                a.phrase, a.assignment, b.assignment
-                            ),
-                        ));
-                    }
-                }
-                if engine.last_effective_bids() != reference.last_effective_bids() {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!("[{label}] round {round}: effective bids differ"),
-                    ));
-                }
-                if frozen {
-                    // Force one migration per round boundary: flip the
-                    // first phrase the router accepts a move for. The
-                    // seed route and this scan are deterministic, so
-                    // the whole frozen variant replays exactly.
-                    let route: Vec<bool> = engine
-                        .hybrid_plan_route()
-                        .expect("hybrid engine has a route")
-                        .to_vec();
-                    let migrated = (0..m)
-                        .any(|q| engine.force_hybrid_route(PhraseId::from_index(q), !route[q]));
-                    if migrated {
-                        forced += 1;
-                    }
-                }
-            }
-            if frozen {
-                if any_eligible && forced == 0 {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] no forced migration was accepted despite \
-                                 plan-eligible phrases existing"
-                        ),
-                    ));
-                }
-                if engine.metrics().router_migrations != forced {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] router_migrations counts {} but {} forced \
-                                 migrations were applied",
-                            engine.metrics().router_migrations,
-                            forced
-                        ),
-                    ));
-                }
-            }
-            if engine.budget_snapshots() != reference.budget_snapshots() {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
-                ));
-            }
-            let metrics = engine.metrics();
-            if metrics.phrases_routed_unshared != 0
-                || metrics.phrases_routed_plan + metrics.phrases_routed_sort != metrics.auctions
-            {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!(
-                        "[{label}] routing counters do not partition the {} auctions",
-                        metrics.auctions
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Seed-only wrapper for [`check_adaptive_routing_with`].
-pub fn check_adaptive_routing(seed: u64) -> Result<(), Divergence> {
-    check_adaptive_routing_with(&gen::workload_config(seed, Profile::Mixed), seed)
 }
 
 /// Hoeffding-bound soundness over random budget states: at every

@@ -8,8 +8,8 @@
 //! phrases unsearched for hundreds of rounds, so most runs are stale
 //! most of the time. Every outcome of every round must still equal the
 //! naive oracle's scan over that round's effective bids, for a pure
-//! `SharedSort` engine and for an adaptive `Hybrid` one (whose migrations
-//! hand the network phrases it last saw many rounds ago).
+//! `SharedSort` engine and for an adaptive `Hybrid` one (whose network
+//! serves only the phrases its cost-model route sends there).
 
 use ssa_core::engine::{BudgetPolicy, Engine, EngineConfig, RoutingMode, SharingStrategy};
 use ssa_testkit::oracle::phrase_assignment;
