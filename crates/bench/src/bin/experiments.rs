@@ -5,23 +5,20 @@
 //!                             #     written to crates/bench/golden/full/<id>.txt
 //! experiments figures --quick # the quick set the figures_golden test checks
 //!                             #     (crates/bench/golden/quick/<id>.txt)
-//! experiments shard-scaling   # sharded pipelined execution vs the classic
-//!                             #     executor (BENCH_shard_scaling.json)
 //! experiments planner-scaling # planner build-time curves (BENCH_planner_scaling.json)
 //! experiments memory-scaling  # A8: hot-state bytes + round latency at
 //!                             #     n in {10k, 100k, 1M} (BENCH_memory_scaling.json)
 //! experiments all             # everything above
 //! ```
 //!
-//! Pass `--quick` for a fast smoke-run. The three sweeps print their
+//! Pass `--quick` for a fast smoke-run. The two sweeps print their
 //! tables and persist them to `results/<id>.{csv,json}`.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use ssa_auction::money::Money;
 use ssa_bench::figures::{golden_dir, FIGURES};
-use ssa_bench::host::{host_metadata, warn_if_serial_host};
+use ssa_bench::host::host_metadata;
 use ssa_bench::json::Value;
 use ssa_bench::setups::executor_workload;
 use ssa_bench::Table;
@@ -45,12 +42,10 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     match which {
         "figures" => figures(quick),
-        "shard-scaling" => shard_scaling(quick),
         "planner-scaling" => planner_scaling(quick),
         "memory-scaling" => memory_scaling(quick),
         "all" => {
             figures(quick);
-            shard_scaling(quick);
             planner_scaling(quick);
             memory_scaling(quick);
         }
@@ -69,195 +64,6 @@ fn figures(quick: bool) {
         let text = render(quick);
         println!("{text}");
         std::fs::write(dir.join(format!("{id}.txt")), text).expect("write a golden file");
-    }
-}
-
-/// Sharded pipelined round execution vs the classic executor: full-round
-/// wall-clock over a `(workers, shards)` grid on the executor
-/// workload (unshared, throttle-exact — the throttle stage is hot, so
-/// sharding parallelizes all three round stages, not just winner
-/// determination). Every cell is asserted revenue/impression-identical
-/// to the serial cell before any timing is trusted; the differential
-/// corpus (`shard-exec`) pins the stronger bit-identity claim. In
-/// `--quick` mode this is the CI perf gate: 4 shards x 4 workers must
-/// beat the serial engine by >= 1.25x on a >= 4-core host; on smaller
-/// hosts the gate is skipped with a loud warning (the artifact still
-/// records the measurement, stamped with the host's metadata). Writes
-/// `results/shard_scaling.*` plus the top-level `BENCH_shard_scaling.json`
-/// the CI `shard-smoke` job uploads.
-fn shard_scaling(quick: bool) {
-    let advertisers = if quick { 2_000 } else { 10_000 };
-    let rounds = if quick { 16usize } else { 24 };
-    let warmup = 4usize;
-    let gate = 1.25;
-    let max_attempts = 6usize;
-    // Serial cell first: every later cell's speedup is relative to it.
-    // No `shards = 1, workers > 1` cells: one shard runs serially
-    // whatever the pool size.
-    let grid: &[(usize, usize)] = &[(1, 1), (1, 2), (2, 2), (1, 4), (2, 4), (4, 4)];
-    let cores = warn_if_serial_host("shard-scaling");
-    let enforce = quick && cores >= 4;
-
-    let mut table = Table::new(
-        "shard_scaling",
-        "sharded pipelined execution vs the classic executor \
-         (unshared, throttle-exact, full-round wall-clock)",
-        &[
-            "wd_threads",
-            "shards",
-            "shards_resolved",
-            "warm rounds ms (min)",
-            "throttle ms",
-            "wd ms",
-            "settle ms",
-            "speedup vs serial",
-        ],
-    );
-
-    let w = executor_workload(advertisers, 19);
-    // Per cell, the wall-clock of all warm rounds together, minimum over
-    // attempts. Every cell replays the same seed, so the sum covers the
-    // same auctions in every cell; a single cheapest round would be the
-    // same near-empty round everywhere and time only executor overhead.
-    let mut pooled = vec![f64::INFINITY; grid.len()];
-    let mut cell_metrics: Vec<Option<ssa_core::engine::EngineMetrics>> = vec![None; grid.len()];
-    let mut placement_shim: Vec<Vec<u8>> = Vec::new();
-    let mut speedup_4x4 = 0.0;
-    for attempt in 1..=max_attempts {
-        placement_shim.push(vec![1u8; 192 * 1024 * attempt]);
-        let mut identity: Option<(u64, u64, Money)> = None;
-        for (cell, &(threads, shards)) in grid.iter().enumerate() {
-            let mut engine = Engine::new(
-                w.clone(),
-                EngineConfig {
-                    sharing: SharingStrategy::Unshared,
-                    budget_policy: BudgetPolicy::ThrottleExact,
-                    wd_threads: threads,
-                    shards,
-                    seed: 29,
-                    ..EngineConfig::default()
-                },
-            );
-            for _ in 0..warmup {
-                engine.run_round();
-            }
-            let t0 = Instant::now();
-            for _ in warmup..rounds {
-                engine.run_round();
-            }
-            let warm_ns = t0.elapsed().as_nanos() as f64;
-            let m = engine.metrics().clone();
-            let signature = (m.impressions, m.clicks, m.revenue);
-            match &identity {
-                None => identity = Some(signature),
-                Some(serial) => assert_eq!(
-                    *serial, signature,
-                    "cell wd_threads={threads} shards={shards} diverged from the \
-                     serial engine"
-                ),
-            }
-            pooled[cell] = pooled[cell].min(warm_ns);
-            cell_metrics[cell] = Some(m);
-        }
-        speedup_4x4 = pooled[0] / pooled[grid.len() - 1];
-        if enforce && speedup_4x4 < gate && attempt < max_attempts {
-            eprintln!(
-                "  attempt {attempt}: 4x4 sharded at {speedup_4x4:.3}x serial \
-                 (serial {:.2}ms, sharded {:.2}ms), re-measuring",
-                pooled[0] / 1e6,
-                pooled[grid.len() - 1] / 1e6
-            );
-            continue;
-        }
-        break;
-    }
-
-    let mut cell_values = Vec::new();
-    for (cell, &(threads, shards)) in grid.iter().enumerate() {
-        let m = cell_metrics[cell].as_ref().expect("cell measured");
-        let warm_ms = pooled[cell] / 1e6;
-        let speedup = pooled[0] / pooled[cell];
-        table.push(vec![
-            threads.to_string(),
-            shards.to_string(),
-            m.shards_resolved.to_string(),
-            format!("{warm_ms:.3}"),
-            format!("{:.1}", m.throttle_nanos as f64 / 1e6),
-            format!("{:.1}", m.wd_nanos as f64 / 1e6),
-            format!("{:.1}", m.settle_nanos as f64 / 1e6),
-            format!("{speedup:.2}"),
-        ]);
-        cell_values.push(Value::Object(vec![
-            ("wd_threads".into(), Value::from(threads)),
-            ("shards".into(), Value::from(shards)),
-            ("shards_resolved".into(), Value::from(m.shards_resolved)),
-            ("warm_rounds_ms_min".into(), Value::from(warm_ms)),
-            (
-                "throttle_ms".into(),
-                Value::from(m.throttle_nanos as f64 / 1e6),
-            ),
-            ("wd_ms".into(), Value::from(m.wd_nanos as f64 / 1e6)),
-            ("settle_ms".into(), Value::from(m.settle_nanos as f64 / 1e6)),
-            ("speedup_vs_serial".into(), Value::from(speedup)),
-        ]));
-    }
-    table.emit(&out_dir()).expect("write results");
-
-    let doc = Value::Object(vec![
-        ("benchmark".into(), Value::from("shard_scaling")),
-        ("host".into(), host_metadata()),
-        ("advertisers".into(), Value::from(advertisers)),
-        ("phrases".into(), Value::from(24usize)),
-        ("rounds".into(), Value::from(rounds)),
-        ("warmup_rounds".into(), Value::from(warmup)),
-        ("sharing".into(), Value::from("unshared")),
-        ("budget_policy".into(), Value::from("throttle-exact")),
-        (
-            "gate".into(),
-            Value::Object(vec![
-                ("required_speedup_4x4_over_serial".into(), Value::from(gate)),
-                (
-                    "measured_speedup_4x4_over_serial".into(),
-                    Value::from(speedup_4x4),
-                ),
-                ("enforced".into(), Value::from(enforce)),
-            ]),
-        ),
-        (
-            "note".into(),
-            Value::from(
-                "full-round wall-clock (throttle + winner determination + \
-                 settlement) summed over the post-warm-up rounds of one run \
-                 (same seed, so the same auctions in every cell), minimum \
-                 over attempts; sharded engines run per-shard resolver slices as a \
-                 pipelined dataflow over the worker pool and are bit-identical \
-                 to the serial engine (shard-exec differential corpus); \
-                 per-shard stage nanos are summed CPU time, so throttle/wd/\
-                 settle columns exceed wall-clock under sharding; parallel \
-                 speedup requires multiple host cores — check host.cores \
-                 before reading the speedup column",
-            ),
-        ),
-        ("cells".into(), Value::Array(cell_values)),
-    ]);
-    std::fs::write("BENCH_shard_scaling.json", doc.to_string_pretty())
-        .expect("write BENCH_shard_scaling.json");
-    println!(
-        "wrote BENCH_shard_scaling.json (4x4 over serial: {speedup_4x4:.2}x, \
-         gate {})",
-        if enforce {
-            "enforced"
-        } else {
-            "skipped (host < 4 cores or full mode)"
-        }
-    );
-    if enforce {
-        assert!(
-            speedup_4x4 >= gate,
-            "sharded pipeline at 4 workers x 4 shards reached only \
-             {speedup_4x4:.3}x the serial engine ({max_attempts} attempts, \
-             gate {gate}x)"
-        );
     }
 }
 

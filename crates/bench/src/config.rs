@@ -94,18 +94,6 @@ pub struct SimulationSpec {
     pub mean_click_delay_rounds: f64,
     /// Outstanding-ad expiry in rounds.
     pub click_expiry_rounds: u32,
-    /// Worker-pool size of the sharded round pipeline (bit-identical
-    /// results for any value; inert with one shard). `0` means auto: the
-    /// engine resolves it to `available_parallelism()` at construction
-    /// and records the workers that actually run in
-    /// `EngineMetrics::wd_threads_resolved`.
-    pub wd_threads: usize,
-    /// Execution shards for the pipelined round executor: `1` (default)
-    /// keeps the classic executor, `> 1` partitions phrases into that
-    /// many resolver/budget domains, `0` means auto
-    /// (`available_parallelism()`). Bit-identical outcomes for any
-    /// value.
-    pub shards: usize,
     /// Shared-aggregation planner stage: `"full"` (Section II-D, the
     /// default) or `"fragments-only"` (E9 ablation / opt-out). The lazy
     /// completion pass makes the full heuristic tractable well past this
@@ -133,8 +121,6 @@ impl Default for SimulationSpec {
             sharing: "shared-aggregation".to_string(),
             mean_click_delay_rounds: 3.0,
             click_expiry_rounds: 20,
-            wd_threads: 1,
-            shards: 1,
             planner: "full".to_string(),
             routing: "static".to_string(),
             seed: 7,
@@ -175,6 +161,11 @@ fn u64_field(v: &Value, key: &str, default: u64) -> Result<u64, ConfigError> {
             .as_u64()
             .ok_or_else(|| ConfigError(format!("field '{key}' must be a non-negative integer"))),
     }
+}
+
+fn u32_field(v: &Value, key: &str, default: u32) -> Result<u32, ConfigError> {
+    let n = u64_field(v, key, u64::from(default))?;
+    u32::try_from(n).map_err(|_| ConfigError(format!("field '{key}' must be at most {}", u32::MAX)))
 }
 
 fn f64_field(v: &Value, key: &str, default: f64) -> Result<f64, ConfigError> {
@@ -292,13 +283,7 @@ impl SimulationSpec {
                 "mean_click_delay_rounds",
                 d.mean_click_delay_rounds,
             )?,
-            click_expiry_rounds: u64_field(
-                &v,
-                "click_expiry_rounds",
-                u64::from(d.click_expiry_rounds),
-            )? as u32,
-            wd_threads: usize_field(&v, "wd_threads", d.wd_threads)?,
-            shards: usize_field(&v, "shards", d.shards)?,
+            click_expiry_rounds: u32_field(&v, "click_expiry_rounds", d.click_expiry_rounds)?,
             planner: string_field(&v, "planner", &d.planner)?,
             routing: string_field(&v, "routing", &d.routing)?,
             seed: u64_field(&v, "seed", d.seed)?,
@@ -333,8 +318,6 @@ impl SimulationSpec {
                 "click_expiry_rounds".into(),
                 Value::from(self.click_expiry_rounds),
             ),
-            ("wd_threads".into(), Value::from(self.wd_threads)),
-            ("shards".into(), Value::from(self.shards)),
             ("planner".into(), Value::from(self.planner.as_str())),
             ("routing".into(), Value::from(self.routing.as_str())),
             ("seed".into(), Value::from(self.seed)),
@@ -400,11 +383,10 @@ impl SimulationSpec {
                 mean_click_delay_rounds: self.mean_click_delay_rounds,
                 click_expiry_rounds: self.click_expiry_rounds,
                 billing_increment: Money::from_micros(10_000),
-                wd_threads: self.wd_threads,
-                shards: self.shards,
                 planner: self.planner_mode()?,
                 routing: self.routing_mode()?,
                 seed: self.seed,
+                ..EngineConfig::default()
             },
         ))
     }
@@ -545,6 +527,10 @@ mod tests {
                 "route_frozen",
             ),
             (r#"{"rounds": 3, "shard": 2}"#, "shard"),
+            // Retired with the sharded executor: every round runs on one
+            // thread over one resolver set.
+            (r#"{"shards": 4}"#, "shards"),
+            (r#"{"wd_threads": 0}"#, "wd_threads"),
             (r#"{"workload": {"advertsers": 50}}"#, "workload.advertsers"),
         ] {
             let err = SimulationSpec::from_json(json).expect_err(json);
@@ -569,7 +555,7 @@ mod tests {
                 parsed += 1;
             }
         }
-        assert!(parsed >= 4, "found only {parsed} ci configs");
+        assert!(parsed >= 3, "found only {parsed} ci configs");
     }
 
     #[test]
@@ -602,85 +588,23 @@ mod tests {
     fn executor_fields_round_trip() {
         // An omitted planner falls back to the full Section II-D heuristic;
         // "fragments-only" stays available as an explicit opt-out.
-        let spec = SimulationSpec::from_json(r#"{"wd_threads": 4}"#).expect("fields parse");
+        let spec = SimulationSpec::from_json("{}").expect("empty config parses");
         assert_eq!(spec.planner, "full");
-        let spec = SimulationSpec::from_json(r#"{"wd_threads": 4, "planner": "fragments-only"}"#)
-            .expect("executor fields parse");
-        assert_eq!(spec.wd_threads, 4);
+        let spec = SimulationSpec::from_json(r#"{"planner": "fragments-only"}"#)
+            .expect("planner field parses");
         assert_eq!(spec.planner, "fragments-only");
         let back = SimulationSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back.wd_threads, 4);
         assert_eq!(back.planner, "fragments-only");
     }
 
     #[test]
-    fn shards_round_trip_and_default() {
-        let spec = SimulationSpec::from_json("{}").expect("empty config parses");
-        assert_eq!(spec.shards, 1, "classic executor by default");
-        let spec = SimulationSpec::from_json(r#"{"shards": 4}"#).unwrap();
-        assert_eq!(spec.shards, 4);
-        let back = SimulationSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back.shards, 4);
-    }
-
-    #[test]
-    fn sharded_spec_matches_sequential_run() {
-        let base = SimulationSpec {
-            rounds: 6,
-            workload: WorkloadSpec {
-                advertisers: 60,
-                phrases: 8,
-                topics: 2,
-                ..WorkloadSpec::default()
-            },
-            ..SimulationSpec::default()
-        };
-        let seq = base.run().expect("sequential runs");
-        let sharded = SimulationSpec {
-            shards: 4,
-            wd_threads: 2,
-            ..base
-        }
-        .run()
-        .expect("sharded runs");
-        assert_eq!(seq.revenue, sharded.revenue);
-        assert_eq!(seq.impressions, sharded.impressions);
-        assert_eq!(seq.clicks, sharded.clicks);
-        // The affinity-aware partition may merge shards, never exceed.
-        assert!(sharded.shards_resolved >= 2 && sharded.shards_resolved <= 4);
-    }
-
-    #[test]
-    fn zero_means_auto_for_executor_knobs() {
-        let spec = SimulationSpec::from_json(r#"{"wd_threads": 0, "shards": 0}"#).unwrap();
-        assert_eq!(spec.wd_threads, 0);
-        assert_eq!(spec.shards, 0);
-        let back = SimulationSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back.wd_threads, 0, "auto survives the round trip");
-        assert_eq!(back.shards, 0);
-        // The engine resolves auto at construction and records what runs.
-        let spec = SimulationSpec {
-            wd_threads: 0,
-            shards: 0,
-            workload: WorkloadSpec {
-                advertisers: 30,
-                phrases: 4,
-                topics: 2,
-                ..WorkloadSpec::default()
-            },
-            ..SimulationSpec::default()
-        };
-        let engine = spec.build_engine().expect("auto spec builds");
-        let host = std::thread::available_parallelism().map_or(1, |p| p.get()) as u64;
-        assert!(engine.metrics().shards_resolved >= 1);
-        assert!(engine.metrics().shards_resolved <= host.max(1));
-        // Both knobs resolve to the host width, so the pipeline runs one
-        // worker per surviving shard (and one thread when it fell back
-        // to the single-domain executor).
-        assert_eq!(
-            engine.metrics().wd_threads_resolved,
-            engine.metrics().shards_resolved
-        );
+    fn click_expiry_rounds_must_fit_u32() {
+        let err = SimulationSpec::from_json(r#"{"click_expiry_rounds": 4294967296}"#)
+            .expect_err("2^32 does not fit the engine's u32");
+        assert!(err.to_string().contains("'click_expiry_rounds'"), "{err}");
+        let spec = SimulationSpec::from_json(r#"{"click_expiry_rounds": 4294967295}"#)
+            .expect("u32::MAX is accepted");
+        assert_eq!(spec.click_expiry_rounds, u32::MAX);
     }
 
     #[test]

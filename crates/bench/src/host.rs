@@ -3,9 +3,7 @@
 //! Every `BENCH_*.json` the `experiments` binary writes embeds a `host`
 //! object so a committed artifact is self-describing: a 1.0x "speedup"
 //! recorded on a single-core container and a 3.8x speedup recorded on a
-//! 4-vCPU CI runner stop looking interchangeable. The same core count
-//! feeds [`warn_if_serial_host`], which makes `--quick` perf gates loudly
-//! refuse to pretend a serial host can measure parallel speedup.
+//! 4-vCPU CI runner stop looking interchangeable.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -66,23 +64,6 @@ pub fn host_metadata() -> Value {
     fields.push(("recorded_unix".into(), Value::from(unix)));
     fields.push(("recorded_utc".into(), Value::from(utc_iso(unix))));
     Value::Object(fields)
-}
-
-/// Returns the host's core count, printing a loud warning when a perf
-/// gate named `what` is about to run on a host that cannot exhibit
-/// parallel speedup. Callers use the returned count to decide whether to
-/// enforce or skip the gate.
-pub fn warn_if_serial_host(what: &str) -> usize {
-    let cores = cores();
-    if cores < 4 {
-        eprintln!(
-            "WARNING: host exposes only {cores} hardware thread(s); the {what} \
-             perf gate needs >= 4 to measure parallel speedup and will be \
-             SKIPPED (results are still recorded, stamped with this host's \
-             metadata)"
-        );
-    }
-    cores
 }
 
 #[cfg(test)]

@@ -1,32 +1,20 @@
-//! Per-shard budget-accounting domains and their reconciliation.
+//! The round's display events: what pricing hands to the commit.
 //!
-//! Under sharded execution every shard prices its auctions against the
-//! *pre-round* budget state — ledgers are immutable for the whole
-//! throttle/winner-determination/pricing pipeline, exactly as they are
-//! inside one round of the sequential executor. Each shard accumulates
-//! its budget effects as a list of [`DisplayEvent`]s (one priced slot
-//! each) instead of mutating ledgers directly; those event lists are the
-//! shard's budget domain.
-//!
-//! **Reconciliation invariant.** The committing thread replays every
-//! shard's events in *global phrase-occurrence order* (ascending phrase
-//! id, slots in priced order within a phrase) — the exact order the
-//! sequential executor displays winners in. Because the click
-//! simulator's RNG is consumed once per event, in that order, and ledger
-//! mutations (pending-ad pushes, then settlement) happen only during
-//! this ordered replay, an advertiser whose interest set spans shards
-//! accrues pending ads in the same order, with the same click fates and
-//! the same charges, as under sequential execution — sharded and
-//! sequential runs are bit-identical in outcomes, effective bids, and
-//! budget snapshots for every shard count. The differential corpus'
-//! `shard-exec` check pins this across seeds × policies × shard counts.
+//! The round prices every outcome against the *pre-round* budget state
+//! into a list of [`DisplayEvent`]s (one priced slot each) before any
+//! ledger changes. The commit then replays that list in *phrase
+//! occurrence order* (ascending phrase id, slots in priced order within a
+//! phrase): the click simulator's RNG is consumed once per event, in that
+//! order, and ledger mutations (pending-ad pushes, then settlement)
+//! happen only during this replay. Pricing therefore never sees a
+//! ledger the round itself has changed, and the click fates of a run are
+//! a function of its seed and its outcomes alone.
 
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
 
-/// One priced slot display, recorded by the round's pricing step (serial,
-/// or a shard's settle-prep stage) and committed against the ledgers in
-/// global phrase-occurrence order.
+/// One priced slot display, recorded by the round's pricing step and
+/// committed against the ledgers in phrase-occurrence order.
 /// Everything here is a pure function of the round's effective bids and
 /// the pre-round workload state — crucially *not* of the RNG, which is
 /// only consumed at commit time.

@@ -81,16 +81,12 @@ pub struct EngineMetrics {
     pub exact_throttle_evaluations: u64,
     /// Total expected value (Σ d_j · score) of the assignments made.
     pub expected_value: f64,
-    /// Shard-pipeline workers that actually run: `1` on the
-    /// single-domain executor, `min(wd_threads, shards_resolved)` when
-    /// sharded (after resolving `wd_threads = 0`, "auto", to
-    /// `available_parallelism()` at engine construction). Host-dependent
-    /// under auto, so zeroed by [`EngineMetrics::without_timing`].
+    /// Always 1: the engine runs every round on one thread. Kept only
+    /// because the frozen `benchmark/` reads it; its next PR deletes it.
     pub wd_threads_resolved: u64,
-    /// Execution shards actually in use, after resolving `shards = 0`
-    /// ("auto") to `available_parallelism()` at engine construction and
-    /// clamping to the phrase count. Host-dependent under auto, so
-    /// zeroed by [`EngineMetrics::without_timing`].
+    /// Always 1: the engine runs every round over one resolver set. Kept
+    /// only because the frozen `benchmark/` reads it; its next PR deletes
+    /// it.
     pub shards_resolved: u64,
     /// Wall-clock nanoseconds computing effective (throttled) bids.
     pub throttle_nanos: u128,
@@ -125,61 +121,17 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Merges another metrics block into this one: counters and stage
-    /// totals add, per-round maxima take the max.
-    pub fn absorb(&mut self, other: &EngineMetrics) {
-        self.rounds += other.rounds;
-        self.auctions += other.auctions;
-        self.impressions += other.impressions;
-        self.clicks += other.clicks;
-        self.revenue = self.revenue.saturating_add(other.revenue);
-        self.forgiven = self.forgiven.saturating_add(other.forgiven);
-        self.clicks_beyond_budget += other.clicks_beyond_budget;
-        self.aggregation_ops += other.aggregation_ops;
-        self.advertisers_scanned += other.advertisers_scanned;
-        self.merge_invocations += other.merge_invocations;
-        self.ta_stages += other.ta_stages;
-        self.sort_nodes_invalidated += other.sort_nodes_invalidated;
-        self.sort_cache_items_reused += other.sort_cache_items_reused;
-        self.phrases_routed_plan += other.phrases_routed_plan;
-        self.phrases_routed_sort += other.phrases_routed_sort;
-        self.phrases_routed_unshared += other.phrases_routed_unshared;
-        self.router_migrations += other.router_migrations;
-        self.router_sort_rebuilds += other.router_sort_rebuilds;
-        self.bound_evaluations += other.bound_evaluations;
-        self.exact_throttle_evaluations += other.exact_throttle_evaluations;
-        self.expected_value += other.expected_value;
-        self.wd_threads_resolved = self.wd_threads_resolved.max(other.wd_threads_resolved);
-        self.shards_resolved = self.shards_resolved.max(other.shards_resolved);
-        self.throttle_nanos += other.throttle_nanos;
-        self.wd_nanos += other.wd_nanos;
-        self.wd_plan_nanos += other.wd_plan_nanos;
-        self.wd_sort_nanos += other.wd_sort_nanos;
-        self.wd_unshared_nanos += other.wd_unshared_nanos;
-        self.sort_refresh_nanos += other.sort_refresh_nanos;
-        self.settle_nanos += other.settle_nanos;
-        self.max_round_throttle_nanos = self
-            .max_round_throttle_nanos
-            .max(other.max_round_throttle_nanos);
-        self.max_round_wd_nanos = self.max_round_wd_nanos.max(other.max_round_wd_nanos);
-        self.max_round_settle_nanos = self
-            .max_round_settle_nanos
-            .max(other.max_round_settle_nanos);
-    }
-
     /// Total resolution time (throttle + winner determination), the
     /// pre-split `resolution_nanos` aggregate.
     pub fn resolution_nanos(&self) -> u128 {
         self.throttle_nanos + self.wd_nanos
     }
 
-    /// A copy with every wall-clock and host-resolved field zeroed, for
-    /// comparing the deterministic counters of two runs (e.g. two
-    /// pipeline widths) where only timing may legitimately differ.
+    /// A copy with every wall-clock field zeroed, for comparing the
+    /// deterministic counters of two runs where only timing may
+    /// legitimately differ.
     pub fn without_timing(&self) -> EngineMetrics {
         EngineMetrics {
-            wd_threads_resolved: 0,
-            shards_resolved: 0,
             throttle_nanos: 0,
             wd_nanos: 0,
             wd_plan_nanos: 0,
@@ -198,58 +150,6 @@ impl EngineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = EngineMetrics {
-            rounds: 1,
-            revenue: Money::from_units(2),
-            expected_value: 1.5,
-            ..Default::default()
-        };
-        let b = EngineMetrics {
-            rounds: 2,
-            revenue: Money::from_units(3),
-            expected_value: 0.5,
-            clicks: 7,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.rounds, 3);
-        assert_eq!(a.revenue, Money::from_units(5));
-        assert_eq!(a.clicks, 7);
-        assert!((a.expected_value - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_sums_stage_totals_and_maxes_round_latency() {
-        let mut a = EngineMetrics {
-            throttle_nanos: 10,
-            wd_nanos: 100,
-            settle_nanos: 5,
-            max_round_throttle_nanos: 8,
-            max_round_wd_nanos: 60,
-            max_round_settle_nanos: 5,
-            ..Default::default()
-        };
-        let b = EngineMetrics {
-            throttle_nanos: 20,
-            wd_nanos: 40,
-            settle_nanos: 15,
-            max_round_throttle_nanos: 20,
-            max_round_wd_nanos: 40,
-            max_round_settle_nanos: 2,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.throttle_nanos, 30);
-        assert_eq!(a.wd_nanos, 140);
-        assert_eq!(a.settle_nanos, 20);
-        assert_eq!(a.max_round_throttle_nanos, 20);
-        assert_eq!(a.max_round_wd_nanos, 60);
-        assert_eq!(a.max_round_settle_nanos, 5);
-        assert_eq!(a.resolution_nanos(), 170);
-    }
 
     #[test]
     fn without_timing_ignores_wall_clock_only() {

@@ -13,7 +13,8 @@
 //! Winner determination itself lives in the [`resolvers`] layer: each
 //! strategy is a [`resolvers::PhraseResolver`] owning its persistent
 //! cross-round state, and the engine only routes occurring phrases,
-//! times the stages, and settles the outcomes.
+//! times the stages, and settles the outcomes. Every round runs on the
+//! caller's thread; the engine starts none of its own.
 
 pub mod bidding;
 pub mod gaming;
@@ -90,8 +91,8 @@ pub enum RoutingMode {
     /// paper's Section II-B / III-B expected-cost models favour over the
     /// workload's search rates, decided once at construction and never
     /// revised. No clock is read, so the route is a pure function of the
-    /// workload, the config and the shard's phrases. Auction outcomes are
-    /// bit-identical to every other strategy wherever a phrase is routed.
+    /// workload and the config. Auction outcomes are bit-identical to
+    /// every other strategy wherever a phrase is routed.
     Adaptive,
 }
 
@@ -119,26 +120,12 @@ pub struct EngineConfig {
     /// this keeps the exact budget convolution's support proportional to
     /// `budget / increment` instead of `2^l`. Zero disables rounding.
     pub billing_increment: Money,
-    /// Worker-pool size of the sharded round pipeline (`shards > 1`, see
-    /// `engine::shard`) — the only way the engine uses more than one
-    /// thread; with one shard the round is serial whatever this says.
-    /// `0` means *auto*: resolved to
-    /// `std::thread::available_parallelism()` at engine construction. The
-    /// workers that actually run are recorded in
-    /// `EngineMetrics::wd_threads_resolved`. Results are bit-identical
-    /// for every pool size; only wall-clock changes.
+    /// Accepted and unread: the engine is single-threaded. The frozen
+    /// `benchmark/` package still writes it; its next change drops it.
     pub wd_threads: usize,
-    /// Execution shards for the round pipeline. `1` (the default) keeps
-    /// the classic single-domain executor. `> 1` partitions the phrases
-    /// into that many shards, each with its own resolver state and
-    /// budget-accounting domain, and runs each round as a pipelined
-    /// dataflow over `wd_threads` workers (see `engine::shard`). `0`
-    /// means *auto*: resolved to `available_parallelism()` at
-    /// construction. The shard count is clamped to the number of
-    /// non-empty shards the partition produces and recorded in
-    /// `EngineMetrics::shards_resolved`. Outcomes, effective bids, and
-    /// budget snapshots are bit-identical for every shard count; only
-    /// wall-clock (and internal resolver work counters) change.
+    /// Accepted and unread: every round runs over one resolver set. The
+    /// frozen `benchmark/` package still writes it; its next change drops
+    /// it.
     pub shards: usize,
     /// Planner stage used to compile the `SharedAggregation` plan: the
     /// full Section II-D heuristic (fragments + lazy-greedy completion)
@@ -254,15 +241,6 @@ pub struct BudgetSnapshot {
     pub outstanding: Vec<OutstandingAd>,
 }
 
-/// The engine's winner-determination executor: one resolver set over the
-/// whole workload (the classic three-barrier round), or the sharded
-/// pipelined dataflow with one resolver set and budget domain per shard.
-#[allow(clippy::large_enum_variant)] // exactly one per Engine
-enum WdExec {
-    Single(Resolvers),
-    Sharded(shard::Sharded),
-}
-
 /// The simulation engine.
 pub struct Engine {
     workload: Workload,
@@ -276,10 +254,9 @@ pub struct Engine {
     programs: Option<Vec<bidding::BiddingProgram>>,
     sampler: RoundSampler,
     clicker: ClickSimulator,
-    /// The winner-determination executor: the strategy's resolvers, each
-    /// owning its persistent cross-round state (plan DAG, merge network,
-    /// scratch), either as one global set or one slice per shard.
-    wd: WdExec,
+    /// The strategy's resolvers, each owning its persistent cross-round
+    /// state (plan DAG, merge network, scratch).
+    resolvers: Resolvers,
     /// The effective (possibly throttled) bids of the most recent round,
     /// kept for external verification. Persistent: each round zeroes only
     /// the *previous* round's participants' entries and recomputes the
@@ -321,38 +298,11 @@ impl Engine {
     /// phrase-specific factors (the Section III setting), where top-k
     /// aggregates cannot be shared. `Hybrid` accepts any workload: it
     /// routes only separable phrases to the plan.
-    pub fn new(workload: Workload, mut config: EngineConfig) -> Self {
-        // `0` means auto for both executor knobs: size to the host.
-        // Resolved here, before the shard partition, so everything
-        // downstream sees the concrete value; what actually runs is
-        // recorded in metrics so a benchmark artifact can't silently
-        // hide it.
-        let auto = || std::thread::available_parallelism().map_or(1, |p| p.get());
-        if config.wd_threads == 0 {
-            config.wd_threads = auto();
-        }
-        if config.shards == 0 {
-            config.shards = auto();
-        }
-        let wd = if config.shards > 1 {
-            let plan = shard::ShardPlan::partition(&workload, config.shards);
-            if plan.count() > 1 {
-                WdExec::Sharded(shard::Sharded::new(&workload, &config, plan))
-            } else {
-                WdExec::Single(Resolvers::for_strategy(&workload, &config, None))
-            }
-        } else {
-            WdExec::Single(Resolvers::for_strategy(&workload, &config, None))
-        };
-        let shards_resolved = match &wd {
-            WdExec::Single(_) => 1,
-            WdExec::Sharded(sharded) => sharded.shard_count(),
-        };
+    pub fn new(workload: Workload, config: EngineConfig) -> Self {
+        let resolvers = Resolvers::for_strategy(&workload, &config);
         let metrics = EngineMetrics {
-            // The pipeline never runs more workers than shards; the
-            // single-domain executor is one thread.
-            wd_threads_resolved: config.wd_threads.min(shards_resolved) as u64,
-            shards_resolved: shards_resolved as u64,
+            wd_threads_resolved: 1,
+            shards_resolved: 1,
             ..EngineMetrics::default()
         };
         let ledgers = Ledgers::new(&workload);
@@ -372,7 +322,7 @@ impl Engine {
             programs: None,
             sampler,
             clicker,
-            wd,
+            resolvers,
             last_effective_bids: Vec::new(),
             m_i_scratch: vec![0; n],
             participants: Vec::new(),
@@ -436,24 +386,20 @@ impl Engine {
     /// What the most recent round displayed and will charge on a click:
     /// one event per winner, ascending by phrase and best slot first
     /// within a phrase (a phrase's `j`-th event is its slot `j`); empty
-    /// before the first round. Identical under serial and sharded
-    /// execution. The differential oracle checks these prices against its
-    /// own reading of the pricing rule.
+    /// before the first round. The differential oracle checks these prices
+    /// against its own reading of the pricing rule.
     pub fn last_display_events(&self) -> &[(PhraseId, DisplayEvent)] {
         &self.display_events
     }
 
     /// Which resolver each phrase is bound to: `true` means the shared
     /// aggregation plan, `false` the shared sort network. `None` unless
-    /// the strategy is `Hybrid` on the single-domain executor. The route
-    /// is fixed at construction: the separability map under static
-    /// routing, the cost-model route under adaptive routing. An
-    /// observation seam for the `hybrid-routing` differential check.
+    /// the strategy is `Hybrid`. The route is fixed at construction: the
+    /// separability map under static routing, the cost-model route under
+    /// adaptive routing. An observation seam for the `hybrid-routing`
+    /// differential check.
     pub fn hybrid_plan_route(&self) -> Option<&[bool]> {
-        match &self.wd {
-            WdExec::Single(resolvers) => resolvers.hybrid_route(),
-            WdExec::Sharded(_) => None,
-        }
+        self.resolvers.hybrid_route()
     }
 
     /// Snapshots every advertiser's budget state as the *next* call to
@@ -482,10 +428,6 @@ impl Engine {
     /// reproducible across hosts.
     pub fn hot_state_bytes(&mut self) -> usize {
         use std::mem::size_of;
-        let resolvers = match &mut self.wd {
-            WdExec::Single(resolvers) => resolvers.heap_bytes(),
-            WdExec::Sharded(sharded) => sharded.heap_bytes(),
-        };
         self.ledgers.heap_bytes()
             + self.current_bids.capacity() * size_of::<Money>()
             + self.last_effective_bids.capacity() * size_of::<Money>()
@@ -493,7 +435,7 @@ impl Engine {
             + self.participants.capacity() * 4
             + self.prev_participants.capacity() * 4
             + self.display_events.capacity() * size_of::<(PhraseId, DisplayEvent)>()
-            + resolvers
+            + self.resolvers.heap_bytes()
     }
 
     /// Runs `rounds` rounds and returns the final metrics.
@@ -506,9 +448,6 @@ impl Engine {
 
     /// Executes one round end to end; returns the auctions resolved.
     pub fn run_round(&mut self) -> Vec<AuctionOutcome> {
-        if matches!(self.wd, WdExec::Sharded(_)) {
-            return shard::run_round_sharded(self);
-        }
         self.metrics.rounds += 1;
         let occurring = self.sampler.next_round();
 
@@ -554,13 +493,10 @@ impl Engine {
                 ref ledgers,
                 ref current_bids,
                 ref clicker,
-                ref mut wd,
+                ref mut resolvers,
                 ref mut metrics,
                 ..
             } = *self;
-            let WdExec::Single(resolvers) = wd else {
-                unreachable!("sharded engines dispatch to run_round_sharded above")
-            };
             let budgets =
                 |i: usize, m: u64| budget_context_parts(ledgers, current_bids, clicker, i, m);
             let ctx = RoundContext {
@@ -721,15 +657,12 @@ impl Engine {
     /// `ssa-testkit` differential oracle, which asserts a fresh network's
     /// caches are prefixes of these.
     pub fn sort_cached_streams(&self) -> Option<Vec<Vec<SortItem>>> {
-        match &self.wd {
-            WdExec::Single(resolvers) => resolvers.sort()?.cached_streams(),
-            WdExec::Sharded(_) => None,
-        }
+        self.resolvers.sort()?.cached_streams()
     }
 
     /// Displays the round's priced winners: draws each impression's click
     /// fate and queues the pending ad, in event order. The only consumer
-    /// of the click RNG, so both executors commit through here.
+    /// of the click RNG.
     fn commit_display_events(&mut self) {
         for (_, ev) in &self.display_events {
             let fate = self.clicker.impression(ev.display_ctr);
@@ -812,8 +745,7 @@ impl Engine {
 /// Prices one resolved auction into display events, appended to `events`
 /// in slot order: `O(k)` — each winner's bid and factor, plus the ranking
 /// the resolver already produced. A pure function of the round's
-/// effective bids and the workload, so a shard can run it off the commit
-/// thread.
+/// effective bids and the workload; it never touches the click RNG.
 fn price_outcome(
     workload: &Workload,
     config: &EngineConfig,
@@ -858,18 +790,6 @@ fn budget_context_parts(
             .iter()
             .map(|p| OutstandingAd::new(p.price, clicker.residual_ctr(p.display_ctr, p.age)))
             .collect(),
-    }
-}
-
-#[cfg(test)]
-impl Engine {
-    /// The single-domain resolver set (test seam; panics on a sharded
-    /// engine, whose resolvers live per shard).
-    fn single_resolvers(&self) -> &Resolvers {
-        match &self.wd {
-            WdExec::Single(resolvers) => resolvers,
-            WdExec::Sharded(_) => panic!("sharded engine has per-shard resolvers"),
-        }
     }
 }
 

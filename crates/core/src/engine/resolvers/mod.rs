@@ -44,6 +44,9 @@ use super::{
 /// round's participation counts, and a budget-state accessor (used by
 /// the unshared bounds path to refine lazily). Borrowed from disjoint
 /// engine fields so resolvers can hold `&mut` state at the same time.
+/// Resolvers run on the engine's one thread; the `+ Sync` bound on
+/// `budgets` is unused and stays only while the frozen `benchmark/`
+/// names this type.
 pub struct RoundContext<'a> {
     /// The workload under simulation.
     pub workload: &'a Workload,
@@ -131,24 +134,13 @@ fn resolve_sort(
     out
 }
 
-/// The adaptive route over `subset`: the [`seed_route`] of the phrases'
-/// modeled costs on `plan` and on a sort network over every in-subset
-/// phrase. That network is compiled for its cost model only and dropped
-/// here; the engine's sort resolver is compiled over the route's sort
-/// side alone.
-fn adaptive_route(
-    workload: &Workload,
-    config: &EngineConfig,
-    subset: Option<&[bool]>,
-    plan: &PlanResolver,
-) -> Vec<bool> {
+/// The adaptive route: the [`seed_route`] of the phrases' modeled costs
+/// on `plan` and on a sort network over every phrase. That network is
+/// compiled for its cost model only and dropped here; the engine's sort
+/// resolver is compiled over the route's sort side alone.
+fn adaptive_route(workload: &Workload, config: &EngineConfig, plan: &PlanResolver) -> Vec<bool> {
     let m = workload.phrase_count();
-    let rates: Vec<f64> = workload
-        .search_rates()
-        .iter()
-        .enumerate()
-        .map(|(q, &sr)| if subset.is_none_or(|s| s[q]) { sr } else { 0.0 })
-        .collect();
+    let rates = workload.search_rates();
     // Marginals in common item units: one plan node is a pairwise top-k
     // aggregation (~2k item ops), one sort unit an item sent upstream.
     let items_per_node = 2.0 * config.slot_factors.len().max(1) as f64;
@@ -163,7 +155,7 @@ fn adaptive_route(
     // also prices absorbing the whole plan side: the network's expected
     // items with every phrase active, less those with only the
     // ineligible ones.
-    let sort_plan = compile_sort_plan(workload, subset);
+    let sort_plan = compile_sort_plan(workload, None);
     let ineligible_rates: Vec<f64> = rates
         .iter()
         .zip(&eligible)
@@ -182,20 +174,15 @@ fn adaptive_route(
 
 impl Resolvers {
     /// Builds the strategy's resolvers, compiling their offline plans
-    /// over the phrase subsets they own: the whole workload when `subset`
-    /// is `None`, exactly one execution shard's phrases otherwise.
-    pub(super) fn for_strategy(
-        workload: &Workload,
-        config: &EngineConfig,
-        subset: Option<&[bool]>,
-    ) -> Self {
+    /// over the whole workload.
+    pub(super) fn for_strategy(workload: &Workload, config: &EngineConfig) -> Self {
         match config.sharing {
             SharingStrategy::Unshared => Resolvers::Unshared(UnsharedResolver),
             SharingStrategy::SharedAggregation => {
-                Resolvers::Plan(PlanResolver::new(workload, config.planner, subset))
+                Resolvers::Plan(PlanResolver::new(workload, config.planner, None))
             }
-            SharingStrategy::SharedSort => Resolvers::Sort(SortResolver::new(workload, subset, 1)),
-            SharingStrategy::Hybrid => Self::hybrid(workload, config, subset),
+            SharingStrategy::SharedSort => Resolvers::Sort(SortResolver::new(workload, None, 1)),
+            SharingStrategy::Hybrid => Self::hybrid(workload, config),
         }
     }
 
@@ -205,23 +192,15 @@ impl Resolvers {
     /// separable phrase the adaptive route sends to the sort network
     /// costs the plan only idle nodes: plan evaluation is demand-driven,
     /// and the plan is never handed that phrase.
-    ///
-    /// With `subset` set (sharded execution) every compiled set is
-    /// intersected with the shard's phrases and the cost models see only
-    /// the shard's search-rate mass, so each shard routes independently
-    /// over structures that never overlap a neighbour's.
-    fn hybrid(workload: &Workload, config: &EngineConfig, subset: Option<&[bool]>) -> Self {
+    fn hybrid(workload: &Workload, config: &EngineConfig) -> Self {
         let m = workload.phrase_count();
-        let in_subset = |q: usize| subset.is_none_or(|s| s[q]);
-        let separable: Vec<bool> = (0..m)
-            .map(|q| in_subset(q) && workload.phrase_is_separable(q))
-            .collect();
+        let separable: Vec<bool> = (0..m).map(|q| workload.phrase_is_separable(q)).collect();
         let plan = PlanResolver::new(workload, config.planner, Some(&separable));
         let route = match config.routing {
             RoutingMode::Static => separable,
-            RoutingMode::Adaptive => adaptive_route(workload, config, subset, &plan),
+            RoutingMode::Adaptive => adaptive_route(workload, config, &plan),
         };
-        let sort_side: Vec<bool> = (0..m).map(|q| in_subset(q) && !route[q]).collect();
+        let sort_side: Vec<bool> = route.iter().map(|&to_plan| !to_plan).collect();
         Resolvers::Hybrid {
             plan,
             sort: SortResolver::new(workload, Some(&sort_side), 1),

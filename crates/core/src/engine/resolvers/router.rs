@@ -15,8 +15,8 @@
 //! that occur.
 //!
 //! Nothing here reads a clock: the route is a pure function of the
-//! workload, the engine config and the shard's phrase subset, so every
-//! run of one seed routes alike.
+//! workload and the engine config, so every run of one seed routes
+//! alike.
 
 /// Sort-path cost per item unit, relative to the plan path's 1.0. A
 /// merge-network item op (heap pops, pointer chasing through persistent
@@ -43,7 +43,7 @@ pub(crate) struct RouteModel {
     /// whether or not any one subscriber occurs), which is why the
     /// evacuation term below exists.
     pub sort_marginal: Vec<f64>,
-    /// Search rates `sr_q` (zero outside the shard's subset).
+    /// Search rates `sr_q`.
     pub rates: Vec<f64>,
     /// Expected *extra* merge-network items per round if every eligible
     /// phrase were absorbed into the sort network — the group price the

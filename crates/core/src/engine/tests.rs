@@ -340,39 +340,51 @@ fn participation_counts_match_the_deleted_rescan() {
     }
 }
 
-/// `wd_threads_resolved` reports the pipeline workers that actually run,
-/// not the configured knob: none beyond the caller's thread on the
-/// single-domain executor, at most one per shard when sharded.
+/// `shards` and `wd_threads` are accepted and unread: any values, `0`
+/// included, run the same single-threaded round as `(1, 1)` and report
+/// one shard and one worker.
 #[test]
-fn wd_threads_resolved_reports_workers_that_run() {
-    let resolved = |workload: Workload, wd_threads: usize, shards: usize| {
-        let engine = Engine::new(
-            workload,
+fn executor_knobs_are_accepted_and_unread() {
+    let run = |shards: usize, wd_threads: usize| {
+        let mut engine = Engine::new(
+            mixed_workload(31),
             EngineConfig {
-                sharing: SharingStrategy::SharedSort,
-                wd_threads,
+                sharing: SharingStrategy::Hybrid,
+                routing: RoutingMode::Adaptive,
                 shards,
+                wd_threads,
                 ..EngineConfig::default()
             },
         );
+        let rounds: Vec<_> = (0..8)
+            .map(|_| {
+                let outcomes: Vec<_> = engine
+                    .run_round()
+                    .into_iter()
+                    .map(|o| (o.phrase, o.assignment))
+                    .collect();
+                (
+                    outcomes,
+                    engine.last_display_events().to_vec(),
+                    engine.budget_snapshots(),
+                    engine.last_effective_bids().to_vec(),
+                )
+            })
+            .collect();
         let m = engine.metrics();
-        (m.wd_threads_resolved, m.shards_resolved)
+        assert_eq!((m.shards_resolved, m.wd_threads_resolved), (1, 1));
+        (rounds, m.without_timing())
     };
-    // Single domain: the knob is inert, auto included.
-    assert_eq!(resolved(small_workload(0.3, 5), 4, 1), (1, 1));
-    assert_eq!(resolved(small_workload(0.3, 5), 0, 1), (1, 1));
-    // One phrase partitions into one non-empty shard: the engine falls
-    // back to the single-domain executor.
-    let one_phrase = Workload::generate(&WorkloadConfig {
-        advertisers: 20,
-        phrases: 1,
-        topics: 1,
-        ..WorkloadConfig::default()
-    });
-    assert_eq!(resolved(one_phrase, 4, 4), (1, 1));
-    // Sharded: never more workers than shards, never more than asked.
-    assert_eq!(resolved(small_workload(0.3, 5), 4, 2), (2, 2));
-    assert_eq!(resolved(small_workload(0.3, 5), 1, 2), (1, 2));
+    let serial = run(1, 1);
+    assert!(serial.0.iter().any(|(outcomes, ..)| !outcomes.is_empty()));
+    for (shards, wd_threads) in [(4, 4), (0, 0)] {
+        let other = run(shards, wd_threads);
+        assert!(
+            other.0 == serial.0,
+            "shards {shards} wd_threads {wd_threads}: rounds differ"
+        );
+        assert_eq!(other.1, serial.1, "shards {shards} wd_threads {wd_threads}");
+    }
 }
 
 /// The engine's default plan uses the full Section II-D heuristic,
@@ -399,11 +411,7 @@ fn default_planner_cost_at_most_fragments_only() {
     assert_eq!(full.config().planner, PlannerMode::Full, "default is full");
     let plan_of = |e: &Engine| {
         expected_cost(
-            e.single_resolvers()
-                .plan()
-                .unwrap()
-                .dag()
-                .expect("plan compiled"),
+            e.resolvers.plan().unwrap().dag().expect("plan compiled"),
             &rates,
         )
     };

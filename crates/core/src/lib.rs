@@ -31,10 +31,10 @@
 //!   the graph-pruning step of non-separable winner determination.
 //! * [`engine`] — the round-based auction engine tying it together:
 //!   batching, per-round shared evaluation, pricing, delayed clicks,
-//!   budget settlement, and automated bidding programs.
-//! * [`exec`] — the bounded channel and scoped worker pool behind the
-//!   sharded round pipeline, the engine's only use of threads
-//!   (`shards` × `wd_threads`).
+//!   budget settlement, and automated bidding programs. It is
+//!   single-threaded: every round runs on the caller's thread.
+//! * [`exec`] — a scoped worker pool the engine does not use, kept only
+//!   for the frozen benchmark package's replay.
 
 pub mod algebra;
 pub mod bloom;

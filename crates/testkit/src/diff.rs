@@ -107,7 +107,6 @@ pub const WORKLOAD_CHECKS: &[(&str, Profile, WorkloadCheck)] = &[
         check_sort_persistent_with,
     ),
     ("hybrid-routing", Profile::Mixed, check_hybrid_routing_with),
-    ("shard-exec", Profile::TightBudgets, check_shard_exec_with),
 ];
 
 /// A seed-only invariant check (no workload involved).
@@ -587,104 +586,6 @@ pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result
 /// Seed-only wrapper for [`check_engine_nonseparable_with`].
 pub fn check_engine_nonseparable(seed: u64) -> Result<(), Divergence> {
     check_engine_nonseparable_with(&gen::workload_config(seed, Profile::NonSeparable), seed)
-}
-
-/// Differential check of the sharded pipelined executor: for every sharing
-/// strategy × throttle policy, an engine partitioned into {2, 4} shards
-/// (with varying worker counts) must produce *bit-identical* outcomes to
-/// the classic single-executor engine — same auction outcomes, same
-/// display events, same budget snapshots, same effective bids. Internal
-/// work counters are excluded: per-shard resolvers legitimately do
-/// different amounts of rebuild/merge work than one global resolver.
-pub fn check_shard_exec_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
-    const CHECK: &str = "shard-exec";
-    // SharedAggregation requires a jitter-free workload; pin it so one
-    // workload serves every combination.
-    let mut cfg = cfg.clone();
-    cfg.phrase_factor_jitter = 0.0;
-    let w = Workload::generate(&cfg);
-    for sharing in [
-        SharingStrategy::Unshared,
-        SharingStrategy::SharedAggregation,
-        SharingStrategy::SharedSort,
-        SharingStrategy::Hybrid,
-    ] {
-        for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-            let run = |shards: usize, threads: usize| {
-                let ec = EngineConfig {
-                    shards,
-                    wd_threads: threads,
-                    ..engine_config(sharing, policy, seed)
-                };
-                let mut engine = Engine::new(w.clone(), ec);
-                let mut outcomes = Vec::new();
-                let mut events = Vec::new();
-                for _ in 0..ROUNDS {
-                    outcomes.extend(engine.run_round());
-                    events.extend_from_slice(engine.last_display_events());
-                }
-                let snapshots = engine.budget_snapshots();
-                let bids = engine.last_effective_bids().to_vec();
-                (outcomes, events, snapshots, bids)
-            };
-            let (seq, seq_events, seq_snap, seq_bids) = run(1, 1);
-            for (shards, threads) in [(2usize, 1usize), (4, 2), (4, 4)] {
-                let (par, par_events, par_snap, par_bids) = run(shards, threads);
-                let label = format!("{sharing:?}/{policy:?}/shards={shards}/threads={threads}");
-                if seq.len() != par.len() {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] outcome counts differ: {} sequential vs {} sharded",
-                            seq.len(),
-                            par.len()
-                        ),
-                    ));
-                }
-                for (a, b) in seq.iter().zip(&par) {
-                    if a.phrase != b.phrase || a.assignment != b.assignment {
-                        return Err(Divergence::new(
-                            CHECK,
-                            seed,
-                            format!(
-                                "[{label}] phrase {} resolves differently: sequential {:?}, \
-                                 sharded {:?}",
-                                a.phrase, a.assignment, b.assignment
-                            ),
-                        ));
-                    }
-                }
-                if seq_events != par_events {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!("[{label}] display events differ over {ROUNDS} rounds"),
-                    ));
-                }
-                if seq_snap != par_snap {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
-                    ));
-                }
-                if seq_bids != par_bids {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!("[{label}] effective bids differ after {ROUNDS} rounds"),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Seed-only wrapper for [`check_shard_exec_with`].
-pub fn check_shard_exec(seed: u64) -> Result<(), Divergence> {
-    check_shard_exec_with(&gen::workload_config(seed, Profile::TightBudgets), seed)
 }
 
 /// Evaluates a CSE plan (the non-associative sharing baseline) bottom-up.
