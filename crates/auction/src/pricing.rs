@@ -242,11 +242,10 @@ mod tests {
         assert_eq!(priced[0].price_per_click, Money::ZERO);
     }
 
-    /// A ranking is priced as handed over. `ThrottleBounds` may rank two
-    /// advertisers whose scores tie within its tolerance either way; the
-    /// gap here is wide only so the arithmetic shows. B is displayed
-    /// above A, so B is charged against A's score and A against C's —
-    /// re-ranking the entries would charge B against its own score.
+    /// A ranking is priced as handed over: pricing never re-sorts what
+    /// winner determination decided. B is displayed above A, so B is
+    /// charged against A's score and A against C's — re-ranking the
+    /// entries would charge B against its own score.
     #[test]
     fn a_swapped_ranking_is_priced_against_the_displayed_next_rank() {
         let (a, b, c) = (AdvertiserId(0), AdvertiserId(1), AdvertiserId(2));

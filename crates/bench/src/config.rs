@@ -368,11 +368,27 @@ impl SimulationSpec {
         }
     }
 
+    /// Checks the slot factors `d_1 ≥ d_2 ≥ … ≥ 0`: at least one,
+    /// each finite and non-negative, none above its predecessor. An
+    /// ascending list would make VCG's `d_t − d_{t+1}` terms negative.
+    fn check_slot_factors(&self) -> Result<(), ConfigError> {
+        let d = &self.slot_factors;
+        if d.is_empty() {
+            return Err(ConfigError(
+                "field 'slot_factors' needs at least one slot".to_string(),
+            ));
+        }
+        if d.iter().any(|f| !f.is_finite() || *f < 0.0) || d.windows(2).any(|p| p[1] > p[0]) {
+            return Err(ConfigError(format!(
+                "field 'slot_factors' must be finite, non-negative and non-increasing, got {d:?}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Builds the engine.
     pub fn build_engine(&self) -> Result<Engine, ConfigError> {
-        if self.slot_factors.is_empty() {
-            return Err(ConfigError("need at least one slot".to_string()));
-        }
+        self.check_slot_factors()?;
         Ok(Engine::new(
             self.workload.build(),
             EngineConfig {
@@ -549,7 +565,9 @@ mod tests {
             let path = entry.expect("ci directory entry").path();
             if path.extension().is_some_and(|ext| ext == "json") {
                 let json = std::fs::read_to_string(&path).expect("ci config is readable");
-                if let Err(err) = SimulationSpec::from_json(&json) {
+                if let Err(err) =
+                    SimulationSpec::from_json(&json).and_then(|spec| spec.check_slot_factors())
+                {
                     panic!("{}: {err}", path.display());
                 }
                 parsed += 1;
@@ -595,6 +613,34 @@ mod tests {
         assert_eq!(spec.planner, "fragments-only");
         let back = SimulationSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back.planner, "fragments-only");
+    }
+
+    #[test]
+    fn slot_factors_must_be_finite_non_negative_and_non_increasing() {
+        for bad in [vec![0.1, 0.3], vec![0.3, -0.1], vec![f64::NAN], vec![]] {
+            let spec = SimulationSpec {
+                slot_factors: bad.clone(),
+                ..SimulationSpec::default()
+            };
+            let Err(err) = spec.build_engine() else {
+                panic!("{bad:?} was accepted");
+            };
+            assert!(err.to_string().contains("'slot_factors'"), "{err}");
+        }
+        let spec = SimulationSpec {
+            slot_factors: vec![0.3, 0.3, 0.1],
+            workload: WorkloadSpec {
+                advertisers: 50,
+                phrases: 4,
+                topics: 2,
+                ..WorkloadSpec::default()
+            },
+            ..SimulationSpec::default()
+        };
+        assert!(
+            spec.build_engine().is_ok(),
+            "ties between slots are allowed"
+        );
     }
 
     #[test]

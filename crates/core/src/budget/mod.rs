@@ -23,7 +23,10 @@
 //! computation ("we do not need the precise values of b̂; we simply need
 //! the ability to compare"). [`compare_throttled`] escalates depth until
 //! the intervals separate; [`topk`] runs whole-auction winner
-//! determination on those lazily refined bounds.
+//! determination best-first, with bounds pruning candidates and the
+//! exact comparison deciding every rank, so its outcome is the exact
+//! scan's. A bound is sound only up to [`BOUND_SLACK_MICROS`], the float
+//! slack between the bound arithmetic and the rounded convolution.
 
 pub mod domain;
 pub mod topk;
@@ -35,6 +38,12 @@ use ssa_stats::bernoulli_sum::{BernoulliSum, Term};
 use ssa_stats::hoeffding::Clamp;
 use ssa_stats::interval::Interval;
 use ssa_stats::refine::Refiner;
+
+/// How far, in money micros, the rounded exact throttled bid may sit
+/// outside its refiner's interval: the float slack between the bound
+/// arithmetic and the rounded convolution. A bound is widened by this
+/// much before it prunes anything.
+pub const BOUND_SLACK_MICROS: u64 = 2;
 
 /// One displayed-but-unclicked ad.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,13 +108,10 @@ impl BudgetContext {
     /// The exact throttled bid `E(min(m·b, β − min(β, S)))/m`, via the
     /// budget-capped convolution.
     pub fn throttled_bid_exact(&self) -> Money {
+        if let Some(bid) = self.certain_bid() {
+            return bid;
+        }
         let m = self.auctions_in_round.max(1);
-        if self.bid.is_zero() || self.remaining_budget.is_zero() {
-            return Money::ZERO;
-        }
-        if self.is_unconstrained() {
-            return self.bid;
-        }
         let beta = self.remaining_budget.micros();
         let mb = self.bid.micros().saturating_mul(m);
         let dist = self.debt_sum().distribution_capped(beta);
@@ -114,6 +120,18 @@ impl BudgetContext {
             mb.min(headroom) as f64
         });
         Money::from_micros((expectation / m as f64).round() as u64)
+    }
+
+    /// The throttled bid when it needs no convolution: zero for a zero
+    /// bid or an exhausted budget, the stated bid when unconstrained.
+    pub(crate) fn certain_bid(&self) -> Option<Money> {
+        if self.bid.is_zero() || self.remaining_budget.is_zero() {
+            Some(Money::ZERO)
+        } else if self.is_unconstrained() {
+            Some(self.bid)
+        } else {
+            None
+        }
     }
 
     /// A lazy bound refiner for this context.
@@ -136,23 +154,14 @@ pub struct ThrottledBidRefiner {
 
 impl ThrottledBidRefiner {
     fn new(ctx: &BudgetContext) -> Self {
-        let m = ctx.auctions_in_round.max(1);
-        let exact_hint = if ctx.bid.is_zero() || ctx.remaining_budget.is_zero() {
-            Some(Money::ZERO)
-        } else if ctx.is_unconstrained() {
-            Some(ctx.bid)
-        } else {
-            None
-        };
         let sum = ctx.debt_sum();
-        let max_depth = sum.len();
         ThrottledBidRefiner {
             bid_micros: ctx.bid.micros() as f64,
             beta_micros: ctx.remaining_budget.micros() as f64,
-            m: m as f64,
+            m: ctx.auctions_in_round.max(1) as f64,
+            max_depth: sum.len(),
             refiner: Refiner::new(sum, Clamp::Sound),
-            max_depth,
-            exact_hint,
+            exact_hint: ctx.certain_bid(),
         }
     }
 
@@ -431,11 +440,12 @@ mod tests {
                 .collect();
             let c = ctx(bid as f64, budget as f64, m, &outstanding);
             let exact = c.throttled_bid_exact().micros() as f64;
+            let slack = BOUND_SLACK_MICROS as f64;
             let r = c.refiner();
             for depth in 0..=r.max_depth() {
                 let b = r.bounds(depth);
                 prop_assert!(
-                    b.lo() - 2.0 <= exact && exact <= b.hi() + 2.0,
+                    b.lo() - slack <= exact && exact <= b.hi() + slack,
                     "depth {depth}: exact {exact} outside [{}, {}]",
                     b.lo(), b.hi()
                 );

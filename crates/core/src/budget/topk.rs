@@ -1,32 +1,39 @@
 //! Top-k winner determination under budget uncertainty.
 //!
-//! Winner determination needs the advertisers with the k highest values
-//! of `b̂_i · c_i` — but each `b̂_i` is only available as interval bounds
-//! that are expensive to tighten. This module runs the selection with
-//! *lazy refinement*: every candidate starts at depth 0 (pure Hoeffding
-//! bounds); only candidates whose intervals still overlap a selection or
-//! ranking boundary get refined deeper, and candidates whose upper bound
-//! falls below the k-th lower bound are eliminated outright — the same
-//! "quickly eliminate unlikely contenders" scheduling idea the paper
-//! credits to Ré–Dalvi–Suciu's multisimulation.
+//! Winner determination ranks advertisers by the exact throttled score
+//! `b̂_i · c_i` as a [`ScoredAd`] — score first, then lower advertiser id,
+//! exactly as every other resolver ranks — but an exact `b̂_i` costs a
+//! budget-capped convolution. The selection here is one best-first pass
+//! over keys that are either exact or a sound upper bound on the exact
+//! key, so bounds only prune and never decide an order:
 //!
-//! Exact `b̂` values are computed only for the k winners afterwards (the
-//! paper: "there are only k winning advertisers at this point, so the
-//! amount of computation is a lot less"), via the budget-capped
-//! convolution — polynomial in the outstanding-ad count, unlike interval
-//! refinement whose cost doubles per depth level. The same convolution
-//! finishes off candidates still contested at [`SNAP_DEPTH`]: past that
-//! point one exact evaluation is cheaper than any further halving of the
-//! interval, and without the cap a pair of near-tied heavy advertisers
-//! (the common case late in a simulation, when winners have accumulated
-//! many outstanding ads) forces `O(2^l)` work per auction.
+//! - a candidate whose bid needs no convolution (zero bid, zero budget,
+//!   or [`BudgetContext::is_unconstrained`]) is scored exactly and builds
+//!   no refiner;
+//! - every other candidate is keyed by its depth-0 Hoeffding upper bound
+//!   plus [`BOUND_SLACK_MICROS`], rounded up to a micro; one whose key
+//!   falls below the k-th certain key is eliminated outright (the
+//!   "quickly eliminate unlikely contenders" scheduling the paper credits
+//!   to Ré–Dalvi–Suciu's multisimulation);
+//! - the pass pops the largest key. An exact key is the next rank: it is
+//!   at least every remaining key, each of which bounds its own
+//!   advertiser's exact key, and keys of distinct advertisers never tie.
+//!   An upper key is refined one depth, up to `SNAP_DEPTH`, then
+//!   finished with the convolution, and pushed back either way.
+//!
+//! Past `SNAP_DEPTH` one exact evaluation is cheaper than any further
+//! halving of the interval: without the cap a pair of near-tied heavy
+//! advertisers (the common case late in a simulation, when winners have
+//! accumulated many outstanding ads) forces `O(2^l)` work per auction.
+
+use std::collections::BinaryHeap;
 
 use ssa_auction::ids::AdvertiserId;
 use ssa_auction::money::Money;
 use ssa_auction::score::Score;
-use ssa_stats::interval::Interval;
 
-use super::{BudgetContext, ThrottledBidRefiner};
+use super::{BudgetContext, ThrottledBidRefiner, BOUND_SLACK_MICROS};
+use crate::topk::{KList, ScoredAd};
 
 /// Refinement depth past which a contested candidate is finished off
 /// with one exact convolution instead of ever-deeper interval bounds.
@@ -42,10 +49,6 @@ pub struct UncertainCandidate {
     /// The advertiser-specific CTR factor `c_i` scaling the throttled bid
     /// into a score.
     pub factor: f64,
-    /// The bound refiner over the advertiser's throttled bid.
-    pub refiner: ThrottledBidRefiner,
-    /// The budget context, kept for the exact-convolution evaluations
-    /// (winners, and candidates still contested at [`SNAP_DEPTH`]).
     ctx: BudgetContext,
 }
 
@@ -55,7 +58,6 @@ impl UncertainCandidate {
         UncertainCandidate {
             advertiser,
             factor,
-            refiner: ctx.refiner(),
             ctx: ctx.clone(),
         }
     }
@@ -65,27 +67,32 @@ impl UncertainCandidate {
         self.ctx.throttled_bid_exact()
     }
 
-    fn score_bounds(&self, depth: usize) -> Interval {
-        self.refiner.bounds(depth).scale(self.factor.max(0.0))
+    /// The ranking key of a throttled bid — [`scan_top_k`]'s key.
+    ///
+    /// [`scan_top_k`]: crate::engine::resolvers::scan_top_k
+    fn key(&self, bid: Money) -> ScoredAd {
+        ScoredAd::new(self.advertiser, Score::expected_value(bid, self.factor))
     }
 
-    /// The exact score in the same space as [`score_bounds`] — money
-    /// micro-units scaled by the factor, NOT currency units.
-    fn exact_score_micros(&self) -> f64 {
-        self.exact_bid().micros() as f64 * self.factor.max(0.0)
+    /// A key at least the exact one, from the refiner's bounds at `depth`.
+    fn upper_key(&self, refiner: &ThrottledBidRefiner, depth: usize) -> ScoredAd {
+        let hi = refiner.bounds(depth).hi() + BOUND_SLACK_MICROS as f64;
+        self.key(Money::from_micros(hi.ceil() as u64))
     }
 }
 
 /// Statistics from one uncertain top-k run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UncertainTopKStats {
-    /// Total bound evaluations performed.
+    /// Refiner bound evaluations: depth 0 for every uncertain candidate,
+    /// then one per refinement step. Certain candidates cost none.
     pub bound_evaluations: u64,
-    /// Exact throttled-bid computations performed (winners only).
+    /// Budget-capped convolutions run (uncertain candidates finished at
+    /// their depth cap). Certain candidates cost none.
     pub exact_evaluations: u64,
     /// The deepest refinement depth any candidate reached.
     pub max_depth_used: usize,
-    /// Candidates eliminated without ever being refined past depth 0.
+    /// Uncertain candidates ruled out on their depth-0 bounds alone.
     pub eliminated_at_depth_zero: usize,
 }
 
@@ -101,121 +108,69 @@ pub struct UncertainWinner {
     pub score: Score,
 }
 
-/// Finds the ranked top-k candidates by `b̂_i · c_i` using lazy bound
-/// refinement. Ties (exactly equal scores) break by advertiser id.
+/// A best-first entry: the key, then `Ok(bid)` once it is exact or
+/// `Err(slot)` naming the pending refinement while it is an upper bound.
+/// Keys of distinct advertisers never tie, so only the key orders.
+type Entry = (ScoredAd, Result<Money, usize>);
+
+/// Finds the ranked top-k candidates by `b̂_i · c_i` in [`ScoredAd`]
+/// order, computing exact bids only where bounds cannot prune.
+/// Zero-score candidates are dropped.
 pub fn top_k_uncertain(
     candidates: &[UncertainCandidate],
     k: usize,
 ) -> (Vec<UncertainWinner>, UncertainTopKStats) {
     let mut stats = UncertainTopKStats::default();
-    if k == 0 || candidates.is_empty() {
-        return (Vec::new(), stats);
-    }
-
-    // Per-candidate state: current depth and score bounds.
-    let mut depth: Vec<usize> = vec![0; candidates.len()];
-    let mut bounds: Vec<Interval> = candidates
-        .iter()
-        .map(|c| {
+    let mut certain: KList<Entry> = KList::empty(k);
+    let mut uncertain: Vec<Entry> = Vec::new();
+    let mut pending = Vec::new();
+    for c in candidates {
+        if let Some(bid) = c.ctx.certain_bid() {
+            certain.insert((c.key(bid), Ok(bid)));
+        } else {
+            let refiner = c.ctx.refiner();
             stats.bound_evaluations += 1;
-            c.score_bounds(0)
-        })
-        .collect();
-    let mut alive: Vec<usize> = (0..candidates.len()).collect();
-    let mut was_refined: Vec<bool> = vec![false; candidates.len()];
+            uncertain.push((c.upper_key(&refiner, 0), Err(pending.len())));
+            pending.push((c, refiner, 0));
+        }
+    }
+    let kth = certain.kth().map(|e| e.0);
+    let survives = |e: &Entry| kth.is_none_or(|t| e.0 > t);
+    let mut heap: BinaryHeap<Entry> = certain.items().iter().copied().collect();
+    heap.extend(uncertain.into_iter().filter(survives));
 
-    loop {
-        // Order alive candidates by (lower bound desc, id asc).
-        alive.sort_by(|&a, &b| {
-            bounds[b]
-                .lo()
-                .total_cmp(&bounds[a].lo())
-                .then(candidates[a].advertiser.cmp(&candidates[b].advertiser))
-        });
-        let kk = k.min(alive.len());
-
-        // Eliminate candidates whose best case is below the k-th worst
-        // case (they can never enter the top k).
-        if alive.len() > kk {
-            let kth_lo = bounds[alive[kk - 1]].lo();
-            let before = alive.len();
-            alive.retain(|&c| {
-                let keep = bounds[c].hi() >= kth_lo;
-                if !keep && !was_refined[c] {
-                    stats.eliminated_at_depth_zero += 1;
-                }
-                keep
-            });
-            if alive.len() != before {
+    let mut reached = 0;
+    let mut winners = Vec::with_capacity(k);
+    while winners.len() < k {
+        // A zero key leaves only zero exact scores behind it.
+        let Some((key, bound)) = heap.pop().filter(|e| !e.0.score.is_zero()) else {
+            break;
+        };
+        let slot = match bound {
+            Ok(bid) => {
+                winners.push(UncertainWinner {
+                    advertiser: key.advertiser,
+                    bid,
+                    score: key.score,
+                });
                 continue;
             }
-        }
-
-        // Check the separation chain needed for a certain ranked top-k:
-        // each of the first kk−1 strictly above its successor, and the
-        // kk-th strictly above every survivor below it.
-        let mut violators: Vec<usize> = Vec::new();
-        for i in 0..kk {
-            let upper_idx = alive[i];
-            let lo = bounds[upper_idx].lo();
-            let below = if i + 1 < kk {
-                &alive[i + 1..i + 2]
-            } else {
-                &alive[kk..]
-            };
-            for &lower_idx in below {
-                let overlap = bounds[lower_idx].hi() >= lo
-                    && !(bounds[upper_idx].is_exact() && bounds[lower_idx].is_exact());
-                if overlap {
-                    violators.push(upper_idx);
-                    violators.push(lower_idx);
-                }
-            }
-        }
-        violators.sort_unstable();
-        violators.dedup();
-        // Refine violators that still can be refined; a violator already
-        // at the depth cap collapses to its exact convolution value
-        // instead. Exact-tied pairs are excluded from the violator set
-        // above, so every violator pair has at least one member that
-        // deepens or snaps and the loop always makes progress.
-        for &c in &violators {
-            let cap = candidates[c].refiner.max_depth().min(SNAP_DEPTH);
-            if depth[c] < cap {
-                depth[c] += 1;
-                was_refined[c] = true;
-                bounds[c] = candidates[c].score_bounds(depth[c]);
-                stats.bound_evaluations += 1;
-                stats.max_depth_used = stats.max_depth_used.max(depth[c]);
-            } else if !bounds[c].is_exact() {
-                bounds[c] = Interval::exact(candidates[c].exact_score_micros());
-                was_refined[c] = true;
-                stats.exact_evaluations += 1;
-            }
-        }
-        if violators.is_empty() {
-            break;
-        }
-    }
-
-    // The loop exits only when the first kk alive candidates (by lower
-    // bound) are pairwise separated from their successors — i.e. that
-    // prefix IS the ranked top-k, exact ties resolved by id through the
-    // sort. Exact bids are then computed for the winners.
-    let kk = k.min(alive.len());
-    let winners = alive[..kk]
-        .iter()
-        .map(|&c| {
-            let exact = candidates[c].exact_bid();
+            Err(slot) => slot,
+        };
+        let (c, refiner, depth) = &mut pending[slot];
+        reached += usize::from(*depth == 0);
+        heap.push(if *depth < refiner.max_depth().min(SNAP_DEPTH) {
+            *depth += 1;
+            stats.bound_evaluations += 1;
+            stats.max_depth_used = stats.max_depth_used.max(*depth);
+            (c.upper_key(refiner, *depth), Err(slot))
+        } else {
+            let bid = c.exact_bid();
             stats.exact_evaluations += 1;
-            UncertainWinner {
-                advertiser: candidates[c].advertiser,
-                bid: exact,
-                score: Score::new(exact.to_f64() * candidates[c].factor.max(0.0)),
-            }
-        })
-        .filter(|w| !w.score.is_zero())
-        .collect();
+            (c.key(bid), Ok(bid))
+        });
+    }
+    stats.eliminated_at_depth_zero = pending.len() - reached;
     (winners, stats)
 }
 
@@ -275,7 +230,27 @@ mod tests {
             Money::from_f64(5.0),
             "winners carry their exact throttled bid"
         );
-        assert_eq!(stats.exact_evaluations, 2, "one exact pass per winner");
+        assert_eq!(
+            stats.exact_evaluations, 0,
+            "certain winners cost no convolution"
+        );
+    }
+
+    /// Two exact bids of 900 000 micros whose full-depth bounds are the
+    /// points 899 999.55 (advertiser 0) and 899 999.6 (advertiser 1): the
+    /// exact scan ranks the tie by id, and so must the bounds.
+    #[test]
+    fn near_tie_ranks_by_exact_key_then_id() {
+        let c0 = ctx(1.0, 1.5, 1, &[(1.0, 0.2000009)]);
+        let c1 = ctx(1.0, 1.5, 1, &[(1.0, 0.2000008)]);
+        assert_eq!(c0.throttled_bid_exact(), Money::from_micros(900_000));
+        assert_eq!(c1.throttled_bid_exact(), Money::from_micros(900_000));
+        let candidates = vec![cand(0, 1.0, &c0), cand(1, 1.0, &c1)];
+        for (k, want) in [(1, vec![0]), (2, vec![0, 1])] {
+            let (winners, _) = top_k_uncertain(&candidates, k);
+            let ids: Vec<u32> = winners.iter().map(|w| w.advertiser.0).collect();
+            assert_eq!(ids, want, "k = {k}");
+        }
     }
 
     #[test]

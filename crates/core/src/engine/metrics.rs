@@ -71,12 +71,16 @@ pub struct EngineMetrics {
     /// route's sort side. Kept only because the frozen `benchmark/` reads
     /// it; its next PR deletes it.
     pub router_sort_rebuilds: u64,
-    /// Throttled-bid bound evaluations (bounded budget policy).
+    /// Hoeffding bound evaluations by a refiner (`Unshared` +
+    /// `ThrottleBounds` only): one at depth 0 per candidate whose bid
+    /// needs a convolution, then one per refinement step. A bid that
+    /// needs none is scored exactly and costs no bound.
     pub bound_evaluations: u64,
-    /// Exact throttled-bid computations (the Section IV convolution, or a
-    /// full-depth bound refinement pinning the same value). Under
-    /// `Unshared` + `ThrottleBounds` only priced winners and runners-up
-    /// pay this cost; every other throttling path pays it once per
+    /// Exact throttled-bid evaluations. Under `Unshared` +
+    /// `ThrottleBounds` these are the Section IV convolutions actually
+    /// run, one per candidate whose bounds reached the top of a phrase's
+    /// selection at their depth cap; a bid that needs no convolution
+    /// costs none. Every other throttling path counts one per
     /// participating advertiser per round.
     pub exact_throttle_evaluations: u64,
     /// Total expected value (Σ d_j · score) of the assignments made.

@@ -281,7 +281,7 @@ pub struct Engine {
 }
 
 /// One phrase auction's resolution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuctionOutcome {
     /// The phrase.
     pub phrase: PhraseId,

@@ -14,10 +14,10 @@ use super::{PhraseResolver, RoundContext};
 /// Independent scan per phrase. Stateless: every round's work derives
 /// entirely from the [`RoundContext`].
 ///
-/// Under `ThrottleBounds`, selection runs on lazily refined Hoeffding
-/// bounds instead of the exact throttled bids; exact values are computed
-/// only for each phrase's ranked top `k + 1` and backfilled into
-/// `effective_bids`.
+/// Under `ThrottleBounds`, selection runs best-first on lazily refined
+/// Hoeffding bounds in the scan's own [`ScoredAd`] order, so it ranks
+/// exactly as the scan over exact throttled bids would; the exact bids of
+/// each phrase's ranked top `k + 1` are backfilled into `effective_bids`.
 #[derive(Debug, Default)]
 pub struct UnsharedResolver;
 

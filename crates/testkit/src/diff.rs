@@ -19,7 +19,7 @@ use ssa_auction::winner::assignment_from_ranking;
 use ssa_core::algebra::expr::Expr;
 use ssa_core::algebra::ops::{check_axioms, AggregateOp, BloomUnionOp};
 use ssa_core::algebra::AxiomSet;
-use ssa_core::budget::compare_throttled;
+use ssa_core::budget::{compare_throttled, BOUND_SLACK_MICROS};
 use ssa_core::engine::resolvers::PlanResolver;
 use ssa_core::engine::{
     AuctionOutcome, BudgetPolicy, BudgetSnapshot, Engine, EngineConfig, RoutingMode,
@@ -40,11 +40,6 @@ use crate::plan_oracle::{check_complete, reference_plan, REFERENCE_COST_SLACK};
 
 /// Rounds each dynamic (engine) check simulates per seed.
 const ROUNDS: usize = 4;
-
-/// Score tolerance (in currency units) for the bounds-vs-exact budget
-/// policy comparison: the lazy refiner pins throttled bids to within one
-/// micro, so genuinely tied candidates may legitimately swap.
-const SCORE_EPS: f64 = 1e-4;
 
 /// A reproducible mismatch between an optimized path and the oracle.
 #[derive(Debug, Clone)]
@@ -205,34 +200,21 @@ fn oracle_check_round(
             ));
         }
     }
-    check_charged_prices(
-        check,
-        w,
-        engine,
-        outcomes,
-        &want_bids,
-        Money::ZERO,
-        seed,
-        round,
-    )
+    check_charged_prices(check, w, engine, outcomes, &want_bids, seed, round)
 }
 
 /// Checks what the engine actually charged — the round's committed
 /// [`Engine::last_display_events`] — against the oracle's own reading of
 /// the pricing rule over `exact_bids`, rounded down to the billing
 /// increment: one event per displayed winner, in outcome and slot order,
-/// priced within `tolerance` of the oracle and never above the winner's
-/// effective bid. `tolerance` is zero except for the bounds policy, whose
-/// runner-up may tie-swap within [`SCORE_EPS`] and so land one billing
-/// increment away after rounding.
-#[allow(clippy::too_many_arguments)] // internal helper; same shape as its siblings
+/// priced exactly as the oracle prices it and never above the winner's
+/// effective bid.
 fn check_charged_prices(
     check: &'static str,
     w: &Workload,
     engine: &Engine,
     outcomes: &[AuctionOutcome],
     exact_bids: &[Money],
-    tolerance: Money,
     seed: u64,
     round: usize,
 ) -> Result<(), Divergence> {
@@ -272,8 +254,7 @@ fn check_charged_prices(
                     ));
                 }
             };
-            let off_by = charged.micros().abs_diff(want.micros());
-            if off_by > tolerance.micros() || charged > bid {
+            if charged != want || charged > bid {
                 return Err(Divergence::new(
                     check,
                     seed,
@@ -297,27 +278,14 @@ fn check_charged_prices(
     }
 }
 
-/// Outcome of a variant-vs-reference round comparison.
-enum Agreement {
-    /// Bit-for-bit identical.
-    Exact,
-    /// Identical up to swaps of advertisers whose scores tie within
-    /// [`SCORE_EPS`] (only permitted for the bounds-based budget policy).
-    TieSwapped,
-}
-
-#[allow(clippy::too_many_arguments)] // internal helper; splitting obscures the diff report
 fn compare_outcomes(
     check: &'static str,
     variant: &'static str,
-    w: &Workload,
     reference: &[AuctionOutcome],
     got: &[AuctionOutcome],
-    oracle_bids: &[Money],
-    tolerant: bool,
     seed: u64,
     round: usize,
-) -> Result<Agreement, Divergence> {
+) -> Result<(), Divergence> {
     if reference.len() != got.len() || reference.iter().zip(got).any(|(a, b)| a.phrase != b.phrase)
     {
         return Err(Divergence::new(
@@ -331,60 +299,32 @@ fn compare_outcomes(
             ),
         ));
     }
-    let mut agreement = Agreement::Exact;
-    for (a, b) in reference.iter().zip(got) {
-        if a.assignment == b.assignment {
-            continue;
-        }
-        if !tolerant {
-            return Err(Divergence::new(
-                check,
-                seed,
-                format!(
-                    "round {round} phrase {} [{variant}]: assignments differ — \
-                     reference {:?}, variant {:?}",
-                    a.phrase, a.assignment, b.assignment
-                ),
-            ));
-        }
-        // Tolerant path: same slot count, and any differing slot must be a
-        // tie within SCORE_EPS under the oracle's exact bids.
-        let wa = a.assignment.winners();
-        let wb = b.assignment.winners();
-        let score_of = |adv: AdvertiserId| {
-            oracle_bids[adv.index()].to_f64() * w.phrase_factor(a.phrase, adv).unwrap_or(0.0)
-        };
-        let tie_ok = wa.len() == wb.len()
-            && wa.iter().zip(wb).all(|(x, y)| {
-                x.advertiser == y.advertiser
-                    || (score_of(x.advertiser) - score_of(y.advertiser)).abs() <= SCORE_EPS
-            });
-        if !tie_ok {
-            return Err(Divergence::new(
-                check,
-                seed,
-                format!(
-                    "round {round} phrase {} [{variant}]: assignments differ beyond \
-                     score ties — reference {:?}, variant {:?}",
-                    a.phrase, a.assignment, b.assignment
-                ),
-            ));
-        }
-        agreement = Agreement::TieSwapped;
+    match reference
+        .iter()
+        .zip(got)
+        .find(|(a, b)| a.assignment != b.assignment)
+    {
+        None => Ok(()),
+        Some((a, b)) => Err(Divergence::new(
+            check,
+            seed,
+            format!(
+                "round {round} phrase {} [{variant}]: assignments differ — \
+                 reference {:?}, variant {:?}",
+                a.phrase, a.assignment, b.assignment
+            ),
+        )),
     }
-    Ok(agreement)
 }
 
 struct Variant {
     name: &'static str,
     engine: Engine,
-    tolerant: bool,
-    /// Set after a tolerated tie-swap: the variant's ledgers have
-    /// legitimately drifted from the reference's, so later rounds are no
-    /// longer comparable.
-    desynced: bool,
 }
 
+/// Runs the reference and every variant in lockstep. Each round the
+/// reference is replayed against the oracle, and every variant must
+/// match it bit for bit: outcomes, charged prices and budget snapshots.
 fn run_engine_diff(
     check: &'static str,
     w: &Workload,
@@ -406,7 +346,10 @@ fn run_engine_diff(
         let snapshots = reference.budget_snapshots();
         let ref_out = reference.run_round();
         oracle_check_round(check, w, &reference, &snapshots, &ref_out, seed, round)?;
+        // Every variant entered the round with the reference's ledgers,
+        // so the reference's (oracle-verified) exact bids are its own.
         let oracle_bids = reference.last_effective_bids().to_vec();
+        let ref_snapshots = reference.budget_snapshots();
         for (v, plan) in variants.iter_mut().zip(&plans) {
             let ops_before = v.engine.metrics().aggregation_ops;
             let out = v.engine.run_round();
@@ -426,40 +369,17 @@ fn run_engine_diff(
                     ));
                 }
             }
-            if v.desynced {
-                continue;
-            }
-            // Not desynced: the variant entered the round with the
-            // reference's ledgers, so the reference's (oracle-verified)
-            // exact bids are its own.
-            let tolerance = if v.tolerant {
-                v.engine.config().billing_increment
-            } else {
-                Money::ZERO
-            };
-            check_charged_prices(
-                check,
-                w,
-                &v.engine,
-                &out,
-                &oracle_bids,
-                tolerance,
-                seed,
-                round,
-            )?;
-            match compare_outcomes(
-                check,
-                v.name,
-                w,
-                &ref_out,
-                &out,
-                &oracle_bids,
-                v.tolerant,
-                seed,
-                round,
-            )? {
-                Agreement::Exact => {}
-                Agreement::TieSwapped => v.desynced = true,
+            check_charged_prices(check, w, &v.engine, &out, &oracle_bids, seed, round)?;
+            compare_outcomes(check, v.name, &ref_out, &out, seed, round)?;
+            if v.engine.budget_snapshots() != ref_snapshots {
+                return Err(Divergence::new(
+                    check,
+                    seed,
+                    format!(
+                        "round {round} [{}]: budget snapshots differ from the reference's",
+                        v.name
+                    ),
+                ));
             }
         }
     }
@@ -468,11 +388,11 @@ fn run_engine_diff(
 
 /// Differential check over a separable (jitter-free) workload: the
 /// unshared scan, the Section II shared aggregation plan, the Section III
-/// shared sort, and the bounds-based budget policy must all produce the
-/// reference outcomes; the reference itself is replayed against the
-/// naive oracle each round, and the shared plan's counted ⊕ must equal its
-/// §II-B materialized cost every round. The `Ignore` budget policy gets
-/// its own oracle replay.
+/// shared sort, and the bounds-based budget policy must all reproduce the
+/// reference bit for bit every round; the reference itself is replayed
+/// against the naive oracle each round, and the shared plan's counted ⊕
+/// must equal its §II-B materialized cost every round. The `Ignore`
+/// budget policy gets its own oracle replay.
 pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "engine-separable";
     let w = Workload::generate(cfg);
@@ -491,8 +411,6 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
                     seed,
                 ),
             ),
-            tolerant: false,
-            desynced: false,
         },
         Variant {
             name: "shared-sort",
@@ -504,8 +422,6 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
                     seed,
                 ),
             ),
-            tolerant: false,
-            desynced: false,
         },
         Variant {
             name: "throttle-bounds",
@@ -517,8 +433,6 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
                     seed,
                 ),
             ),
-            tolerant: true,
-            desynced: false,
         },
     ];
     run_engine_diff(CHECK, &w, reference, variants, seed)?;
@@ -563,8 +477,6 @@ pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result
                     seed,
                 ),
             ),
-            tolerant: false,
-            desynced: false,
         },
         Variant {
             name: "throttle-bounds",
@@ -576,8 +488,6 @@ pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result
                     seed,
                 ),
             ),
-            tolerant: true,
-            desynced: false,
         },
     ];
     run_engine_diff(CHECK, &w, reference, variants, seed)
@@ -1287,6 +1197,7 @@ pub fn check_budget_bounds(seed: u64) -> Result<(), Divergence> {
         .collect();
     for (i, c) in contexts.iter().enumerate() {
         let exact = c.throttled_bid_exact().micros() as f64;
+        let slack = BOUND_SLACK_MICROS as f64;
         let r = c.refiner();
         let mut prev_width = f64::INFINITY;
         for depth in 0..=r.max_depth() {
@@ -1302,7 +1213,7 @@ pub fn check_budget_bounds(seed: u64) -> Result<(), Divergence> {
                     ),
                 ));
             }
-            if !(b.lo() - 2.0 <= exact && exact <= b.hi() + 2.0) {
+            if !(b.lo() - slack <= exact && exact <= b.hi() + slack) {
                 return Err(Divergence::new(
                     CHECK,
                     seed,
@@ -1344,9 +1255,9 @@ pub fn check_budget_bounds(seed: u64) -> Result<(), Divergence> {
     for i in 0..contexts.len() {
         for j in (i + 1)..contexts.len() {
             let (a, b) = (&contexts[i], &contexts[j]);
-            let ea = a.throttled_bid_exact().micros() as i64;
-            let eb = b.throttled_bid_exact().micros() as i64;
-            if (ea - eb).abs() <= 2 {
+            let ea = a.throttled_bid_exact().micros();
+            let eb = b.throttled_bid_exact().micros();
+            if ea.abs_diff(eb) <= BOUND_SLACK_MICROS {
                 continue;
             }
             let out = compare_throttled(&a.refiner(), &b.refiner());
