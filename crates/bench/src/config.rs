@@ -85,7 +85,9 @@ pub struct SimulationSpec {
     pub slot_factors: Vec<f64>,
     /// `"first-price"`, `"gsp"`, or `"vcg"`.
     pub pricing: String,
-    /// `"ignore"`, `"throttle-exact"`, or `"throttle-bounds"`.
+    /// `"ignore"` or `"throttle-exact"`. `"throttle-bounds"` is accepted
+    /// as an alias of `"throttle-exact"`: the engine throttles exactly
+    /// under both.
     pub budget_policy: String,
     /// `"unshared"`, `"shared-aggregation"`, `"shared-sort"`, or
     /// `"hybrid"`.
@@ -386,8 +388,37 @@ impl SimulationSpec {
         Ok(())
     }
 
+    /// Checks what the workload generator would panic on, or the click
+    /// simulator silently reinterpret: at least one topic and one phrase,
+    /// and a finite, non-negative Zipf exponent and mean click delay.
+    fn check_ranges(&self) -> Result<(), ConfigError> {
+        for (key, value) in [
+            ("workload.topics", self.workload.topics),
+            ("workload.phrases", self.workload.phrases),
+        ] {
+            if value == 0 {
+                return Err(ConfigError(format!("field '{key}' must be at least 1")));
+            }
+        }
+        for (key, value) in [
+            (
+                "workload.search_rate_zipf_exponent",
+                self.workload.search_rate_zipf_exponent,
+            ),
+            ("mean_click_delay_rounds", self.mean_click_delay_rounds),
+        ] {
+            if !value.is_finite() || value < 0.0 {
+                return Err(ConfigError(format!(
+                    "field '{key}' must be finite and non-negative, got {value}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the engine.
     pub fn build_engine(&self) -> Result<Engine, ConfigError> {
+        self.check_ranges()?;
         self.check_slot_factors()?;
         Ok(Engine::new(
             self.workload.build(),
@@ -565,9 +596,10 @@ mod tests {
             let path = entry.expect("ci directory entry").path();
             if path.extension().is_some_and(|ext| ext == "json") {
                 let json = std::fs::read_to_string(&path).expect("ci config is readable");
-                if let Err(err) =
-                    SimulationSpec::from_json(&json).and_then(|spec| spec.check_slot_factors())
-                {
+                if let Err(err) = SimulationSpec::from_json(&json).and_then(|spec| {
+                    spec.check_ranges()?;
+                    spec.check_slot_factors()
+                }) {
                     panic!("{}: {err}", path.display());
                 }
                 parsed += 1;
@@ -641,6 +673,47 @@ mod tests {
             spec.build_engine().is_ok(),
             "ties between slots are allowed"
         );
+    }
+
+    #[test]
+    fn degenerate_workloads_and_click_delays_are_config_errors() {
+        for (json, key) in [
+            (r#"{"workload": {"topics": 0}}"#, "'workload.topics'"),
+            (r#"{"workload": {"phrases": 0}}"#, "'workload.phrases'"),
+            (
+                r#"{"workload": {"search_rate_zipf_exponent": -3}}"#,
+                "'workload.search_rate_zipf_exponent'",
+            ),
+            (
+                r#"{"mean_click_delay_rounds": -5}"#,
+                "'mean_click_delay_rounds'",
+            ),
+        ] {
+            let spec = SimulationSpec::from_json(json).expect(json);
+            let Err(err) = spec.run() else {
+                panic!("{json} was accepted");
+            };
+            assert!(err.to_string().contains(key), "{json}: {err}");
+        }
+        for delay in [f64::NAN, f64::INFINITY] {
+            let spec = SimulationSpec {
+                mean_click_delay_rounds: delay,
+                ..SimulationSpec::default()
+            };
+            let Err(err) = spec.build_engine() else {
+                panic!("mean delay {delay} was accepted");
+            };
+            assert!(
+                err.to_string().contains("'mean_click_delay_rounds'"),
+                "{err}"
+            );
+        }
+        let spec = SimulationSpec::from_json(
+            r#"{"rounds": 2, "mean_click_delay_rounds": 0,
+                "workload": {"advertisers": 30, "phrases": 1, "topics": 1}}"#,
+        )
+        .expect("smallest valid workload parses");
+        assert!(spec.run().is_ok(), "one topic, one phrase, zero delay run");
     }
 
     #[test]

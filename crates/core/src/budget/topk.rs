@@ -25,6 +25,10 @@
 //! halving of the interval: without the cap a pair of near-tied heavy
 //! advertisers (the common case late in a simulation, when winners have
 //! accumulated many outstanding ads) forces `O(2^l)` work per auction.
+//!
+//! The engine does not run this selection: it throttles every participant
+//! exactly under both throttling policies. It stays for the frozen
+//! `benchmark/` replay and the `bounds_exact_10k` pin against the scan.
 
 use std::collections::BinaryHeap;
 

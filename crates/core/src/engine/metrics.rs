@@ -71,17 +71,13 @@ pub struct EngineMetrics {
     /// route's sort side. Kept only because the frozen `benchmark/` reads
     /// it; its next PR deletes it.
     pub router_sort_rebuilds: u64,
-    /// Hoeffding bound evaluations by a refiner (`Unshared` +
-    /// `ThrottleBounds` only): one at depth 0 per candidate whose bid
-    /// needs a convolution, then one per refinement step. A bid that
-    /// needs none is scored exactly and costs no bound.
+    /// Always 0: the engine throttles exactly under both throttling
+    /// policies and refines no Hoeffding bound. Kept only because the
+    /// frozen `benchmark/` reads it; its next change deletes it.
     pub bound_evaluations: u64,
-    /// Exact throttled-bid evaluations. Under `Unshared` +
-    /// `ThrottleBounds` these are the Section IV convolutions actually
-    /// run, one per candidate whose bounds reached the top of a phrase's
-    /// selection at their depth cap; a bid that needs no convolution
-    /// costs none. Every other throttling path counts one per
-    /// participating advertiser per round.
+    /// Exact throttled-bid evaluations: under either throttling policy,
+    /// one per participating advertiser per round, whatever the sharing
+    /// strategy; zero under `Ignore`.
     pub exact_throttle_evaluations: u64,
     /// Total expected value (Σ d_j · score) of the assignments made.
     pub expected_value: f64,

@@ -51,8 +51,12 @@ pub enum BudgetPolicy {
     /// Throttle bids with the exact expected-value computation.
     #[default]
     ThrottleExact,
-    /// Throttle bids using lazily refined Hoeffding bounds (exact values
-    /// computed only for winners).
+    /// An alias of [`BudgetPolicy::ThrottleExact`], evaluated exactly by
+    /// the same throttle stage under every strategy. Section IV-B's
+    /// Hoeffding bounds decide what the exact comparison decides, and on
+    /// cent-grain billing exact evaluation is the faster (EXPERIMENTS.md
+    /// E8); the bounds stay in `budget::topk` as E8's evidence. Kept only
+    /// while the frozen `benchmark/` names it; its next change deletes it.
     ThrottleBounds,
 }
 
@@ -372,13 +376,11 @@ impl Engine {
     /// The effective (throttled) bids used by the most recent round's
     /// winner determination and pricing; empty before the first round.
     ///
-    /// Under `Unshared` + `ThrottleBounds` the engine never computes the
-    /// whole population's exact convolutions (Section IV-B's point):
-    /// entries are exact for each phrase's ranked top `k + 1` — the
-    /// winners, whose bids pricing reads, and the runner-up, whose score
-    /// the last winner is charged against — and zero for everyone else.
-    /// All other strategy/policy combinations hold every participant's
-    /// effective bid, which is what the differential oracle replays.
+    /// Under every strategy and every policy this holds each
+    /// participant's effective bid — under both throttling policies its
+    /// exact throttled bid — and zero for everyone else: the throttle
+    /// stage writes it and no later stage changes it. It is what the
+    /// differential oracle replays.
     pub fn last_effective_bids(&self) -> &[Money] {
         &self.last_effective_bids
     }
@@ -480,11 +482,11 @@ impl Engine {
         self.metrics.max_round_throttle_nanos =
             self.metrics.max_round_throttle_nanos.max(throttle_nanos);
 
-        // Stage 2 — winner determination for every occurring phrase. The
-        // unshared bounds path backfills its winners' exact bids into
-        // `effective_bids`, so the snapshot is taken afterwards. The
-        // resolvers borrow disjoint engine fields, so the budget accessor
-        // can read ledgers while a resolver mutates its own state.
+        // Stage 2 — winner determination for every occurring phrase; the
+        // resolvers only read `effective_bids`. They borrow disjoint
+        // engine fields, so the (unread) budget accessor the frozen
+        // `RoundContext` carries can read ledgers while a resolver
+        // mutates its own state.
         let started = Instant::now();
         let outcomes: Vec<AuctionOutcome> = {
             let Engine {
@@ -507,7 +509,7 @@ impl Engine {
                 m_i: &m_i,
                 budgets: &budgets,
             };
-            resolvers.resolve_round(&ctx, &occurring, &mut effective_bids, metrics)
+            resolvers.resolve_round(&ctx, &occurring, &effective_bids, metrics)
         };
         let wd_nanos = started.elapsed().as_nanos();
         self.metrics.wd_nanos += wd_nanos;
@@ -599,21 +601,12 @@ impl Engine {
     /// (`m_i == 0`) always throttles to zero, which is exactly what the
     /// reset leaves behind. Returns the number of exact throttled-bid
     /// convolutions performed.
-    ///
-    /// Under `Unshared` + `ThrottleBounds` the compute half is skipped:
-    /// the unshared resolver selects winners on lazily refined bounds and
-    /// only its winners' exact bids are ever computed (backfilled there).
     fn effective_bids_into(&self, m_i: &[u64], participants: &[u32], out: &mut Vec<Money>) -> u64 {
         let n = self.workload.advertiser_count();
         let policy = self.config.budget_policy;
         out.resize(n, Money::ZERO); // first round only: sizes the buffer
         for &i in &self.prev_participants {
             out[i as usize] = Money::ZERO;
-        }
-        if policy == BudgetPolicy::ThrottleBounds
-            && self.config.sharing == SharingStrategy::Unshared
-        {
-            return 0;
         }
         let bid_for = |i: usize| {
             debug_assert!(m_i[i] > 0, "participants all have m_i > 0");
@@ -626,8 +619,6 @@ impl Engine {
                     }
                 }
                 BudgetPolicy::ThrottleExact | BudgetPolicy::ThrottleBounds => {
-                    // Plan/sort strategies need concrete leaf values, so
-                    // ThrottleBounds also evaluates exactly here.
                     self.budget_context(i, m_i[i]).throttled_bid_exact()
                 }
             }
@@ -635,9 +626,10 @@ impl Engine {
         for &i in participants {
             out[i as usize] = bid_for(i as usize);
         }
-        match policy {
-            BudgetPolicy::Ignore => 0,
-            BudgetPolicy::ThrottleExact | BudgetPolicy::ThrottleBounds => participants.len() as u64,
+        if policy == BudgetPolicy::Ignore {
+            0
+        } else {
+            participants.len() as u64
         }
     }
 

@@ -40,13 +40,11 @@ use super::{
     AuctionOutcome, BudgetPolicy, EngineConfig, EngineMetrics, RoutingMode, SharingStrategy,
 };
 
-/// Per-round context handed to every resolver call: the workload, the
-/// round's participation counts, and a budget-state accessor (used by
-/// the unshared bounds path to refine lazily). Borrowed from disjoint
-/// engine fields so resolvers can hold `&mut` state at the same time.
-/// Resolvers run on the engine's one thread; the `+ Sync` bound on
-/// `budgets` is unused and stays only while the frozen `benchmark/`
-/// names this type.
+/// Per-round context handed to every resolver call. Resolvers read the
+/// workload and `k` from it and the round's bids from the buffer the
+/// throttle stage wrote, never budget state: `budget_policy`, `m_i` and
+/// `budgets` (and the `+ Sync` on it) stay only while the frozen
+/// `benchmark/` replay constructs this type.
 pub struct RoundContext<'a> {
     /// The workload under simulation.
     pub workload: &'a Workload,
@@ -55,21 +53,23 @@ pub struct RoundContext<'a> {
     /// Accepted and unread (every resolver is single-threaded): the
     /// frozen `benchmark/` package still writes it; its next PR drops it.
     pub wd_threads: usize,
-    /// The engine's budget enforcement policy.
+    /// The engine's budget enforcement policy. Unread by every resolver.
     pub budget_policy: BudgetPolicy,
-    /// Per-advertiser auction participation count this round.
+    /// Per-advertiser auction participation count this round. Unread by
+    /// every resolver: the throttle stage has already applied it.
     pub m_i: &'a [u64],
     /// Budget state of advertiser `i` participating in `m` auctions, as
-    /// the engine's throttler sees it.
+    /// the engine's throttler sees it. Unread by every resolver.
     pub budgets: &'a (dyn Fn(usize, u64) -> BudgetContext + Sync),
 }
 
 /// One winner-determination path: `resolve` turns a batch of occurring
 /// phrases into auction outcomes, in the same phrase order.
 ///
-/// `effective_bids` is mutable because the unshared bounds path computes
-/// exact throttled bids only for its ranked top `k + 1` and backfills
-/// them for pricing; the shared resolvers treat it as read-only.
+/// The data flow is one-way: the engine's throttle stage writes every
+/// participant's effective bid, and resolvers only read that buffer, so
+/// [`Engine::last_effective_bids`](super::Engine::last_effective_bids)
+/// is the bid vector every resolver ranked by, under every policy.
 pub trait PhraseResolver {
     /// Round preamble. No resolver implements it — the sort resolver
     /// refreshes its network inside `resolve`, from the phrases it is
@@ -91,7 +91,7 @@ pub trait PhraseResolver {
         &mut self,
         ctx: &RoundContext<'_>,
         phrases: &[PhraseId],
-        effective_bids: &mut [Money],
+        effective_bids: &[Money],
         metrics: &mut EngineMetrics,
     ) -> Vec<AuctionOutcome>;
 }
@@ -123,7 +123,7 @@ fn resolve_sort(
     sort: &mut SortResolver,
     ctx: &RoundContext<'_>,
     phrases: &[PhraseId],
-    effective_bids: &mut [Money],
+    effective_bids: &[Money],
     metrics: &mut EngineMetrics,
 ) -> Vec<AuctionOutcome> {
     let refresh_before = metrics.sort_refresh_nanos;
@@ -245,7 +245,7 @@ impl Resolvers {
         &mut self,
         ctx: &RoundContext<'_>,
         occurring: &[PhraseId],
-        effective_bids: &mut [Money],
+        effective_bids: &[Money],
         metrics: &mut EngineMetrics,
     ) -> Vec<AuctionOutcome> {
         match self {

@@ -134,7 +134,7 @@ impl PhraseResolver for PlanResolver {
         &mut self,
         ctx: &RoundContext<'_>,
         phrases: &[PhraseId],
-        effective_bids: &mut [Money],
+        effective_bids: &[Money],
         metrics: &mut EngineMetrics,
     ) -> Vec<AuctionOutcome> {
         let k = ctx.k;
@@ -153,8 +153,7 @@ impl PhraseResolver for PlanResolver {
         // and merge only the nodes above, scoring straight off the bid
         // buffer — the §II-B materialization cost, nothing population-sized.
         let advertisers = &ctx.workload.advertisers;
-        let bids = &*effective_bids;
-        let score = |i: usize| Score::expected_value(bids[i], advertisers[i].base_factor);
+        let score = |i: usize| Score::expected_value(effective_bids[i], advertisers[i].base_factor);
         let query_nodes = plan.query_nodes();
         let bound = |phrase: PhraseId| self.query_index[phrase.index()].map(|qi| query_nodes[qi]);
         self.cones

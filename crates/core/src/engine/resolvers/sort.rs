@@ -181,7 +181,7 @@ impl PhraseResolver for SortResolver {
         &mut self,
         ctx: &RoundContext<'_>,
         phrases: &[PhraseId],
-        effective_bids: &mut [Money],
+        effective_bids: &[Money],
         metrics: &mut EngineMetrics,
     ) -> Vec<AuctionOutcome> {
         let started = Instant::now();

@@ -1,23 +1,19 @@
-//! The baseline resolver: an independent top-k scan per phrase.
+//! The baseline resolver: an independent top-k scan per phrase over the
+//! effective bids the engine's throttle stage wrote for every
+//! participant (exact throttled bids under both throttling policies).
 
 use ssa_auction::ids::{AdvertiserId, PhraseId};
 use ssa_auction::money::Money;
 use ssa_auction::score::Score;
 use ssa_auction::winner::assignment_from_ranking;
 
-use crate::budget::topk::{top_k_uncertain, UncertainCandidate};
 use crate::topk::{KList, ScoredAd};
 
-use super::super::{AuctionOutcome, BudgetPolicy, EngineMetrics};
+use super::super::{AuctionOutcome, EngineMetrics};
 use super::{PhraseResolver, RoundContext};
 
 /// Independent scan per phrase. Stateless: every round's work derives
-/// entirely from the [`RoundContext`].
-///
-/// Under `ThrottleBounds`, selection runs best-first on lazily refined
-/// Hoeffding bounds in the scan's own [`ScoredAd`] order, so it ranks
-/// exactly as the scan over exact throttled bids would; the exact bids of
-/// each phrase's ranked top `k + 1` are backfilled into `effective_bids`.
+/// entirely from the [`RoundContext`] and the bid buffer.
 #[derive(Debug, Default)]
 pub struct UnsharedResolver;
 
@@ -44,44 +40,25 @@ impl PhraseResolver for UnsharedResolver {
         &mut self,
         ctx: &RoundContext<'_>,
         phrases: &[PhraseId],
-        effective_bids: &mut [Money],
+        effective_bids: &[Money],
         metrics: &mut EngineMetrics,
     ) -> Vec<AuctionOutcome> {
         let k = ctx.k;
-        let bounds_mode = ctx.budget_policy == BudgetPolicy::ThrottleBounds;
         let mut out = Vec::with_capacity(phrases.len());
         for &phrase in phrases {
             let q = phrase.index();
             let interest = &ctx.workload.interest[q];
-            let factors = &ctx.workload.phrase_factors[q];
             metrics.advertisers_scanned += interest.len() as u64;
-            let ranked: Vec<(AdvertiserId, Score)> = if bounds_mode {
-                // `m_i` was computed once for the whole round; no
-                // per-(phrase, candidate) rescan of the occurring set.
-                let candidates: Vec<UncertainCandidate> = interest
-                    .iter()
-                    .zip(factors)
-                    .map(|(&a, &factor)| {
-                        let budget = (ctx.budgets)(a.index(), ctx.m_i[a.index()]);
-                        UncertainCandidate::new(a, factor, &budget)
-                    })
-                    .collect();
-                let (winners, stats) = top_k_uncertain(&candidates, k + 1);
-                metrics.bound_evaluations += stats.bound_evaluations;
-                metrics.exact_throttle_evaluations += stats.exact_evaluations;
-                // An advertiser's exact bid depends only on its own
-                // budget state, so a later phrase re-writes the same value.
-                for w in &winners {
-                    effective_bids[w.advertiser.index()] = w.bid;
-                }
-                winners.iter().map(|w| (w.advertiser, w.score)).collect()
-            } else {
-                scan_top_k(interest, factors, effective_bids, k + 1)
-                    .items()
-                    .iter()
-                    .map(|s| (s.advertiser, s.score))
-                    .collect()
-            };
+            let ranked: Vec<(AdvertiserId, Score)> = scan_top_k(
+                interest,
+                &ctx.workload.phrase_factors[q],
+                effective_bids,
+                k + 1,
+            )
+            .items()
+            .iter()
+            .map(|s| (s.advertiser, s.score))
+            .collect();
             out.push(AuctionOutcome {
                 phrase,
                 assignment: assignment_from_ranking(&ranked, k),

@@ -324,7 +324,8 @@ struct Variant {
 
 /// Runs the reference and every variant in lockstep. Each round the
 /// reference is replayed against the oracle, and every variant must
-/// match it bit for bit: outcomes, charged prices and budget snapshots.
+/// match it bit for bit: outcomes, charged prices, the whole
+/// effective-bid buffer and budget snapshots.
 fn run_engine_diff(
     check: &'static str,
     w: &Workload,
@@ -371,6 +372,16 @@ fn run_engine_diff(
             }
             check_charged_prices(check, w, &v.engine, &out, &oracle_bids, seed, round)?;
             compare_outcomes(check, v.name, &ref_out, &out, seed, round)?;
+            if v.engine.last_effective_bids() != oracle_bids {
+                return Err(Divergence::new(
+                    check,
+                    seed,
+                    format!(
+                        "round {round} [{}]: effective bids differ from the reference's",
+                        v.name
+                    ),
+                ));
+            }
             if v.engine.budget_snapshots() != ref_snapshots {
                 return Err(Divergence::new(
                     check,
@@ -387,12 +398,11 @@ fn run_engine_diff(
 }
 
 /// Differential check over a separable (jitter-free) workload: the
-/// unshared scan, the Section II shared aggregation plan, the Section III
-/// shared sort, and the bounds-based budget policy must all reproduce the
-/// reference bit for bit every round; the reference itself is replayed
-/// against the naive oracle each round, and the shared plan's counted ⊕
-/// must equal its §II-B materialized cost every round. The `Ignore`
-/// budget policy gets its own oracle replay.
+/// Section II shared aggregation plan and the Section III shared sort
+/// must both reproduce the unshared reference bit for bit every round;
+/// the reference itself is replayed against the naive oracle each round,
+/// and the shared plan's counted ⊕ must equal its §II-B materialized cost
+/// every round. The `Ignore` budget policy gets its own oracle replay.
 pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "engine-separable";
     let w = Workload::generate(cfg);
@@ -419,17 +429,6 @@ pub fn check_engine_separable_with(cfg: &WorkloadConfig, seed: u64) -> Result<()
                 engine_config(
                     SharingStrategy::SharedSort,
                     BudgetPolicy::ThrottleExact,
-                    seed,
-                ),
-            ),
-        },
-        Variant {
-            name: "throttle-bounds",
-            engine: Engine::new(
-                w.clone(),
-                engine_config(
-                    SharingStrategy::Unshared,
-                    BudgetPolicy::ThrottleBounds,
                     seed,
                 ),
             ),
@@ -466,30 +465,17 @@ pub fn check_engine_nonseparable_with(cfg: &WorkloadConfig, seed: u64) -> Result
         w.clone(),
         engine_config(SharingStrategy::Unshared, BudgetPolicy::ThrottleExact, seed),
     );
-    let variants = vec![
-        Variant {
-            name: "shared-sort",
-            engine: Engine::new(
-                w.clone(),
-                engine_config(
-                    SharingStrategy::SharedSort,
-                    BudgetPolicy::ThrottleExact,
-                    seed,
-                ),
+    let variants = vec![Variant {
+        name: "shared-sort",
+        engine: Engine::new(
+            w.clone(),
+            engine_config(
+                SharingStrategy::SharedSort,
+                BudgetPolicy::ThrottleExact,
+                seed,
             ),
-        },
-        Variant {
-            name: "throttle-bounds",
-            engine: Engine::new(
-                w.clone(),
-                engine_config(
-                    SharingStrategy::Unshared,
-                    BudgetPolicy::ThrottleBounds,
-                    seed,
-                ),
-            ),
-        },
-    ];
+        ),
+    }];
     run_engine_diff(CHECK, &w, reference, variants, seed)
 }
 
@@ -793,8 +779,8 @@ pub fn check_shared_sort(seed: u64) -> Result<(), Divergence> {
 /// elsewhere its runs may hold bids from earlier rounds; the prefix
 /// property still holds at every node because a fresh network fills
 /// only occurring cones, where both networks hold this round's bids.
-/// Exercised under both throttling policies (tight budgets make
-/// effective bids actually churn between rounds).
+/// Exercised under exact throttling (tight budgets make effective bids
+/// actually churn between rounds).
 pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(), Divergence> {
     const CHECK: &str = "sort-persistent";
     let w = Workload::generate(cfg);
@@ -818,83 +804,84 @@ pub fn check_sort_persistent_with(cfg: &WorkloadConfig, seed: u64) -> Result<(),
         })
         .collect();
 
-    for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-        let ec = engine_config(SharingStrategy::SharedSort, policy, seed);
-        let k = ec.slot_factors.len();
-        let mut engine = Engine::new(w.clone(), ec);
-        let label = format!("{policy:?}");
-        for round in 0..ROUNDS {
-            let stages_before = engine.metrics().ta_stages;
-            let outcomes = engine.run_round();
-            let persistent_stages = engine.metrics().ta_stages - stages_before;
-            let bids = engine.last_effective_bids().to_vec();
+    let ec = engine_config(
+        SharingStrategy::SharedSort,
+        BudgetPolicy::ThrottleExact,
+        seed,
+    );
+    let k = ec.slot_factors.len();
+    let mut engine = Engine::new(w.clone(), ec);
+    for round in 0..ROUNDS {
+        let stages_before = engine.metrics().ta_stages;
+        let outcomes = engine.run_round();
+        let persistent_stages = engine.metrics().ta_stages - stages_before;
+        let bids = engine.last_effective_bids().to_vec();
 
-            // Fresh-per-round reference: instantiate from scratch on
-            // this round's effective bids and resolve the same
-            // occurring phrases, ranking `k + 1` as every resolver does
-            // (the assignment carries the runner-up).
-            let (mut fresh, roots) = plan.instantiate(&bids);
-            let mut fresh_stages = 0u64;
-            for o in &outcomes {
-                let q = o.phrase.index();
-                let ranked = if roots[q] == usize::MAX {
-                    Vec::new()
-                } else {
-                    let outcome = threshold_top_k(
-                        &mut fresh,
-                        roots[q],
-                        &c_orders[q],
-                        |a| bids[a.index()],
-                        |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
-                        k + 1,
-                    );
-                    fresh_stages += outcome.stages as u64;
-                    outcome.top_k
-                };
-                let expected = assignment_from_ranking(&ranked, k);
-                if o.assignment != expected {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] round {round} phrase {}: persistent network \
-                                 assigned {:?}, fresh network {expected:?}",
-                            o.phrase, o.assignment
-                        ),
-                    ));
-                }
-            }
-            if persistent_stages != fresh_stages {
+        // Fresh-per-round reference: instantiate from scratch on
+        // this round's effective bids and resolve the same
+        // occurring phrases, ranking `k + 1` as every resolver does
+        // (the assignment carries the runner-up).
+        let (mut fresh, roots) = plan.instantiate(&bids);
+        let mut fresh_stages = 0u64;
+        for o in &outcomes {
+            let q = o.phrase.index();
+            let ranked = if roots[q] == usize::MAX {
+                Vec::new()
+            } else {
+                let outcome = threshold_top_k(
+                    &mut fresh,
+                    roots[q],
+                    &c_orders[q],
+                    |a| bids[a.index()],
+                    |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
+                    k + 1,
+                );
+                fresh_stages += outcome.stages as u64;
+                outcome.top_k
+            };
+            let expected = assignment_from_ranking(&ranked, k);
+            if o.assignment != expected {
                 return Err(Divergence::new(
                     CHECK,
                     seed,
                     format!(
-                        "[{label}] round {round}: persistent TA ran {persistent_stages} \
-                             stages, fresh TA {fresh_stages}"
+                        "round {round} phrase {}: persistent network \
+                             assigned {:?}, fresh network {expected:?}",
+                        o.phrase, o.assignment
                     ),
                 ));
             }
+        }
+        if persistent_stages != fresh_stages {
+            return Err(Divergence::new(
+                CHECK,
+                seed,
+                format!(
+                    "round {round}: persistent TA ran {persistent_stages} \
+                         stages, fresh TA {fresh_stages}"
+                ),
+            ));
+        }
 
-            // Cache contents: whatever the fresh evaluation merged,
-            // the persistent network must hold bit-identically as a
-            // prefix of its (possibly deeper) cache.
-            let persistent = engine
-                .sort_cached_streams()
-                .expect("SharedSort engine has a network after a round");
-            for (v, p) in persistent.iter().enumerate().take(plan.node_count()) {
-                let f = fresh.cached(v);
-                if p.len() < f.len() || p[..f.len()] != f[..] {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] round {round} node {v}: fresh cache of \
-                                 {} items is not a prefix of persistent cache of {} items",
-                            f.len(),
-                            p.len()
-                        ),
-                    ));
-                }
+        // Cache contents: whatever the fresh evaluation merged,
+        // the persistent network must hold bit-identically as a
+        // prefix of its (possibly deeper) cache.
+        let persistent = engine
+            .sort_cached_streams()
+            .expect("SharedSort engine has a network after a round");
+        for (v, p) in persistent.iter().enumerate().take(plan.node_count()) {
+            let f = fresh.cached(v);
+            if p.len() < f.len() || p[..f.len()] != f[..] {
+                return Err(Divergence::new(
+                    CHECK,
+                    seed,
+                    format!(
+                        "round {round} node {v}: fresh cache of \
+                             {} items is not a prefix of persistent cache of {} items",
+                        f.len(),
+                        p.len()
+                    ),
+                ));
             }
         }
     }
@@ -914,8 +901,8 @@ pub fn check_sort_persistent(seed: u64) -> Result<(), Divergence> {
 /// `RoutingMode::Static` it is exactly the separability map. A `Hybrid`
 /// engine must be *bit-identical* to a pure `SharedSort` engine — same
 /// outcomes every round, same effective bids, same budget snapshots —
-/// and survive a naive-oracle replay of every round, under both
-/// throttling policies. Every round is additionally replayed statically
+/// and survive a naive-oracle replay of every round, under exact
+/// throttling. Every round is additionally replayed statically
 /// over the engine's route: plan-routed phrases against a fresh
 /// shared-aggregation evaluation over the plan side, sort-routed phrases
 /// against a freshly instantiated subset sort network.
@@ -932,14 +919,14 @@ fn check_hybrid_route(w: &Workload, routing: RoutingMode, seed: u64) -> Result<(
     const CHECK: &str = "hybrid-routing";
     let n = w.advertiser_count();
     let m = w.phrase_count();
-    let hybrid_config = |policy| EngineConfig {
+    let hybrid_config = || EngineConfig {
         routing,
-        ..engine_config(SharingStrategy::Hybrid, policy, seed)
+        ..engine_config(SharingStrategy::Hybrid, BudgetPolicy::ThrottleExact, seed)
     };
 
     // The route is fixed at construction: read it off a fresh engine and
     // hold every engine below to it.
-    let plan_route: Vec<bool> = Engine::new(w.clone(), hybrid_config(BudgetPolicy::ThrottleExact))
+    let plan_route: Vec<bool> = Engine::new(w.clone(), hybrid_config())
         .hybrid_plan_route()
         .expect("hybrid engine has a route")
         .to_vec();
@@ -1022,161 +1009,162 @@ fn check_hybrid_route(w: &Workload, routing: RoutingMode, seed: u64) -> Result<(
         })
         .collect();
 
-    for policy in [BudgetPolicy::ThrottleExact, BudgetPolicy::ThrottleBounds] {
-        let ec = hybrid_config(policy);
-        let k = ec.slot_factors.len();
-        let mut hybrid = Engine::new(w.clone(), ec);
-        let mut reference = Engine::new(
-            w.clone(),
-            engine_config(SharingStrategy::SharedSort, policy, seed),
-        );
-        let label = format!("{routing:?}/{policy:?}");
-        route_holds(&hybrid, &label, "before round 0")?;
+    let ec = hybrid_config();
+    let k = ec.slot_factors.len();
+    let mut hybrid = Engine::new(w.clone(), ec);
+    let mut reference = Engine::new(
+        w.clone(),
+        engine_config(
+            SharingStrategy::SharedSort,
+            BudgetPolicy::ThrottleExact,
+            seed,
+        ),
+    );
+    let label = format!("{routing:?}");
+    route_holds(&hybrid, &label, "before round 0")?;
 
-        for round in 0..ROUNDS {
-            let snapshots = hybrid.budget_snapshots();
-            let hybrid_out = hybrid.run_round();
-            route_holds(&hybrid, &label, &format!("after round {round}"))?;
-            oracle_check_round(CHECK, w, &hybrid, &snapshots, &hybrid_out, seed, round)?;
-            let ref_out = reference.run_round();
-            if hybrid_out.len() != ref_out.len()
-                || hybrid_out
-                    .iter()
-                    .zip(&ref_out)
-                    .any(|(a, b)| a.phrase != b.phrase)
-            {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!(
-                        "[{label}] round {round}: occurring phrase sets differ \
-                             (hybrid {:?}, shared-sort {:?})",
-                        hybrid_out.iter().map(|o| o.phrase).collect::<Vec<_>>(),
-                        ref_out.iter().map(|o| o.phrase).collect::<Vec<_>>()
-                    ),
-                ));
-            }
-            for (a, b) in hybrid_out.iter().zip(&ref_out) {
-                if a.assignment != b.assignment {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] round {round} phrase {} ({}-routed): hybrid \
-                                 assigned {:?}, shared-sort {:?}",
-                            a.phrase,
-                            if plan_route[a.phrase.index()] {
-                                "plan"
-                            } else {
-                                "sort"
-                            },
-                            a.assignment,
-                            b.assignment
-                        ),
-                    ));
-                }
-            }
-            if hybrid.last_effective_bids() != reference.last_effective_bids() {
-                return Err(Divergence::new(
-                    CHECK,
-                    seed,
-                    format!("[{label}] round {round}: effective bids differ"),
-                ));
-            }
-
-            // Static replay on this round's (exact) effective bids:
-            // both throttling policies compute full exact bids on the
-            // non-unshared paths, so an independent evaluation over
-            // each subset must reproduce the routed assignments.
-            let bids = hybrid.last_effective_bids().to_vec();
-            let plan_results = plan_dag.as_ref().map(|dag| {
-                let op = ScoredTopKOp { k: k + 1 };
-                let leaves: Vec<KList<ScoredAd>> = w
-                    .advertisers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, adv)| {
-                        KList::singleton(
-                            k + 1,
-                            ScoredAd::new(adv.id, Score::expected_value(bids[i], adv.base_factor)),
-                        )
-                    })
-                    .collect();
-                let mut flags = vec![false; dag.query_count()];
-                for o in &hybrid_out {
-                    if let Some(qi) = query_index[o.phrase.index()] {
-                        flags[qi] = true;
-                    }
-                }
-                dag.evaluate(&op, &leaves, &flags).0
-            });
-            let (mut fresh, roots) = sort_plan.instantiate(&bids);
-            for o in &hybrid_out {
-                let q = o.phrase.index();
-                let ranked: Vec<(AdvertiserId, Score)> = if plan_route[q] {
-                    query_index[q]
-                        .and_then(|qi| plan_results.as_ref()?[qi].as_ref())
-                        .map(|list| {
-                            list.items()
-                                .iter()
-                                .map(|s| (s.advertiser, s.score))
-                                .collect()
-                        })
-                        .unwrap_or_default()
-                } else if roots[q] == usize::MAX {
-                    Vec::new()
-                } else {
-                    threshold_top_k(
-                        &mut fresh,
-                        roots[q],
-                        &c_orders[q],
-                        |a| bids[a.index()],
-                        |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
-                        k + 1,
-                    )
-                    .top_k
-                };
-                let want = assignment_from_ranking(&ranked, k);
-                if o.assignment != want {
-                    return Err(Divergence::new(
-                        CHECK,
-                        seed,
-                        format!(
-                            "[{label}] round {round} phrase {} ({}-routed): hybrid \
-                                 assigned {:?}, static subset replay gives {want:?}",
-                            o.phrase,
-                            if plan_route[q] { "plan" } else { "sort" },
-                            o.assignment
-                        ),
-                    ));
-                }
-            }
-        }
-
-        if hybrid.budget_snapshots() != reference.budget_snapshots() {
-            return Err(Divergence::new(
-                CHECK,
-                seed,
-                format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
-            ));
-        }
-        let metrics = hybrid.metrics();
-        if metrics.phrases_routed_unshared != 0
-            || metrics.phrases_routed_plan + metrics.phrases_routed_sort != metrics.auctions
+    for round in 0..ROUNDS {
+        let snapshots = hybrid.budget_snapshots();
+        let hybrid_out = hybrid.run_round();
+        route_holds(&hybrid, &label, &format!("after round {round}"))?;
+        oracle_check_round(CHECK, w, &hybrid, &snapshots, &hybrid_out, seed, round)?;
+        let ref_out = reference.run_round();
+        if hybrid_out.len() != ref_out.len()
+            || hybrid_out
+                .iter()
+                .zip(&ref_out)
+                .any(|(a, b)| a.phrase != b.phrase)
         {
             return Err(Divergence::new(
                 CHECK,
                 seed,
                 format!(
-                    "[{label}] routing counters do not partition the {} auctions: \
-                         plan {}, sort {}, unshared {}",
-                    metrics.auctions,
-                    metrics.phrases_routed_plan,
-                    metrics.phrases_routed_sort,
-                    metrics.phrases_routed_unshared
+                    "[{label}] round {round}: occurring phrase sets differ \
+                         (hybrid {:?}, shared-sort {:?})",
+                    hybrid_out.iter().map(|o| o.phrase).collect::<Vec<_>>(),
+                    ref_out.iter().map(|o| o.phrase).collect::<Vec<_>>()
                 ),
             ));
         }
+        for (a, b) in hybrid_out.iter().zip(&ref_out) {
+            if a.assignment != b.assignment {
+                return Err(Divergence::new(
+                    CHECK,
+                    seed,
+                    format!(
+                        "[{label}] round {round} phrase {} ({}-routed): hybrid \
+                             assigned {:?}, shared-sort {:?}",
+                        a.phrase,
+                        if plan_route[a.phrase.index()] {
+                            "plan"
+                        } else {
+                            "sort"
+                        },
+                        a.assignment,
+                        b.assignment
+                    ),
+                ));
+            }
+        }
+        if hybrid.last_effective_bids() != reference.last_effective_bids() {
+            return Err(Divergence::new(
+                CHECK,
+                seed,
+                format!("[{label}] round {round}: effective bids differ"),
+            ));
+        }
+
+        // Static replay on this round's (exact) effective bids: an
+        // independent evaluation over each subset must reproduce the
+        // routed assignments.
+        let bids = hybrid.last_effective_bids().to_vec();
+        let plan_results = plan_dag.as_ref().map(|dag| {
+            let op = ScoredTopKOp { k: k + 1 };
+            let leaves: Vec<KList<ScoredAd>> = w
+                .advertisers
+                .iter()
+                .enumerate()
+                .map(|(i, adv)| {
+                    KList::singleton(
+                        k + 1,
+                        ScoredAd::new(adv.id, Score::expected_value(bids[i], adv.base_factor)),
+                    )
+                })
+                .collect();
+            let mut flags = vec![false; dag.query_count()];
+            for o in &hybrid_out {
+                if let Some(qi) = query_index[o.phrase.index()] {
+                    flags[qi] = true;
+                }
+            }
+            dag.evaluate(&op, &leaves, &flags).0
+        });
+        let (mut fresh, roots) = sort_plan.instantiate(&bids);
+        for o in &hybrid_out {
+            let q = o.phrase.index();
+            let ranked: Vec<(AdvertiserId, Score)> = if plan_route[q] {
+                query_index[q]
+                    .and_then(|qi| plan_results.as_ref()?[qi].as_ref())
+                    .map(|list| {
+                        list.items()
+                            .iter()
+                            .map(|s| (s.advertiser, s.score))
+                            .collect()
+                    })
+                    .unwrap_or_default()
+            } else if roots[q] == usize::MAX {
+                Vec::new()
+            } else {
+                threshold_top_k(
+                    &mut fresh,
+                    roots[q],
+                    &c_orders[q],
+                    |a| bids[a.index()],
+                    |a| w.phrase_factor(o.phrase, a).unwrap_or(0.0),
+                    k + 1,
+                )
+                .top_k
+            };
+            let want = assignment_from_ranking(&ranked, k);
+            if o.assignment != want {
+                return Err(Divergence::new(
+                    CHECK,
+                    seed,
+                    format!(
+                        "[{label}] round {round} phrase {} ({}-routed): hybrid \
+                             assigned {:?}, static subset replay gives {want:?}",
+                        o.phrase,
+                        if plan_route[q] { "plan" } else { "sort" },
+                        o.assignment
+                    ),
+                ));
+            }
+        }
+    }
+
+    if hybrid.budget_snapshots() != reference.budget_snapshots() {
+        return Err(Divergence::new(
+            CHECK,
+            seed,
+            format!("[{label}] budget snapshots differ after {ROUNDS} rounds"),
+        ));
+    }
+    let metrics = hybrid.metrics();
+    if metrics.phrases_routed_unshared != 0
+        || metrics.phrases_routed_plan + metrics.phrases_routed_sort != metrics.auctions
+    {
+        return Err(Divergence::new(
+            CHECK,
+            seed,
+            format!(
+                "[{label}] routing counters do not partition the {} auctions: \
+                     plan {}, sort {}, unshared {}",
+                metrics.auctions,
+                metrics.phrases_routed_plan,
+                metrics.phrases_routed_sort,
+                metrics.phrases_routed_unshared
+            ),
+        ));
     }
     Ok(())
 }

@@ -55,11 +55,7 @@ fn sharing_strategies_preserve_outcomes_and_revenue() {
 /// budget, under every policy.
 #[test]
 fn settled_spend_respects_budgets() {
-    for policy in [
-        BudgetPolicy::Ignore,
-        BudgetPolicy::ThrottleExact,
-        BudgetPolicy::ThrottleBounds,
-    ] {
+    for policy in [BudgetPolicy::Ignore, BudgetPolicy::ThrottleExact] {
         let w = workload(9, 0.0);
         let total: Money = w.advertisers.iter().map(|a| a.budget).sum();
         let mut engine = Engine::new(
